@@ -108,34 +108,29 @@ class StationaryProblem:
         psi = np.asarray(psi, dtype=float)
         return self.operator.matvec(psi.copy()) - mu * psi + self.nonlinear_potential(psi) * psi
 
-    def jacobian(self, psi: np.ndarray, mu: float) -> np.ndarray:
-        """Dense Frechet derivative of the residual at a real state.
+    def linearization(self, psi: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+        """Local part Ld and dense Frechet derivative Lplus at a real state.
 
-        Besides the local diagonal, differentiating through the convolutions
-        gives 2 s psi_i K1[i,j] psi_j + 4 delta psi_i K2[i,j] psi_j^3, which
-        is not symmetric; downstream eigen/determinant logic must not assume
-        symmetry.
+        Ld = L - mu + diag(s (R1 * psi^2) + delta (R2 * psi^4)). Besides this
+        local part, differentiating through the convolutions gives
+        2 s psi_i K1[i,j] psi_j + 4 delta psi_i K2[i,j] psi_j^3, which is not
+        symmetric; downstream eigen/determinant logic must not assume
+        symmetry. Newton uses Lplus, the linear stability analysis both.
         """
         psi = np.asarray(psi, dtype=float)
-        jac = self._dense_l - mu * np.eye(self.grid.n_points)
-        jac += np.diag(self.nonlinear_potential(psi))
-        jac += 2.0 * self.s * (psi[:, None] * self._k1 * psi[None, :])
+        n = self.grid.n_points
+        local = self._dense_l - mu * np.eye(n)
+        local[np.diag_indices(n)] += self.nonlinear_potential(psi)
+        jac = local + 2.0 * self.s * (psi[:, None] * self._k1 * psi[None, :])
         jac += 4.0 * self.delta * (psi[:, None] * self._k2 * (psi**3)[None, :])
-        return jac
+        return local, jac
+
+    def jacobian(self, psi: np.ndarray, mu: float) -> np.ndarray:
+        """Lplus of `linearization`: the Newton matrix."""
+        return self.linearization(psi, mu)[1]
 
     def norm(self, psi: np.ndarray) -> float:
         return self.grid.norm_sq(np.asarray(psi))
-
-
-def make_problem(
-    grid: Grid,
-    potential: PotentialParams,
-    kernel_cubic: Kernel,
-    kernel_quintic: Kernel,
-    s: int,
-    delta: int,
-) -> StationaryProblem:
-    return StationaryProblem(grid, potential, kernel_cubic, kernel_quintic, s, delta)
 
 
 def stationary_residual(problem: StationaryProblem, psi, mu: float) -> np.ndarray:

@@ -214,6 +214,38 @@ def test_product_and_block_routes_agree(bdg_mid):
     assert abs(block.max_real_part - product.max_real_part) <= 1e-8
 
 
+@pytest.fixture(scope="module")
+def parity_states(entry01, bdg_mid):
+    """Operators at an even parent, an odd parent and the vacuum."""
+    problem = entry01["problem"]
+    vacuum = make_state(problem, np.zeros(problem.grid.n_points), 0.1)
+    return {"even": build_bdg(problem, nearest_state(entry01["sym"], 2.0)),
+            "odd": bdg_mid[2],
+            "vacuum": build_bdg(problem, vacuum)}
+
+
+@pytest.mark.parametrize("name", ["even", "odd", "vacuum"])
+def test_parity_split_matches_whole_block(parity_states, name):
+    # The default route solves the two reflection sectors of a state with
+    # parity; together they must reproduce the whole 2n x 2n block.
+    op = parity_states[name]
+    split = solve_bdg(op)
+    whole = -1j * np.linalg.eigvals(op.block())
+    assert len(split.eigenvalues) == len(whole)
+    for ref, other in ((whole, split.eigenvalues), (split.eigenvalues, whole)):
+        for lam in ref[np.abs(ref) > 1e-3]:
+            assert np.abs(other - lam).min() <= 1e-8
+    assert split.unstable_count == np.count_nonzero(whole.real > split.threshold)
+    assert abs(split.max_real_part - whole.real.max()) <= 1e-8
+
+
+def test_asymmetric_state_keeps_whole_spectrum(entry01, ssb_daughter):
+    _, _, daughter = ssb_daughter
+    op = build_bdg(entry01["problem"], nearest_state(daughter, 3.0))
+    assert min(parity_residuals(op.grid, op.psi)) > 1e-3
+    assert len(solve_bdg(op).eigenvalues) == 2 * op.grid.n_points
+
+
 def test_solver_input_validation(bdg_mid):
     _, _, op = bdg_mid
     with pytest.raises(StabilityError, match="threshold"):
