@@ -532,43 +532,70 @@ def continue_branch(
 # --- pitchfork detection --------------------------------------------------------
 
 
-def _parity_basis(grid: Grid, parity: str) -> np.ndarray:
-    """Orthonormal coordinate basis of the even or odd reflection subspace."""
+@dataclass(frozen=True)
+class ReflectionSector:
+    """Even or odd reflection subspace of the symmetric grid.
+
+    Its orthonormal coordinate basis B pairs x_i with x_{n-1-i}, columns
+    (e_i +- e_{n-1-i}) / sqrt(2) for i < n // 2, plus the centre e_{n // 2}
+    in the even sector.  Restriction and lifting work by index, without
+    forming B.
+    """
+
+    parity: str
+    n: int
+
+    def fold(self, matrix: np.ndarray) -> np.ndarray:
+        """B.T @ matrix @ B.
+
+        Entry (i, j) with i, j < n // 2 is (M[i,j] +- M[i,n-1-j] +- M[n-1-i,j]
+        + M[n-1-i,n-1-j]) / 2; the even sector adds the centre row and column.
+        """
+        m = self.n // 2
+        sign = 1.0 if self.parity == "even" else -1.0
+        rows = matrix[:m] + sign * matrix[::-1][:m]
+        core = 0.5 * (rows[:, :m] + sign * rows[:, ::-1][:, :m])
+        if self.parity == "odd":
+            return core
+        inv = math.sqrt(0.5)
+        column = inv * rows[:, m:m + 1]
+        row = inv * (matrix[m:m + 1, :m] + matrix[m:m + 1, ::-1][:, :m])
+        return np.block([[core, column], [row, matrix[m:m + 1, m:m + 1]]])
+
+    def lift(self, vector: np.ndarray) -> np.ndarray:
+        """B @ vector: sector coordinates back to grid values."""
+        m = self.n // 2
+        sign = 1.0 if self.parity == "even" else -1.0
+        half = math.sqrt(0.5) * vector[:m]
+        out = np.zeros(self.n, dtype=vector.dtype)
+        out[:m] = half
+        out[self.n - m:] = sign * half[::-1]
+        if self.parity == "even":
+            out[m] = vector[m]
+        return out
+
+
+def reflection_sectors(
+    grid: Grid, symmetry: str
+) -> tuple[ReflectionSector, ReflectionSector]:
+    """(parent, breaking) sectors of an even or odd state.
+
+    The parent sector has the state's own parity; a pitchfork adds a
+    component of the other one.
+    """
     n = grid.n_points
-    m = n // 2
-    inv = math.sqrt(0.5)
-    cols = []
-    if parity == "even":
-        for i in range(m):
-            col = np.zeros(n)
-            col[i] = col[n - 1 - i] = inv
-            cols.append(col)
-        center = np.zeros(n)
-        center[m] = 1.0
-        cols.append(center)
-    else:
-        for i in range(m):
-            col = np.zeros(n)
-            col[i], col[n - 1 - i] = inv, -inv
-            cols.append(col)
-    return np.column_stack(cols)
-
-
-def _breaking_parity(symmetry: str) -> str:
-    # A pitchfork adds a component of the parity the parent does not have.
     if symmetry == SYMMETRIC:
-        return "odd"
+        return ReflectionSector("even", n), ReflectionSector("odd", n)
     if symmetry == ANTISYMMETRIC:
-        return "even"
-    raise ContinuationError("pitchfork detection needs an even or odd parent branch")
+        return ReflectionSector("odd", n), ReflectionSector("even", n)
+    raise ContinuationError(f"reflection sectors need an even or odd parent, got {symmetry}")
 
 
 def _restricted_detsign(
-    problem: StationaryProblem, state: StationaryState, basis: np.ndarray
+    problem: StationaryProblem, state: StationaryState, sector: ReflectionSector
 ) -> float:
     jac = problem.jacobian(state.psi.values.real, state.mu)
-    block = basis.T @ jac @ basis
-    sign, _ = np.linalg.slogdet(block)
+    sign, _ = np.linalg.slogdet(sector.fold(jac))
     return sign
 
 
@@ -625,8 +652,8 @@ def detect_pitchfork(
     settings = settings or NewtonSettings()
     if len(branch.states) < 2:
         return []
-    basis = _parity_basis(problem.grid, _breaking_parity(branch.symmetry()))
-    signs = [_restricted_detsign(problem, s, basis) for s in branch.states]
+    _, breaking = reflection_sectors(problem.grid, branch.symmetry())
+    signs = [_restricted_detsign(problem, s, breaking) for s in branch.states]
     found: list[PitchforkEvent] = []
     for k in range(len(branch.states) - 1):
         if signs[k] == 0.0 or signs[k] * signs[k + 1] >= 0:
@@ -637,16 +664,15 @@ def detect_pitchfork(
             if abs(hi_state.mu - lo_state.mu) <= mu_resolution:
                 break
             mid = _segment_state(problem, lo_state, hi_state, 0.5, settings)
-            if _restricted_detsign(problem, mid, basis) == lo_sign:
+            if _restricted_detsign(problem, mid, breaking) == lo_sign:
                 lo_state = mid
             else:
                 hi_state = mid
         critical = _segment_state(problem, lo_state, hi_state, 0.5, settings)
         jac = problem.jacobian(critical.psi.values.real, critical.mu)
-        block = basis.T @ jac @ basis
-        eigvals, eigvecs = np.linalg.eig(block)
+        eigvals, eigvecs = np.linalg.eig(breaking.fold(jac))
         idx = int(np.argmin(np.abs(eigvals)))
-        direction = basis @ np.real(eigvecs[:, idx])
+        direction = breaking.lift(np.real(eigvecs[:, idx]))
         direction /= math.sqrt(problem.grid.norm_sq(direction))
         found.append(
             PitchforkEvent(

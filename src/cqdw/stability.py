@@ -45,26 +45,30 @@ growth rate comes out as an exactly real eigenvalue.
 When psi0 is even or odd (a zero profile counts as even), reflection commutes
 with Ld and Lplus, and each matrix splits into an even and an odd sector,
 restricted by an index fold.  The parent sector, of psi0's own parity, holds
-the zero mode; the breaking sector carries every pitchfork instability and
-has no zero mode, so the product form is safe there (Van Loan's
-square-reduced form, LAA 61, 1984).  `solve_bdg` and `sweep_branch` (method
-"block") solve the parent sector as its restricted block M and the breaking
-sector in product form, and a state without parity as the whole 2n x 2n M;
-method "product" applies the product form to the whole grid.
+the zero mode; the breaking sector carries every pitchfork instability and,
+away from a pitchfork, has no zero mode, so the product form is safe there
+(Van Loan's square-reduced form, LAA 61, 1984).  Right at a pitchfork l^2 = 0
+is an eigenvalue of the breaking sector too, and its root carries noise of
+about sqrt(eps) ||L||, the same mechanism as for the phase zero mode.
+`solve_bdg` and `sweep_branch` (method "block") solve the parent sector as its
+restricted block M and the breaking sector in product form, and a state
+without parity as the whole 2n x 2n M; method "product" applies the product
+form to the whole grid.
 `dominant_unstable_mode` diagonalizes the real form H on both sectors, or
 whole without parity, and takes the eigenvector by inverse iteration.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import (PARENT_PARITY_TOL, NewtonError, NewtonSettings,
-                           StationaryProblem, StationaryState, newton_solve)
-from .discretization import Grid, parity_residuals
+from .continuation import (NewtonError, NewtonSettings, ReflectionSector,
+                           StationaryProblem, StationaryState, classify_symmetry,
+                           newton_solve, reflection_sectors)
+from .discretization import Grid
+from .twomode import ASYMMETRIC
 
 
 BLOCK = "block"
@@ -79,65 +83,21 @@ class StabilityError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class _Sector:
-    """Even or odd reflection subspace of an odd-sized symmetric grid.
-
-    Its orthonormal coordinate basis B pairs x_i with x_{n-1-i}, columns
-    (e_i +- e_{n-1-i}) / sqrt(2) for i < n // 2, plus the centre e_{n // 2}
-    in the even sector.  Restriction and lifting work by index, without
-    forming B.
-    """
-
-    parity: str
-    n: int
-
-    def fold(self, matrix: np.ndarray) -> np.ndarray:
-        """B.T @ matrix @ B.
-
-        Entry (i, j) with i, j < n // 2 is (M[i,j] +- M[i,n-1-j] +- M[n-1-i,j]
-        + M[n-1-i,n-1-j]) / 2; the even sector adds the centre row and column.
-        """
-        m = self.n // 2
-        sign = 1.0 if self.parity == "even" else -1.0
-        rows = matrix[:m] + sign * matrix[::-1][:m]
-        core = 0.5 * (rows[:, :m] + sign * rows[:, ::-1][:, :m])
-        if self.parity == "odd":
-            return core
-        inv = math.sqrt(0.5)
-        column = inv * rows[:, m:m + 1]
-        row = inv * (matrix[m:m + 1, :m] + matrix[m:m + 1, ::-1][:, :m])
-        return np.block([[core, column], [row, matrix[m:m + 1, m:m + 1]]])
-
-    def lift(self, vector: np.ndarray) -> np.ndarray:
-        """B @ vector: sector coordinates back to grid values."""
-        m = self.n // 2
-        sign = 1.0 if self.parity == "even" else -1.0
-        half = math.sqrt(0.5) * vector[:m]
-        out = np.zeros(self.n, dtype=vector.dtype)
-        out[:m] = half
-        out[self.n - m:] = sign * half[::-1]
-        if self.parity == "even":
-            out[m] = vector[m]
-        return out
-
-
-def _reflection_sectors(grid: Grid, psi: np.ndarray) -> tuple[_Sector, _Sector] | None:
+def _reflection_sectors(
+    grid: Grid, psi: np.ndarray
+) -> tuple[ReflectionSector, ReflectionSector] | None:
     """(parent, breaking) sectors when psi0 is even or odd, else None.
 
     Reflection commutes with Ld and Lplus exactly when psi0 has a parity (a
     zero profile counts as even), and the spectrum is then the union of the
-    two sectors.  The parent sector, of psi0's own parity, holds the phase
-    zero mode (psi0, -psi0); the breaking sector holds every pitchfork
-    instability and no zero mode.
+    two sectors.  The parent sector holds the phase zero mode (psi0, -psi0);
+    the breaking sector holds every pitchfork instability, and a zero mode
+    only at a pitchfork itself.
     """
-    r_even, r_odd = parity_residuals(grid, psi)
-    if min(r_even, r_odd) > PARENT_PARITY_TOL:
+    symmetry = classify_symmetry(grid, psi)
+    if symmetry == ASYMMETRIC:
         return None
-    n = grid.n_points
-    if r_even <= r_odd:
-        return _Sector("even", n), _Sector("odd", n)
-    return _Sector("odd", n), _Sector("even", n)
+    return reflection_sectors(grid, symmetry)
 
 
 @dataclass(frozen=True)
@@ -162,19 +122,19 @@ class BdGOperator:
     def l_plus(self) -> np.ndarray:
         return self.l_minus + 2.0 * self.exchange
 
-    def restricted(self, sector: _Sector | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def restricted(self, sector: ReflectionSector | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(Ld, X), folded onto a reflection sector when one is given."""
         if sector is None:
             return self.l_minus, self.exchange
         return sector.fold(self.l_minus), sector.fold(self.exchange)
 
-    def block(self, sector: _Sector | None = None) -> np.ndarray:
+    def block(self, sector: ReflectionSector | None = None) -> np.ndarray:
         """Real matrix M with spectrum i l: [[L1, L2], [-L2, -L1]] (2n x 2n whole)."""
         ld, x = self.restricted(sector)
         l1 = ld + x
         return np.block([[l1, x], [-x, -l1]])
 
-    def real_form(self, sector: _Sector | None = None) -> np.ndarray:
+    def real_form(self, sector: ReflectionSector | None = None) -> np.ndarray:
         """Real matrix H = [[0, Ld], [-Lplus, 0]] with spectrum l itself.
 
         H acts on (Re delta-psi, Im delta-psi), on the whole grid or on the
@@ -289,12 +249,13 @@ def solve_bdg(
     method "block" keeps the phase zero mode at roundoff level.  When psi0 is
     even or odd it solves the two reflection sectors: the parent sector (with
     the zero mode) as its restricted block, reading l = -i m, and the
-    breaking sector (no zero mode, every pitchfork instability) in the
-    half-size product form l^2 = -eig(Ld Lplus), whose square root has no
-    zero mode to amplify there.  A state without parity diagonalizes the
-    whole 2n x 2n block.  method "product" applies the product form to the
-    whole grid: half the size, but its square root lifts the zero mode to
-    ~1e-6, the default threshold.
+    breaking sector (every pitchfork instability) in the half-size product
+    form l^2 = -eig(Ld Lplus).  Away from a pitchfork the breaking sector has
+    no zero mode for the square root to amplify; right at one its critical
+    root carries noise of about sqrt(eps) ||L||.  A state without parity
+    diagonalizes the whole 2n x 2n block.  method "product" applies the
+    product form to the whole grid: half the size, but its square root lifts
+    the phase zero mode to ~1e-6, the default threshold.
     """
     if threshold <= 0:
         raise StabilityError(f"threshold must be positive, got {threshold}")
@@ -409,10 +370,9 @@ def sweep_branch(
 ) -> list[BdGSpectrum]:
     """`solve_bdg` spectrum per state, aligned with the input list.
 
-    The default method solves even and odd parents sector by sector (0.1 s
-    per state at n = 401 on 2 CPUs, against 0.4-0.5 s for the whole block)
-    and keeps the zero mode at roundoff level, so the default threshold
-    separates stable from unstable states.
+    The default method solves even and odd parents sector by sector
+    (BENCH_3.json has the timings) and keeps the zero mode at roundoff
+    level, so the default threshold separates stable from unstable states.
     """
     return [solve_bdg(build_bdg(problem, state), threshold=threshold,
                       method=method) for state in states]
