@@ -7,11 +7,6 @@ produced. Nothing written contains timestamps or machine state, so a repeated
 run with the same config and seed is byte-identical. Failures are reported as
 one JSON object on stderr (machine-readable) with a nonzero exit status;
 configuration problems arrive all at once in the `fields` list.
-
-Fan-out: independent scenario runs (the per-mu evolutions) are distributed
-over a thread pool capped by the CQDW_WORKERS environment variable
-(default 1); per-run seeds derive from the config seed and the scenario
-index, not the scheduling order.
 """
 
 from __future__ import annotations
@@ -20,9 +15,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -74,17 +67,17 @@ from .overlaps import (
     shared_kernel_overlaps,
 )
 from .presets import PRESETS, PresetError, get_preset
-from .spectrum import discretize_operator, lowest_eigenpairs, rotated_basis
+from .spectrum import default_basis
 from .stability import build_bdg, dominant_unstable_mode, solve_bdg, sweep_branch
 from .twomode import (
     ModeParams,
     TwoModeState,
+    coalescence_sigma,
     critical_norms,
     fixed_point_census,
     integrate_orbit,
 )
 
-WORKER_ENV = "CQDW_WORKERS"
 SUBCOMMANDS = (
     "spectrum",
     "overlaps",
@@ -99,14 +92,6 @@ SUBCOMMANDS = (
 
 class CliError(RuntimeError):
     """Subcommand-level failure with a user-addressable message."""
-
-
-def worker_count() -> int:
-    raw = os.environ.get(WORKER_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise CliError(f"{WORKER_ENV} must be an integer, got {raw!r}") from None
 
 
 # --- deterministic artifact writing -------------------------------------------
@@ -150,10 +135,7 @@ def _build_potential(config: RunConfig) -> PotentialParams:
     return PotentialParams(p.trap_frequency, p.barrier_height, p.barrier_width)
 
 
-def _build_basis(grid, potential: PotentialParams):
-    op = discretize_operator(grid, potential)
-    omegas, modes = lowest_eigenpairs(op, 2)
-    return rotated_basis(grid, omegas, modes)
+_build_basis = default_basis
 
 
 def _build_problem(config: RunConfig) -> StationaryProblem:
@@ -284,27 +266,6 @@ def run_overlaps(config: RunConfig, out: Path, seed: int):
     }
 
 
-def _coalescence_sigma(basis, family, s, delta, lo, hi):
-    """Largest-range boundary where the antisym critical pair {n2, n3} ceases."""
-
-    def pair_exists(sigma: float) -> bool:
-        ov = shared_kernel_overlaps(basis, family, sigma)
-        params = ModeParams.from_overlaps(ov, basis, s, delta, 1.0)
-        crit = critical_norms(params)
-        return crit.n2 is not None and crit.n3 is not None
-
-    if not pair_exists(lo) or pair_exists(hi):
-        return None
-    a, b = lo, hi
-    while b - a > 1e-4:
-        mid = 0.5 * (a + b)
-        if pair_exists(mid):
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def run_twomode(config: RunConfig, out: Path, seed: int):
     grid = _build_grid(config)
     basis = _build_basis(grid, _build_potential(config))
@@ -366,7 +327,7 @@ def run_twomode(config: RunConfig, out: Path, seed: int):
     quantities = {}
     for label, value in crit_here.present().items():
         quantities[f"{label}_critical"] = value
-    coalescence = _coalescence_sigma(
+    coalescence = coalescence_sigma(
         basis, inter.family, inter.s, inter.delta, tm.sigma_min, tm.sigma_max
     )
     if coalescence is not None:
@@ -492,8 +453,7 @@ def run_evolve(config: RunConfig, out: Path, seed: int):
     dy = config.dynamics
     density_stride = max(1, int(round(dy.snapshot_dt / dy.phase_dt)))
 
-    def one_run(index_mu):
-        index, mu = index_mu
+    def one_run(index: int, mu: float):
         state = _state_at_mu(problem, basis, dy.family, mu, config.scan.seed_delta_mu)
         if dy.perturbation == "eigenvector":
             mode = dominant_unstable_mode(build_bdg(problem, state))
@@ -544,17 +504,10 @@ def run_evolve(config: RunConfig, out: Path, seed: int):
         )
         return [density_name, phase_name], quantities, drift
 
-    jobs = list(enumerate(dy.mu_list))
-    cap = worker_count()
-    if cap > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(one_run, jobs))
-    else:
-        results = [one_run(job) for job in jobs]
-
     artifacts = []
     quantities = {}
-    for names, q, drift in results:
+    for index, mu in enumerate(dy.mu_list):
+        names, q, drift = one_run(index, mu)
         artifacts.extend(names)
         quantities.update(q)
         quantities["max_norm_drift"] = max(quantities.get("max_norm_drift", 0.0), drift)

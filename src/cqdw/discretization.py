@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
+from functools import lru_cache
 
 import numpy as np
 from scipy import fft as _fft
@@ -186,24 +186,16 @@ def kernel_eval(kernel: Kernel, x: np.ndarray) -> np.ndarray:
     raise DiscretizationError("delta kernel has no pointwise density")
 
 
-_SAMPLE_CACHE: dict[tuple, np.ndarray] = {}
-_MATRIX_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _cache_key(kernel: Kernel, grid: Grid) -> tuple:
-    return (kernel.family, kernel.range_, grid.half_width, grid.spacing)
-
-
 def kernel_samples(kernel: Kernel, grid: Grid) -> np.ndarray:
     """Kernel sampled on all pairwise offsets m*dx, m = -(n-1)..(n-1)."""
-    key = _cache_key(kernel, grid)
-    if key not in _SAMPLE_CACHE:
-        n = grid.n_points
-        offsets = grid.spacing * np.arange(-(n - 1), n)
-        _SAMPLE_CACHE[key] = kernel_eval(kernel, offsets)
-    return _SAMPLE_CACHE[key]
+    n = grid.n_points
+    offsets = grid.spacing * np.arange(-(n - 1), n)
+    return kernel_eval(kernel, offsets)
 
 
+# Two entries hold a problem's cubic and quintic kernels; equal kernels share
+# one matrix, so it is returned read-only.
+@lru_cache(maxsize=2)
 def kernel_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
     """Dense quadrature matrix K[i, j] = R(x_i - x_j) dx (identity for delta).
 
@@ -211,16 +203,15 @@ def kernel_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
     the FFT route computes; the matrix form is what the Newton and BdG
     Jacobians need.
     """
-    key = _cache_key(kernel, grid)
-    if key not in _MATRIX_CACHE:
-        n = grid.n_points
-        if kernel.is_delta:
-            _MATRIX_CACHE[key] = np.eye(n)
-        else:
-            samples = kernel_samples(kernel, grid)
-            idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-            _MATRIX_CACHE[key] = samples[n - 1 :][idx] * grid.spacing
-    return _MATRIX_CACHE[key]
+    n = grid.n_points
+    if kernel.is_delta:
+        matrix = np.eye(n)
+    else:
+        samples = kernel_samples(kernel, grid)
+        idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+        matrix = samples[n - 1 :][idx] * grid.spacing
+    matrix.flags.writeable = False
+    return matrix
 
 
 class ConvolutionPlan:
@@ -287,28 +278,6 @@ def parity_residuals(grid: Grid, values: np.ndarray) -> tuple[float, float]:
 # --- serialization ------------------------------------------------------------
 
 
-def grid_function_to_csv(gf: GridFunction, path) -> None:
-    """Write x, re, im columns. Floats use repr, so the roundtrip is lossless."""
-    lines = ["x,re,im"]
-    values = np.asarray(gf.values, dtype=complex)
-    for x, v in zip(gf.grid.points, values):
-        lines.append(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def grid_function_from_csv(path) -> GridFunction:
-    rows = Path(path).read_text().strip().splitlines()
-    if not rows or rows[0] != "x,re,im":
-        raise DiscretizationError(f"{path}: expected header 'x,re,im'")
-    data = np.array([[float(c) for c in row.split(",")] for row in rows[1:]])
-    x = data[:, 0]
-    grid = _grid_from_points(x)
-    values = data[:, 1] + 1j * data[:, 2]
-    if np.all(data[:, 2] == 0.0):
-        values = data[:, 1]
-    return GridFunction(grid, values)
-
-
 def grid_function_to_json(gf: GridFunction) -> str:
     values = np.asarray(gf.values, dtype=complex)
     payload = {
@@ -330,16 +299,3 @@ def grid_function_from_json(text: str) -> GridFunction:
     im = np.asarray(payload["values_im"], dtype=float)
     values = re if not im.any() else re + 1j * im
     return GridFunction(grid, values)
-
-
-def _grid_from_points(x: np.ndarray) -> Grid:
-    if len(x) < 3:
-        raise DiscretizationError("need at least 3 points to reconstruct a grid")
-    # full-span quotient, not adjacent differences: x was synthesized as
-    # spacing * arange, so neighbours differ by up to an ulp of the endpoint
-    spacing = (x[-1] - x[0]) / (len(x) - 1)
-    if not np.allclose(np.diff(x), spacing, rtol=0, atol=1e-9 * abs(spacing)):
-        raise DiscretizationError("points are not uniformly spaced")
-    if abs(x[0] + x[-1]) > 1e-9 * max(1.0, abs(x[-1])):
-        raise DiscretizationError("points are not symmetric about 0")
-    return build_grid(float(x[-1]), float(spacing))

@@ -50,10 +50,9 @@ away from a pitchfork, has no zero mode, so the product form is safe there
 (Van Loan's square-reduced form, LAA 61, 1984).  Right at a pitchfork l^2 = 0
 is an eigenvalue of the breaking sector too, and its root carries noise of
 about sqrt(eps) ||L||, the same mechanism as for the phase zero mode.
-`solve_bdg` and `sweep_branch` (method "block") solve the parent sector as its
-restricted block M and the breaking sector in product form, and a state
-without parity as the whole 2n x 2n M; method "product" applies the product
-form to the whole grid.
+`solve_bdg` and `sweep_branch` solve the parent sector as its restricted
+block M and the breaking sector in product form, and a state without parity
+as the whole 2n x 2n M.
 `dominant_unstable_mode` diagonalizes the real form H on both sectors, or
 whole without parity, and takes the eigenvector by inverse iteration.
 """
@@ -70,9 +69,6 @@ from .continuation import (NewtonError, NewtonSettings, ReflectionSector,
 from .discretization import Grid
 from .twomode import ASYMMETRIC
 
-
-BLOCK = "block"
-PRODUCT = "product"
 
 DEFAULT_THRESHOLD = 1e-6
 CONVERGED_RESIDUAL = 1e-10
@@ -153,7 +149,6 @@ class BdGSpectrum:
     max_real_part: float
     unstable_count: int
     threshold: float
-    method: str
 
     @property
     def is_stable(self) -> bool:
@@ -242,44 +237,35 @@ def _product_roots(l_minus: np.ndarray, l_plus: np.ndarray) -> np.ndarray:
 def solve_bdg(
     operator: BdGOperator,
     threshold: float = DEFAULT_THRESHOLD,
-    method: str = BLOCK,
 ) -> BdGSpectrum:
     """Full eigenvalue spectrum (all 2n values) of one linearization.
 
-    method "block" keeps the phase zero mode at roundoff level.  When psi0 is
-    even or odd it solves the two reflection sectors: the parent sector (with
-    the zero mode) as its restricted block, reading l = -i m, and the
-    breaking sector (every pitchfork instability) in the half-size product
-    form l^2 = -eig(Ld Lplus).  Away from a pitchfork the breaking sector has
-    no zero mode for the square root to amplify; right at one its critical
-    root carries noise of about sqrt(eps) ||L||.  A state without parity
-    diagonalizes the whole 2n x 2n block.  method "product" applies the
-    product form to the whole grid: half the size, but its square root lifts
-    the phase zero mode to ~1e-6, the default threshold.
+    The phase zero mode stays at roundoff level.  When psi0 is even or odd
+    the two reflection sectors are solved apart: the parent sector (with the
+    zero mode) as its restricted block, reading l = -i m, and the breaking
+    sector (every pitchfork instability) in the half-size product form
+    l^2 = -eig(Ld Lplus).  Away from a pitchfork the breaking sector has no
+    zero mode for the square root to amplify; right at one its critical root
+    carries noise of about sqrt(eps) ||L||.  A state without parity
+    diagonalizes the whole 2n x 2n block.
     """
     if threshold <= 0:
         raise StabilityError(f"threshold must be positive, got {threshold}")
-    if method == BLOCK:
-        sectors = _reflection_sectors(operator.grid, operator.psi)
-        if sectors is None:
-            eigenvalues = -1j * np.linalg.eigvals(operator.block())
-        else:
-            parent, breaking = sectors
-            ld, x = operator.restricted(breaking)
-            eigenvalues = np.concatenate([
-                -1j * np.linalg.eigvals(operator.block(parent)),
-                _product_roots(ld, ld + 2.0 * x)])
-    elif method == PRODUCT:
-        eigenvalues = _product_roots(operator.l_minus, operator.l_plus)
+    sectors = _reflection_sectors(operator.grid, operator.psi)
+    if sectors is None:
+        eigenvalues = -1j * np.linalg.eigvals(operator.block())
     else:
-        raise StabilityError(f"unknown method {method!r}")
+        parent, breaking = sectors
+        ld, x = operator.restricted(breaking)
+        eigenvalues = np.concatenate([
+            -1j * np.linalg.eigvals(operator.block(parent)),
+            _product_roots(ld, ld + 2.0 * x)])
     eigenvalues = _sorted_spectrum(eigenvalues)
     unstable = int(np.count_nonzero(eigenvalues.real > threshold))
     return BdGSpectrum(eigenvalues=eigenvalues,
                        max_real_part=float(eigenvalues.real.max()),
                        unstable_count=unstable,
-                       threshold=threshold,
-                       method=method)
+                       threshold=threshold)
 
 
 def quartet_defect(eigenvalues: np.ndarray) -> float:
@@ -366,13 +352,12 @@ def sweep_branch(
     problem: StationaryProblem,
     states: list[StationaryState],
     threshold: float = DEFAULT_THRESHOLD,
-    method: str = BLOCK,
 ) -> list[BdGSpectrum]:
     """`solve_bdg` spectrum per state, aligned with the input list.
 
-    The default method solves even and odd parents sector by sector
-    (BENCH_3.json has the timings) and keeps the zero mode at roundoff
-    level, so the default threshold separates stable from unstable states.
+    Even and odd parents are solved sector by sector (BENCH_3.json has the
+    timings), and the zero mode stays at roundoff level, so the default
+    threshold separates stable from unstable states.
     """
-    return [solve_bdg(build_bdg(problem, state), threshold=threshold,
-                      method=method) for state in states]
+    return [solve_bdg(build_bdg(problem, state), threshold=threshold)
+            for state in states]

@@ -22,6 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .overlaps import shared_kernel_overlaps
+
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
 ASYMMETRIC = "asymmetric"
@@ -265,6 +267,31 @@ def critical_norms(p: ModeParams) -> CriticalNorms:
     anti_lo, anti_hi = _ascending_pair((a, b, -2 * p.omega))
     # a negative root is absent, not clipped; _ascending_pair already drops it
     return CriticalNorms(n0=sym_lo, n1=sym_hi, n2=anti_lo, n3=anti_hi)
+
+
+def coalescence_sigma(basis, family: str, s: int, delta: int,
+                      lo: float, hi: float) -> float | None:
+    """Kernel range where the antisymmetric critical pair {n2, n3} ceases.
+
+    Bisects on [lo, hi] down to a 1e-4 bracket and returns its midpoint, or
+    None when the pair does not exist at lo or still exists at hi.
+    """
+
+    def pair_exists(sigma: float) -> bool:
+        ov = shared_kernel_overlaps(basis, family, sigma)
+        crit = critical_norms(ModeParams.from_overlaps(ov, basis, s, delta, 1.0))
+        return crit.n2 is not None and crit.n3 is not None
+
+    if not pair_exists(lo) or pair_exists(hi):
+        return None
+    a, b = lo, hi
+    while b - a > 1e-4:
+        mid = 0.5 * (a + b)
+        if pair_exists(mid):
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def _classify_state(state: TwoModeState) -> str:

@@ -26,20 +26,16 @@ from scipy.optimize import brentq
 
 from cqdw.discretization import ConvolutionPlan, GridFunction, Kernel, kernel_eval
 from cqdw.dynamics import growth_rate, onset_time, solve_screened_poisson
-from cqdw.overlaps import (
-    compute_overlaps,
-    recompute_thresholds,
-    shared_kernel_overlaps,
-)
+from cqdw.overlaps import compute_overlaps, recompute_thresholds
 from cqdw.stability import build_bdg, quartet_defect, solve_bdg
 from cqdw.twomode import (
     ANTISYMMETRIC,
     RESTORING,
     SSB,
     SYMMETRIC,
-    ModeParams,
     TwoModeState,
     asymmetric_z,
+    coalescence_sigma,
     critical_norms,
     fixed_point_stability,
     integrate_orbit,
@@ -80,29 +76,13 @@ def test_criterion_02_regime_thresholds(basis):
     ])
 
 
-def _coalescence_sigma(basis, lo=0.2, hi=12.0):
-    def pair_exists(sigma: float) -> bool:
-        ov = shared_kernel_overlaps(basis, "gaussian", sigma)
-        crit = critical_norms(ModeParams.from_overlaps(ov, basis, 1, -1, 1.0))
-        return crit.n2 is not None and crit.n3 is not None
-
-    a, b = lo, hi
-    while b - a > 1e-4:
-        mid = 0.5 * (a + b)
-        if pair_exists(mid):
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def test_criterion_03_critical_norms(basis, make_params):
     n1 = critical_norms(make_params(1.0, N=1.0)).n1
     z_at_5 = max(abs(s.z) for s in asymmetric_z(make_params(1.0, N=5.0)))
     report(3, "critical norms at sigma=1", [
         box(n1, 4.9862, 1e-3, "N1"),
         box(z_at_5, 0.4318, 1e-3, "z(N=5)"),
-        box(_coalescence_sigma(basis), 7.52, 0.1, "coalescence sigma"),
+        box(coalescence_sigma(basis, "gaussian", 1, -1, 0.2, 12.0), 7.52, 0.1, "coalescence sigma"),
     ])
 
 

@@ -10,9 +10,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-import pytest
-
-from cqdw.cli import RUNNERS, SUBCOMMANDS, WORKER_ENV, CliError, main, worker_count
+from cqdw.cli import RUNNERS, SUBCOMMANDS, main
 from cqdw.config import RunConfig, config_hash
 from cqdw.presets import PRESETS, RegressionTarget, ScenarioPreset, get_preset
 
@@ -169,7 +167,7 @@ def test_evolve_stable_run_layout(tmp_path):
     assert manifest["quantities"]["max_norm_drift"] < 1e-10
 
 
-def test_worker_fanout_matches_serial(tmp_path, monkeypatch):
+def test_two_mu_evolve_rerun_is_identical(tmp_path):
     payload = {
         "dynamics": {
             "mu_list": [0.15, 0.16],
@@ -179,23 +177,14 @@ def test_worker_fanout_matches_serial(tmp_path, monkeypatch):
         }
     }
     cfg = _write(tmp_path / "c.json", payload)
-    monkeypatch.setenv(WORKER_ENV, "2")
-    fanned = tmp_path / "w2"
-    assert main(["evolve", "--config", cfg, "--out", str(fanned)]) == 0
-    monkeypatch.setenv(WORKER_ENV, "1")
-    serial = tmp_path / "w1"
-    assert main(["evolve", "--config", cfg, "--out", str(serial)]) == 0
-    assert _tree_bytes(fanned) == _tree_bytes(serial)
-
-
-def test_worker_env_parsing(monkeypatch):
-    monkeypatch.setenv(WORKER_ENV, "3")
-    assert worker_count() == 3
-    monkeypatch.delenv(WORKER_ENV)
-    assert worker_count() == 1
-    monkeypatch.setenv(WORKER_ENV, "x")
-    with pytest.raises(CliError):
-        worker_count()
+    first = tmp_path / "r1"
+    assert main(["evolve", "--config", cfg, "--out", str(first)]) == 0
+    second = tmp_path / "r2"
+    assert main(["evolve", "--config", cfg, "--out", str(second)]) == 0
+    assert _tree_bytes(first) == _tree_bytes(second)
+    for tag in ("0.15", "0.16"):
+        assert (first / f"density_mu{tag}.csv").exists()
+        assert (first / f"phase_mu{tag}.csv").exists()
 
 
 def test_config_errors_are_collected(tmp_path, capsys):

@@ -16,9 +16,7 @@ from cqdw.discretization import (
     PotentialParams,
     build_grid,
     convolve,
-    grid_function_from_csv,
     grid_function_from_json,
-    grid_function_to_csv,
     grid_function_to_json,
     kernel_eval,
     kernel_matrix,
@@ -176,6 +174,16 @@ def test_kernel_matrix_agrees_with_plan():
     np.testing.assert_allclose(kernel_matrix(k, grid) @ f, plan.apply(f), atol=1e-12)
 
 
+def test_kernel_matrix_cache_is_bounded_and_shared():
+    grid = build_grid(6.0, 0.1)
+    first = kernel_matrix(Kernel(GAUSSIAN, 1.0), grid)
+    assert kernel_matrix(Kernel(GAUSSIAN, 1.0), grid) is first
+    assert not first.flags.writeable
+    for sigma in (0.5, 2.0, 3.0):
+        kernel_matrix(Kernel(GAUSSIAN, sigma), grid)
+    assert kernel_matrix.cache_info().currsize <= 2
+
+
 def test_parity_residuals():
     grid = build_grid(5.0, 0.1)
     even = np.exp(-(grid.points**2))
@@ -193,21 +201,6 @@ def test_grid_function_validation():
     grid = build_grid(5.0, 0.1)
     with pytest.raises(DiscretizationError):
         GridFunction(grid, np.zeros(grid.n_points - 1))
-
-
-def test_csv_roundtrip_is_lossless(tmp_path):
-    grid = build_grid(5.0, 0.1)
-    rng = np.random.default_rng(17)
-    values = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
-    gf = GridFunction(grid, values)
-    path = tmp_path / "state.csv"
-    grid_function_to_csv(gf, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "x,re,im"
-    back = grid_function_from_csv(path)
-    assert np.array_equal(back.values, values)
-    assert back.grid.n_points == grid.n_points
-    assert back.grid.spacing == grid.spacing
 
 
 def test_json_roundtrip_is_lossless():

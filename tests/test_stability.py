@@ -5,9 +5,8 @@ import sympy as sp
 from cqdw.continuation import make_state
 from cqdw.discretization import kernel_eval, parity_residuals
 from cqdw.stability import (
-    BLOCK,
-    PRODUCT,
     StabilityError,
+    _product_roots,
     build_bdg,
     dominant_unstable_mode,
     quartet_defect,
@@ -188,9 +187,9 @@ def test_linearization_matches_symbolic_toy_grid():
 
 def test_quartet_symmetry(bdg_mid):
     _, _, op = bdg_mid
-    for method in (BLOCK, PRODUCT):
-        spectrum = solve_bdg(op, method=method)
-        assert quartet_defect(spectrum.eigenvalues) <= 1e-8
+    for eigenvalues in (solve_bdg(op).eigenvalues,
+                        _product_roots(op.l_minus, op.l_plus)):
+        assert quartet_defect(eigenvalues) <= 1e-8
 
 
 def test_phase_zero_mode_present(entry01, ssb_daughter):
@@ -206,12 +205,13 @@ def test_phase_zero_mode_present(entry01, ssb_daughter):
 
 def test_product_and_block_routes_agree(bdg_mid):
     _, _, op = bdg_mid
-    block = solve_bdg(op, method=BLOCK)
-    product = solve_bdg(op, method=PRODUCT)
+    # the whole-grid product form l^2 = -eig(Ld Lplus) is the reference
+    block = solve_bdg(op)
+    product = _product_roots(op.l_minus, op.l_plus)
     anchored = block.eigenvalues[np.abs(block.eigenvalues) > 1e-3]
     for lam in anchored:
-        assert np.abs(product.eigenvalues - lam).min() <= 1e-8
-    assert abs(block.max_real_part - product.max_real_part) <= 1e-8
+        assert np.abs(product - lam).min() <= 1e-8
+    assert abs(block.max_real_part - product.real.max()) <= 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -250,8 +250,6 @@ def test_solver_input_validation(bdg_mid):
     _, _, op = bdg_mid
     with pytest.raises(StabilityError, match="threshold"):
         solve_bdg(op, threshold=0.0)
-    with pytest.raises(StabilityError, match="method"):
-        solve_bdg(op, method="dense")
 
 
 def test_spectrum_is_sorted_by_real_part(bdg_mid):
@@ -435,4 +433,3 @@ def test_sweep_is_aligned(entry01, parent_sweeps):
     assert len(spectra) == len(branch.states)
     for spectrum in spectra:
         assert spectrum.threshold == 1e-6
-        assert spectrum.method == BLOCK

@@ -33,6 +33,7 @@ from cqdw.twomode import (
     asymmetric_norm_coefficients,
     asymmetric_norm_polynomial,
     asymmetric_z,
+    coalescence_sigma,
     critical_norms,
     fixed_point_census,
     fixed_point_stability,
@@ -283,6 +284,15 @@ def test_critical_norm_pair_coalescence(basis):
     assert norms_below.n2 is not None and norms_below.n3 is not None
     assert norms_above.n2 is None and norms_above.n3 is None
     assert norms_above.n1 is not None
+
+    found = coalescence_sigma(basis, GAUSSIAN, 1, -1, 7.0, 8.0)
+    assert abs(found - sigma_star) <= 1e-4
+
+
+@pytest.mark.parametrize("lo, hi", [(0.2, 7.0), (8.0, 12.0)])
+def test_coalescence_sigma_needs_a_straddling_bracket(basis, lo, hi):
+    # the pair exists on all of [0.2, 7.0] and nowhere on [8.0, 12.0]
+    assert coalescence_sigma(basis, GAUSSIAN, 1, -1, lo, hi) is None
 
 
 def test_duality_swaps_critical_norm_pairs(make_params):
