@@ -27,6 +27,7 @@ from .config import (
     config_hash,
     config_to_json,
     load_config,
+    mu_tag,
 )
 from .continuation import (
     ContinuationSettings,
@@ -98,15 +99,11 @@ class CliError(RuntimeError):
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".17g")
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -114,7 +111,7 @@ def _write_csv(path: Path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow(map(_fmt, row))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -313,11 +310,11 @@ def run_twomode(config: RunConfig, out: Path, seed: int):
                 href = orbit.hamiltonian[0]
                 drift = np.max(np.abs(orbit.hamiltonian - href)) / max(abs(href), 1e-12)
                 max_drift = max(max_drift, float(drift))
-                stride = max(1, orbit.t.size // 2000)
-                for k in range(0, orbit.t.size, stride):
-                    orbit_rows.append(
-                        [orbit_id, orbit.t[k], orbit.z[k], orbit.theta[k], orbit.hamiltonian[k]]
-                    )
+                every = slice(None, None, max(1, orbit.t.size // 2000))
+                picked = np.column_stack(
+                    (orbit.t[every], orbit.z[every], orbit.theta[every], orbit.hamiltonian[every])
+                )
+                orbit_rows.extend((orbit_id, *row) for row in picked.tolist())
                 orbit_id += 1
         name = f"portrait_N{norm:g}.csv"
         _write_csv(out / name, ["orbit", "t", "z", "theta", "hamiltonian"], orbit_rows)
@@ -465,7 +462,7 @@ def run_evolve(config: RunConfig, out: Path, seed: int):
         else:
             initial = GridFunction(problem.grid, state.psi.values.astype(complex))
         run = evolve(problem, initial, mu, dy.t_end, dt=dy.dt, snapshot_dt=dy.phase_dt)
-        tag = format(mu, "g")
+        tag = mu_tag(mu)
 
         density_name = f"density_mu{tag}.csv"
         header = ["t", *[format(x, ".17g") for x in problem.grid.points]]

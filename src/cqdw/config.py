@@ -220,6 +220,11 @@ def load_config(path) -> RunConfig:
     return config_from_dict(data)
 
 
+def mu_tag(mu: float) -> str:
+    """Tag in the names of one evolve run's files, as in density_mu<tag>.csv."""
+    return format(mu, "g")
+
+
 def validate_config(config: RunConfig) -> list[str]:
     """All violated fields, empty when the configuration is sound."""
     p: list[str] = []
@@ -279,6 +284,10 @@ def validate_config(config: RunConfig) -> list[str]:
     dy = config.dynamics
     if not dy.mu_list:
         p.append("dynamics.mu_list: at least one chemical potential is required")
+    for k, mu in enumerate(dy.mu_list):
+        clash = [m for m in dy.mu_list[:k] if mu_tag(m) == mu_tag(mu)]
+        if clash:
+            p.append(f"dynamics.mu_list: {clash[0]!r} and {mu!r} both name files mu{mu_tag(mu)}")
     if dy.family not in FAMILY_CHOICES:
         p.append(f"dynamics.family: expected one of {FAMILY_CHOICES}, got {dy.family!r}")
     if not dy.t_end > 0:

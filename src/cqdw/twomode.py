@@ -181,22 +181,26 @@ class Orbit:
     dt: float
 
 
-def reduced_rhs(state: TwoModeState, p: ModeParams) -> tuple[float, float]:
-    """(dz/dt, dtheta/dt) of the reduced system."""
-    z, theta = state.z, state.theta
+def _field(z: float, theta: float, omega: float, f: float) -> tuple[float, float]:
     if abs(z) >= 1:
         raise TwoModeError(f"theta equation is singular at |z| = 1 (z = {z})")
     root = math.sqrt(1 - z * z)
-    dz = 2 * p.omega * root * math.sin(theta)
-    dtheta = -2 * p.omega * z * math.cos(theta) / root - p.coupling() * z
-    return dz, dtheta
+    return 2 * omega * root * math.sin(theta), \
+        -2 * omega * z * math.cos(theta) / root - f * z
+
+
+def _energy(z: float, theta: float, omega: float, f: float) -> float:
+    return 2 * omega * math.sqrt(1 - z * z) * math.cos(theta) - 0.5 * f * z * z
+
+
+def reduced_rhs(state: TwoModeState, p: ModeParams) -> tuple[float, float]:
+    """(dz/dt, dtheta/dt) of the reduced system."""
+    return _field(state.z, state.theta, p.omega, p.coupling())
 
 
 def hamiltonian(state: TwoModeState, p: ModeParams) -> float:
     """H = 2 omega sqrt(1-z^2) cos(theta) - (1/2) f(N) z^2."""
-    z, theta = state.z, state.theta
-    return 2 * p.omega * math.sqrt(1 - z * z) * math.cos(theta) \
-        - 0.5 * p.coupling() * z * z
+    return _energy(state.z, state.theta, p.omega, p.coupling())
 
 
 def momentum(state: TwoModeState, p: ModeParams) -> float:
@@ -463,61 +467,50 @@ def predicted_bifurcations(p: ModeParams) -> list[BifurcationPrediction]:
     return sorted(out, key=lambda b: b.norm)
 
 
-def _rk4_step(z: float, theta: float, dt: float, p: ModeParams) -> tuple[float, float]:
-    def rhs(zz, tt):
-        return reduced_rhs(TwoModeState(zz, tt), p)
-
-    k1 = rhs(z, theta)
-    k2 = rhs(z + 0.5 * dt * k1[0], theta + 0.5 * dt * k1[1])
-    k3 = rhs(z + 0.5 * dt * k2[0], theta + 0.5 * dt * k2[1])
-    k4 = rhs(z + dt * k3[0], theta + dt * k3[1])
-    z_new = z + dt * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6
-    theta_new = theta + dt * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6
-    return z_new, theta_new
-
-
 def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
                     dt: float = 1e-2) -> Orbit:
     """Fixed-step RK4 orbit with a Hamiltonian drift monitor.
 
     The step is halved and the run restarted whenever the relative drift
     exceeds 1e-8; hitting the |z| = 1 singularity aborts with a diagnostic.
+    Orbit.hamiltonian holds the drift monitor's own values, H at every step.
     """
     if abs(initial.z) >= 1:
         raise TwoModeError("orbit must start with |z| < 1")
     if dt <= 0 or t_end <= 0:
         raise TwoModeError("dt and t_end must be positive")
-    h_ref = hamiltonian(initial, p)
-    scale = max(abs(h_ref), 2 * p.omega)
+    omega, f = p.omega, p.coupling()
+    z0, theta0 = float(initial.z), float(initial.theta)
+    h_ref = _energy(z0, theta0, omega, f)
+    tol = _HAMILTONIAN_DRIFT_TOL * max(abs(h_ref), 2 * omega)
     step = dt
     for _ in range(_MAX_STEP_HALVINGS + 1):
         n_steps = max(1, int(round(t_end / step)))
         ts = np.linspace(0.0, n_steps * step, n_steps + 1)
-        zs = np.empty(n_steps + 1)
-        thetas = np.empty(n_steps + 1)
-        zs[0], thetas[0] = initial.z, initial.theta
-        ok = True
-        for i in range(n_steps):
+        zs, thetas, hs = np.empty((3, n_steps + 1))
+        zs[0], thetas[0], hs[0] = z0, theta0, h_ref
+        z, theta, half = z0, theta0, 0.5 * step
+        for i in range(1, n_steps + 1):
             try:
-                zs[i + 1], thetas[i + 1] = _rk4_step(zs[i], thetas[i], step, p)
+                k1z, k1t = _field(z, theta, omega, f)
+                k2z, k2t = _field(z + half * k1z, theta + half * k1t, omega, f)
+                k3z, k3t = _field(z + half * k2z, theta + half * k2t, omega, f)
+                k4z, k4t = _field(z + step * k3z, theta + step * k3t, omega, f)
             except TwoModeError as exc:
                 raise TwoModeError(
-                    f"orbit reached the |z| = 1 singularity near t = {ts[i]:.4g}: {exc}"
+                    f"orbit reached the |z| = 1 singularity near t = {ts[i - 1]:.4g}: {exc}"
                 ) from exc
-            if abs(zs[i + 1]) >= 1:
-                raise TwoModeError(
-                    f"orbit reached |z| = 1 at t = {ts[i + 1]:.4g}")
-            h_now = hamiltonian(TwoModeState(zs[i + 1], thetas[i + 1]), p)
-            if abs(h_now - h_ref) > _HAMILTONIAN_DRIFT_TOL * scale:
-                ok = False
+            z = z + step * (k1z + 2 * k2z + 2 * k3z + k4z) / 6
+            theta = theta + step * (k1t + 2 * k2t + 2 * k3t + k4t) / 6
+            if abs(z) >= 1:
+                raise TwoModeError(f"orbit reached |z| = 1 at t = {ts[i]:.4g}")
+            h = _energy(z, theta, omega, f)
+            if not abs(h - h_ref) <= tol:  # a NaN drift fails too
                 break
-        if ok:
-            hs = np.array([hamiltonian(TwoModeState(z, th), p)
-                           for z, th in zip(zs, thetas)])
-            moms = np.array([momentum(TwoModeState(z, th), p)
-                             for z, th in zip(zs, thetas)])
-            return Orbit(t=ts, z=zs, theta=thetas, momentum=moms,
-                         hamiltonian=hs, dt=step)
+            zs[i], thetas[i], hs[i] = z, theta, h
+        else:
+            return Orbit(t=ts, z=zs, theta=thetas, hamiltonian=hs, dt=step,
+                         momentum=2 * omega * np.sqrt(1 - zs * zs) * np.sin(thetas))
         step *= 0.5
     raise TwoModeError(
         f"Hamiltonian drift above {_HAMILTONIAN_DRIFT_TOL} even at dt = {step}")

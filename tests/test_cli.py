@@ -201,6 +201,21 @@ def test_config_errors_are_collected(tmp_path, capsys):
     assert "interaction.sigma" in fields
 
 
+def test_mu_list_tag_collision_is_rejected(tmp_path, capsys):
+    # both values print as 0.15 in the run's file names, so one run would
+    # overwrite the other's density and phase files
+    dynamics = {**TINY_EVOLVE["dynamics"], "mu_list": [0.1500001, 0.1500002]}
+    cfg = _write(tmp_path / "c.json", {"dynamics": dynamics})
+    out = tmp_path / "ev"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigError"
+    assert payload["fields"] == [
+        "dynamics.mu_list: 0.1500001 and 0.1500002 both name files mu0.15"
+    ]
+    assert not (out / "density_mu0.15.csv").exists()
+
+
 def test_missing_config_reports_path(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["spectrum", "--config", missing, "--out", str(tmp_path / "x")]) == 2

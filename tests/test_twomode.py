@@ -713,6 +713,46 @@ def test_orbit_step_halving_on_drift(lobe_params):
     assert len(orbit.t) == int(round(60.0 / orbit.dt)) + 1
 
 
+def _rk4_reference(initial, p, t_end, dt):
+    """Textbook RK4 on the public reduced_rhs and hamiltonian, restarted at
+    half the step until every step keeps |H - H0| <= 1e-8 max(|H0|, 2 omega)."""
+    h0 = hamiltonian(initial, p)
+    while True:
+        z, theta, h = [initial.z], [initial.theta], [h0]
+        for _ in range(max(1, int(round(t_end / dt)))):
+            s = TwoModeState(z[-1], theta[-1])
+            k1 = reduced_rhs(s, p)
+            k2 = reduced_rhs(TwoModeState(s.z + 0.5 * dt * k1[0], s.theta + 0.5 * dt * k1[1]), p)
+            k3 = reduced_rhs(TwoModeState(s.z + 0.5 * dt * k2[0], s.theta + 0.5 * dt * k2[1]), p)
+            k4 = reduced_rhs(TwoModeState(s.z + dt * k3[0], s.theta + dt * k3[1]), p)
+            z.append(s.z + dt * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6)
+            theta.append(s.theta + dt * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6)
+            h.append(hamiltonian(TwoModeState(z[-1], theta[-1]), p))
+            if abs(h[-1] - h0) > 1e-8 * max(abs(h0), 2 * p.omega):
+                break
+        else:
+            return dt, np.array(z), np.array(theta), np.array(h)
+        dt *= 0.5
+
+
+@pytest.mark.parametrize("z0, theta0, t_end, dt, final_dt", [
+    (0.01, 0.0, 15.0, 0.05, 0.05),       # inside the lobe, 300 steps
+    (-0.4, math.pi, 20.0, 0.05, 0.05),   # around the antisymmetric center, 400 steps
+    (0.3, 0.5, 60.0, 5.0, 1.25),         # drifts at dt = 5 and 2.5, 48 steps at 1.25
+])
+def test_orbit_matches_public_rk4_bit_for_bit(lobe_params, z0, theta0, t_end, dt, final_dt):
+    start = TwoModeState(z0, theta0)
+    orbit = integrate_orbit(start, lobe_params, t_end=t_end, dt=dt)
+    ref_dt, z, theta, h = _rk4_reference(start, lobe_params, t_end, dt)
+    assert orbit.dt == ref_dt == final_dt
+    assert np.array_equal(orbit.z, z)
+    assert np.array_equal(orbit.theta, theta)
+    assert np.array_equal(orbit.hamiltonian, h)
+    for k in range(orbit.t.size):
+        state = TwoModeState(orbit.z[k], orbit.theta[k])
+        assert orbit.hamiltonian[k] == hamiltonian(state, lobe_params)
+
+
 def test_orbit_aborts_at_singular_rim():
     # zero imbalance force: along theta = pi/2 the exact orbit reaches z = 1
     p = ModeParams(s=1, delta=-1, N=1.0, eta0=0.1, eta1=0.1, eta4=0.0,
@@ -720,6 +760,20 @@ def test_orbit_aborts_at_singular_rim():
     assert p.coupling() == 0.0
     with pytest.raises(TwoModeError, match=r"\|z\| = 1"):
         integrate_orbit(TwoModeState(0.5, math.pi / 2), p, t_end=60.0, dt=0.05)
+
+
+def test_orbit_singularity_inside_a_step_is_diagnosed():
+    # zero imbalance force, theta = pi/2: every step up to t = 44 ends inside
+    # |z| < 1, and the next one crosses the rim at an intermediate RK stage
+    p = ModeParams(s=1, delta=-1, N=1.0, eta0=0.1, eta1=0.1, eta4=0.0,
+                   omega=0.011454673, Omega=0.144240623)
+    start = TwoModeState(0.5, math.pi / 2)
+    inside = integrate_orbit(start, p, t_end=44.0, dt=2.0)
+    assert inside.dt == 2.0 and abs(inside.z[-1]) < 1
+    with pytest.raises(TwoModeError, match=r"singularity near t = 44: ") as info:
+        integrate_orbit(start, p, t_end=60.0, dt=2.0)
+    assert isinstance(info.value.__cause__, TwoModeError)
+    assert "theta equation is singular" in str(info.value.__cause__)
 
 
 def test_orbit_argument_validation(lobe_params):
