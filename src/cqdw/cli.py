@@ -26,8 +26,8 @@ from .config import (
     RunConfig,
     config_hash,
     config_to_json,
+    file_tag,
     load_config,
-    mu_tag,
 )
 from .continuation import (
     ContinuationSettings,
@@ -63,9 +63,9 @@ from .overlaps import (
     ETA_LABELS,
     RegimeThresholds,
     classify_regime,
+    compute_overlaps,
     overlap_sweep,
     recompute_thresholds,
-    shared_kernel_overlaps,
 )
 from .presets import PRESETS, PresetError, get_preset
 from .spectrum import default_basis
@@ -141,7 +141,6 @@ def _build_problem(config: RunConfig) -> StationaryProblem:
     return StationaryProblem(
         grid,
         _build_potential(config),
-        kernel,
         kernel,
         s=config.interaction.s,
         delta=config.interaction.delta,
@@ -268,7 +267,7 @@ def run_twomode(config: RunConfig, out: Path, seed: int):
     basis = _build_basis(grid, _build_potential(config))
     inter = config.interaction
     tm = config.twomode
-    ov = shared_kernel_overlaps(basis, inter.family, inter.sigma)
+    ov = compute_overlaps(basis, Kernel(inter.family, inter.sigma))
 
     def params_at(norm: float) -> ModeParams:
         return ModeParams.from_overlaps(ov, basis, inter.s, inter.delta, norm)
@@ -287,7 +286,7 @@ def run_twomode(config: RunConfig, out: Path, seed: int):
 
     crit_rows = []
     for sigma in np.geomspace(tm.sigma_min, tm.sigma_max, tm.sigma_count):
-        co = shared_kernel_overlaps(basis, inter.family, float(sigma))
+        co = compute_overlaps(basis, Kernel(inter.family, float(sigma)))
         crit = critical_norms(
             ModeParams.from_overlaps(co, basis, inter.s, inter.delta, 1.0)
         )
@@ -316,7 +315,7 @@ def run_twomode(config: RunConfig, out: Path, seed: int):
                 )
                 orbit_rows.extend((orbit_id, *row) for row in picked.tolist())
                 orbit_id += 1
-        name = f"portrait_N{norm:g}.csv"
+        name = f"portrait_N{file_tag(norm)}.csv"
         _write_csv(out / name, ["orbit", "t", "z", "theta", "hamiltonian"], orbit_rows)
         portrait_files.append(name)
 
@@ -462,7 +461,7 @@ def run_evolve(config: RunConfig, out: Path, seed: int):
         else:
             initial = GridFunction(problem.grid, state.psi.values.astype(complex))
         run = evolve(problem, initial, mu, dy.t_end, dt=dy.dt, snapshot_dt=dy.phase_dt)
-        tag = mu_tag(mu)
+        tag = file_tag(mu)
 
         density_name = f"density_mu{tag}.csv"
         header = ["t", *[format(x, ".17g") for x in problem.grid.points]]

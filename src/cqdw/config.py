@@ -43,7 +43,7 @@ class PotentialConfig:
 
 @dataclass(frozen=True)
 class InteractionConfig:
-    """Shared cubic/quintic kernel plus the (s, delta) sign pair."""
+    """The one kernel R of the cubic and quintic terms, plus the (s, delta) signs."""
 
     family: str = "gaussian"
     sigma: float = 1.0
@@ -220,9 +220,21 @@ def load_config(path) -> RunConfig:
     return config_from_dict(data)
 
 
-def mu_tag(mu: float) -> str:
-    """Tag in the names of one evolve run's files, as in density_mu<tag>.csv."""
-    return format(mu, "g")
+def file_tag(value: float) -> str:
+    """Tag of a value in file names, as in density_mu<tag>.csv or portrait_N<tag>.csv."""
+    return format(value, "g")
+
+
+def _tag_clashes(field: str, prefix: str, values) -> list[str]:
+    """One message per value whose file tag repeats an earlier value's."""
+    out = []
+    for k, value in enumerate(values):
+        clash = [v for v in values[:k] if file_tag(v) == file_tag(value)]
+        if clash:
+            out.append(
+                f"{field}: {clash[0]!r} and {value!r} both name files {prefix}{file_tag(value)}"
+            )
+    return out
 
 
 def validate_config(config: RunConfig) -> list[str]:
@@ -274,6 +286,7 @@ def validate_config(config: RunConfig) -> list[str]:
     for norm in tm.portrait_norms:
         if not norm > 0:
             p.append(f"twomode.portrait_norms: norms must be positive, got {norm}")
+    p.extend(_tag_clashes("twomode.portrait_norms", "N", tm.portrait_norms))
     if not tm.portrait_t_end > 0:
         p.append(f"twomode.portrait_t_end: must be positive, got {tm.portrait_t_end}")
     ov = config.overlaps
@@ -284,10 +297,7 @@ def validate_config(config: RunConfig) -> list[str]:
     dy = config.dynamics
     if not dy.mu_list:
         p.append("dynamics.mu_list: at least one chemical potential is required")
-    for k, mu in enumerate(dy.mu_list):
-        clash = [m for m in dy.mu_list[:k] if mu_tag(m) == mu_tag(mu)]
-        if clash:
-            p.append(f"dynamics.mu_list: {clash[0]!r} and {mu!r} both name files mu{mu_tag(mu)}")
+    p.extend(_tag_clashes("dynamics.mu_list", "mu", dy.mu_list))
     if dy.family not in FAMILY_CHOICES:
         p.append(f"dynamics.family: expected one of {FAMILY_CHOICES}, got {dy.family!r}")
     if not dy.t_end > 0:

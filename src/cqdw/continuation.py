@@ -1,9 +1,10 @@
 """Stationary states and branch tracing for the nonlocal cubic-quintic model.
 
-A stationary state solves L psi - mu psi + s (R1 * psi^2) psi
-+ delta (R2 * psi^4) psi = 0 with L the linear double-well operator. States
-can be taken real; Newton's method with the exact dense Jacobian (including
-the nonlocal Frechet terms) converges quadratically from nearby guesses.
+A stationary state solves L psi - mu psi + [R * (s psi^2 + delta psi^4)] psi
+= 0 with L the linear double-well operator and R the one nonlocal response
+that carries both the cubic and the quintic terms. States can be taken real;
+Newton's method with the exact dense Jacobian (including the nonlocal
+Frechet terms) converges quadratically from nearby guesses.
 Branches are traced in (psi, mu) with pseudo-arclength steps so folds are
 crossed without parameter switching, and pitchforks are located by a sign
 change of the Jacobian determinant restricted to the parity subspace that
@@ -65,44 +66,33 @@ class NewtonError(ContinuationError):
 
 
 class StationaryProblem:
-    """Grid, potential, kernels and signs with cached dense operators.
+    """Grid, potential, kernel and signs with cached dense operators.
 
-    The tridiagonal linear operator and the quadrature kernel matrices are
-    built once; residuals use the FFT convolution plans and Jacobians use the
-    dense matrices.
+    The tridiagonal linear operator and the quadrature kernel matrix are
+    built once; residuals use the FFT convolution plan and Jacobians use the
+    dense matrix.
     """
 
-    def __init__(
-        self,
-        grid: Grid,
-        potential: PotentialParams,
-        kernel_cubic: Kernel,
-        kernel_quintic: Kernel,
-        s: int,
-        delta: int,
-    ):
+    def __init__(self, grid: Grid, potential: PotentialParams, kernel: Kernel, s: int, delta: int):
         if s not in (-1, 1) or delta not in (-1, 1):
             raise ContinuationError(f"signs must be +-1, got s={s}, delta={delta}")
         self.grid = grid
         self.potential = potential
-        self.kernel_cubic = kernel_cubic
-        self.kernel_quintic = kernel_quintic
+        self.kernel = kernel
         self.s = s
         self.delta = delta
         self.operator = discretize_operator(grid, potential)
         self._dense_l = self.operator.to_dense()
-        self._k1 = kernel_matrix(kernel_cubic, grid)
-        self._k2 = kernel_matrix(kernel_quintic, grid)
-        self._plan1 = ConvolutionPlan(kernel_cubic, grid)
-        self._plan2 = ConvolutionPlan(kernel_quintic, grid)
+        self._k = kernel_matrix(kernel, grid)
+        self._plan = ConvolutionPlan(kernel, grid)
 
     def nonlinear_potential(self, psi: np.ndarray) -> np.ndarray:
-        """Pointwise s (R1 * psi^2) + delta (R2 * psi^4) for a real profile."""
+        """Pointwise R * (s psi^2 + delta psi^4) for a real profile."""
         return self.nonlinear_potential_density(psi**2)
 
     def nonlinear_potential_density(self, density: np.ndarray) -> np.ndarray:
-        """Same contraction from |psi|^2, usable for complex fields."""
-        return self.s * self._plan1.apply(density) + self.delta * self._plan2.apply(density**2)
+        """Same contraction from rho = |psi|^2, usable for complex fields."""
+        return self._plan.apply(self.s * density + self.delta * density**2)
 
     def residual(self, psi: np.ndarray, mu: float) -> np.ndarray:
         psi = np.asarray(psi, dtype=float)
@@ -111,18 +101,18 @@ class StationaryProblem:
     def linearization(self, psi: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
         """Local part Ld and dense Frechet derivative Lplus at a real state.
 
-        Ld = L - mu + diag(s (R1 * psi^2) + delta (R2 * psi^4)). Besides this
-        local part, differentiating through the convolutions gives
-        2 s psi_i K1[i,j] psi_j + 4 delta psi_i K2[i,j] psi_j^3, which is not
-        symmetric; downstream eigen/determinant logic must not assume
-        symmetry. Newton uses Lplus, the linear stability analysis both.
+        Ld = L - mu + diag(R * (s psi^2 + delta psi^4)). Besides this local
+        part, differentiating through the convolution gives
+        psi_i K[i,j] (2 s psi_j + 4 delta psi_j^3), which is not symmetric;
+        downstream eigen/determinant logic must not assume symmetry. Newton
+        uses Lplus, the linear stability analysis both.
         """
         psi = np.asarray(psi, dtype=float)
         n = self.grid.n_points
         local = self._dense_l - mu * np.eye(n)
         local[np.diag_indices(n)] += self.nonlinear_potential(psi)
-        jac = local + 2.0 * self.s * (psi[:, None] * self._k1 * psi[None, :])
-        jac += 4.0 * self.delta * (psi[:, None] * self._k2 * (psi**3)[None, :])
+        weight = 2.0 * self.s * psi + 4.0 * self.delta * psi**3
+        jac = local + psi[:, None] * self._k * weight[None, :]
         return local, jac
 
     def jacobian(self, psi: np.ndarray, mu: float) -> np.ndarray:
@@ -308,14 +298,14 @@ def seed_from_mode(
     """Converge the small-amplitude state branching from a linear mode.
 
     Near the linear limit mu = omega_k + s c N with c the self-overlap of the
-    mode density through the cubic kernel, so the guess amplitude is matched
+    mode density through the kernel, so the guess amplitude is matched
     to the requested mu offset (or, when delta_mu is omitted, to a norm of
     about seed_norm). A mismatched side lands in the trivial basin, hence the
     sign check.
     """
     mode = np.asarray(mode, dtype=float)
     density = mode**2
-    c = float(problem.grid.integrate(density * problem._plan1.apply(density)))
+    c = float(problem.grid.integrate(density * problem._plan.apply(density)))
     c /= problem.norm(mode) ** 2
     if delta_mu is None:
         delta_mu = problem.s * c * seed_norm

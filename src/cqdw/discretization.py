@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import fft as _fft
@@ -193,9 +192,6 @@ def kernel_samples(kernel: Kernel, grid: Grid) -> np.ndarray:
     return kernel_eval(kernel, offsets)
 
 
-# Two entries hold a problem's cubic and quintic kernels; equal kernels share
-# one matrix, so it is returned read-only.
-@lru_cache(maxsize=2)
 def kernel_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
     """Dense quadrature matrix K[i, j] = R(x_i - x_j) dx (identity for delta).
 
@@ -205,13 +201,10 @@ def kernel_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
     """
     n = grid.n_points
     if kernel.is_delta:
-        matrix = np.eye(n)
-    else:
-        samples = kernel_samples(kernel, grid)
-        idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-        matrix = samples[n - 1 :][idx] * grid.spacing
-    matrix.flags.writeable = False
-    return matrix
+        return np.eye(n)
+    samples = kernel_samples(kernel, grid)
+    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    return samples[n - 1 :][idx] * grid.spacing
 
 
 class ConvolutionPlan:

@@ -2,7 +2,7 @@
 
 The propagated equation keeps the chemical potential inside the generator,
 
-    i dpsi/dt = (L - mu) psi + [ s (R1 * |psi|^2) + delta (R2 * |psi|^4) ] psi,
+    i dpsi/dt = (L - mu) psi + [ R * (s |psi|^2 + delta |psi|^4) ] psi,
 
 so converged stationary profiles are genuine fixed points rather than
 phase-rotating solutions. Discretization in x is exactly the stationary one

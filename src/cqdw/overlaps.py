@@ -2,9 +2,10 @@
 
 The twelve integrals eta0..eta11 are double integrals
     eta = Int g(x) R(x - x') f(x') dx' dx
-computed as quadrature(g * convolve(R, f)). eta0..eta3 pair with the cubic
-kernel, eta4..eta11 with the quintic one. Which of them survive in the
-reduced two-mode model depends on the kernel range sigma:
+computed as quadrature(g * convolve(R, f)) with the one kernel R of the
+model. eta0..eta3 come from its cubic term, eta4..eta11 from its quintic
+term. Which of them survive in the reduced two-mode model depends on the
+kernel range sigma:
 
   case 1 (narrow):        keep eta0, eta4
   case 2 (intermediate):  keep eta0, eta1, eta4
@@ -57,11 +58,10 @@ class RegimeThresholds:
 
 @dataclass(frozen=True)
 class OverlapSet:
-    """The twelve overlap integrals for one (cubic, quintic) kernel pair."""
+    """The twelve overlap integrals for one interaction kernel."""
 
     values: np.ndarray
-    kernel_cubic: Kernel
-    kernel_quintic: Kernel
+    kernel: Kernel
     regime: str
 
     def __post_init__(self):
@@ -87,11 +87,11 @@ class OverlapSet:
 
     @property
     def sigma(self) -> float:
-        return self.kernel_cubic.range_
+        return self.kernel.range_
 
     @property
     def kernel_family(self) -> str:
-        return self.kernel_cubic.family
+        return self.kernel.family
 
 
 def _factor_pairs(basis: LinearBasis):
@@ -116,21 +116,12 @@ def _factor_pairs(basis: LinearBasis):
     )
 
 
-def compute_overlaps(
-    basis: LinearBasis, kernel_cubic: Kernel, kernel_quintic: Kernel
-) -> OverlapSet:
-    """All twelve integrals; eta0..eta3 with the cubic kernel, the rest quintic.
-
-    The regime tag is decided directly from the computed values by the
-    relevance criterion, so it stays meaningful even for mixed kernel pairs.
-    """
+def compute_overlaps(basis: LinearBasis, kernel: Kernel) -> OverlapSet:
+    """All twelve integrals, tagged with the regime their values select."""
     grid = basis.grid
-    plan_c = ConvolutionPlan(kernel_cubic, grid)
-    plan_q = ConvolutionPlan(kernel_quintic, grid)
-    pairs = _factor_pairs(basis)
+    plan = ConvolutionPlan(kernel, grid)
     values = np.empty(12)
-    for i, (f, g) in enumerate(pairs):
-        plan = plan_c if i < 4 else plan_q
+    for i, (f, g) in enumerate(_factor_pairs(basis)):
         values[i] = grid.integrate(g * plan.apply(f))
     exchange = max(abs(values[2]), abs(values[3]))
     cross_relevant = values[1] - exchange >= RELEVANCE_CUTOFF
@@ -141,12 +132,7 @@ def compute_overlaps(
         regime = CASE3
     else:
         regime = CASE1
-    return OverlapSet(
-        values=values,
-        kernel_cubic=kernel_cubic,
-        kernel_quintic=kernel_quintic,
-        regime=regime,
-    )
+    return OverlapSet(values=values, kernel=kernel, regime=regime)
 
 
 def eta_rel(overlaps: OverlapSet, which: str) -> float:
@@ -169,12 +155,6 @@ def classify_regime(sigma: float, thresholds: RegimeThresholds) -> str:
     return CASE3
 
 
-def shared_kernel_overlaps(basis: LinearBasis, family: str, sigma: float) -> OverlapSet:
-    """Overlaps with one kernel used for both the cubic and quintic terms."""
-    k = Kernel(family, sigma)
-    return compute_overlaps(basis, k, k)
-
-
 def find_threshold(
     basis: LinearBasis,
     family: str,
@@ -189,7 +169,7 @@ def find_threshold(
     """
 
     def g(sigma: float) -> float:
-        return eta_rel(shared_kernel_overlaps(basis, family, sigma), which) - cutoff
+        return eta_rel(compute_overlaps(basis, Kernel(family, sigma)), which) - cutoff
 
     lo, hi = bracket
     glo, ghi = g(lo), g(hi)
@@ -214,5 +194,5 @@ def overlap_sweep(basis: LinearBasis, family: str, sigmas: np.ndarray) -> np.nda
         raise ValueError("sweep needs a finite-range kernel family")
     out = np.empty((len(sigmas), 12))
     for i, s in enumerate(sigmas):
-        out[i] = shared_kernel_overlaps(basis, family, float(s)).values
+        out[i] = compute_overlaps(basis, Kernel(family, float(s))).values
     return out

@@ -1,12 +1,11 @@
 """Named scenario presets: figure-data runs and regression targets.
 
 Each of the twelve figures has a preset whose artifacts carry the data needed
-to re-plot it; two more presets pin the headline symmetry-breaking points for
-regression, and one wraps the absorption-model cross-check. Expected values
-follow the source text; each carries its provenance note. Anchors that the
-rebuilt pipeline reproduces only approximately (the Fig. 5 caption numbers,
-see the acceptance suite) are deliberately not duplicated here: `regress`
-targets are the quantities this pipeline is expected to hit.
+to re-plot it, and one more wraps the absorption-model cross-check. Expected
+values follow the source text; each carries its provenance note. Anchors that
+the rebuilt pipeline reproduces only approximately (the Fig. 5 caption
+numbers, see the acceptance suite) are deliberately not duplicated here:
+`regress` targets are the quantities this pipeline is expected to hit.
 """
 
 from __future__ import annotations
@@ -194,40 +193,6 @@ def _catalogue() -> dict[str, ScenarioPreset]:
             subcommand="evolve",
             config=base,
             note="phase-plane projections of the symmetry-breaking runs",
-        ),
-        ScenarioPreset(
-            name="sigma01-antisym",
-            subcommand="continue",
-            config=replace(
-                base,
-                interaction=_interaction(sigma=0.1),
-                scan=ScanConfig(families=("anti",)),
-            ),
-            expected=(
-                RegressionTarget("anti_ssb_mu", 0.1686, 0.002, "Sec. III.A, sigma=0.1 SSB"),
-                RegressionTarget(
-                    "anti_restore_mu", 0.381, 0.005, "Sec. III.A, sigma=0.1 restoring merge"
-                ),
-            ),
-            note="headline antisymmetric symmetry-breaking regression",
-        ),
-        ScenarioPreset(
-            name="sigma1-focusing",
-            subcommand="continue",
-            config=replace(
-                base,
-                interaction=_interaction(s=-1, delta=1),
-                scan=replace(_SCAN_DUAL, families=("sym",)),
-            ),
-            expected=(
-                RegressionTarget(
-                    "sym_ssb_mu", 0.1212, 0.002, "Sec. III.A, symmetry breaking at mu=0.1212"
-                ),
-                RegressionTarget(
-                    "sym_restore_mu", -0.0727, 0.003, "Sec. III.A, symmetric branch restoring"
-                ),
-            ),
-            note="focusing-quintic symmetric symmetry-breaking regression",
         ),
         ScenarioPreset(
             name="thermal-check",

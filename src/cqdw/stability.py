@@ -11,15 +11,15 @@ eigenproblem
 
 with L1 = Ld + X and L2 = X, where Ld is the local part
 
-    Ld = L - mu + diag(s (R1 * psi0^2) + delta (R2 * psi0^4))
+    Ld = L - mu + diag(R * (s psi0^2 + delta psi0^4))
 
-and X the nonlocal exchange block
+and X the nonlocal exchange block, with K the quadrature matrix of R,
 
-    X[i, j] = s psi0_i K1[i, j] psi0_j + 2 delta psi0_i K2[i, j] psi0_j^3.
+    X[i, j] = psi0_i K[i, j] (s psi0_j + 2 delta psi0_j^3).
 
 The factor 2 on the quintic term comes from differentiating psi^2 conj(psi)^2
 inside the convolution; it makes X (and hence L1, L2) nonsymmetric whenever
-delta psi0 != 0, because K2[i, j] psi0_j^3 has no i <-> j symmetry.  Both
+delta psi0 != 0, because K[i, j] psi0_j^3 has no i <-> j symmetry.  Both
 blocks are still real, which is what the solvers below rely on.
 
 In the sum/difference variables u = a + b, w = a - b the system factorizes:

@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .overlaps import shared_kernel_overlaps
+from .discretization import Kernel
+from .overlaps import compute_overlaps
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -282,7 +283,7 @@ def coalescence_sigma(basis, family: str, s: int, delta: int,
     """
 
     def pair_exists(sigma: float) -> bool:
-        ov = shared_kernel_overlaps(basis, family, sigma)
+        ov = compute_overlaps(basis, Kernel(family, sigma))
         crit = critical_norms(ModeParams.from_overlaps(ov, basis, s, delta, 1.0))
         return crit.n2 is not None and crit.n3 is not None
 

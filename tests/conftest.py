@@ -11,7 +11,7 @@ from cqdw.continuation import (
 )
 from cqdw.discretization import GAUSSIAN, Kernel, PotentialParams, build_grid
 from cqdw.dynamics import evolve, perturb_state
-from cqdw.overlaps import shared_kernel_overlaps
+from cqdw.overlaps import compute_overlaps
 from cqdw.spectrum import default_basis
 from cqdw.stability import build_bdg, dominant_unstable_mode, solve_bdg, sweep_branch
 from cqdw.twomode import ModeParams
@@ -39,17 +39,17 @@ def basis(grid):
 
 @pytest.fixture(scope="session")
 def overlaps_sigma01(basis):
-    return shared_kernel_overlaps(basis, GAUSSIAN, 0.1)
+    return compute_overlaps(basis, Kernel(GAUSSIAN, 0.1))
 
 
 @pytest.fixture(scope="session")
 def overlaps_sigma1(basis):
-    return shared_kernel_overlaps(basis, GAUSSIAN, 1.0)
+    return compute_overlaps(basis, Kernel(GAUSSIAN, 1.0))
 
 
 @pytest.fixture(scope="session")
 def overlaps_sigma8(basis):
-    return shared_kernel_overlaps(basis, GAUSSIAN, 8.0)
+    return compute_overlaps(basis, Kernel(GAUSSIAN, 8.0))
 
 
 @pytest.fixture
@@ -74,7 +74,7 @@ def branch_suite(grid, basis):
     pot = PotentialParams()
     for key, sc in SCAN_SCENARIOS.items():
         kernel = Kernel(GAUSSIAN, sc["sigma"])
-        problem = StationaryProblem(grid, pot, kernel, kernel, s=sc["s"], delta=sc["delta"])
+        problem = StationaryProblem(grid, pot, kernel, s=sc["s"], delta=sc["delta"])
         settings = ContinuationSettings(
             mu_min=sc["mu_min"],
             mu_max=sc["mu_max"],

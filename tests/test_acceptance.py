@@ -244,7 +244,7 @@ def test_criterion_11_oracle_equivalence(grid, basis):
         conv_err = max(conv_err, float(np.max(np.abs(fast - slow))))
 
     kernel = Kernel("gaussian", 1.0)
-    overlaps = compute_overlaps(basis, kernel, kernel)
+    overlaps = compute_overlaps(basis, kernel)
     pl, pr = basis.phi_left, basis.phi_right
     ll, rr, lr = pl * pl, pr * pr, pl * pr
     pairs = [(ll, ll), (ll, rr), (ll, lr), (lr, lr),

@@ -216,6 +216,20 @@ def test_mu_list_tag_collision_is_rejected(tmp_path, capsys):
     assert not (out / "density_mu0.15.csv").exists()
 
 
+def test_portrait_norm_tag_collision_is_rejected(tmp_path, capsys):
+    # both norms print as 5 in the portrait file name, so the second orbit
+    # set would overwrite the first and the manifest would list it twice
+    cfg = _write(tmp_path / "c.json", {"twomode": {"portrait_norms": [5.0000001, 5.0000002]}})
+    out = tmp_path / "tm"
+    assert main(["twomode", "--config", cfg, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigError"
+    assert payload["fields"] == [
+        "twomode.portrait_norms: 5.0000001 and 5.0000002 both name files N5"
+    ]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_missing_config_reports_path(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["spectrum", "--config", missing, "--out", str(tmp_path / "x")]) == 2

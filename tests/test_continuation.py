@@ -28,6 +28,7 @@ from cqdw.continuation import (
 )
 from cqdw.discretization import (
     DELTA,
+    EXPONENTIAL,
     GAUSSIAN,
     Kernel,
     PotentialParams,
@@ -91,10 +92,10 @@ def test_residual_matches_direct_quadrature(problem1):
     lap[0] = psi[1] - 2.0 * psi[0]
     lap[-1] = psi[-2] - 2.0 * psi[-1]
     conv_sq = np.array(
-        [np.sum(kernel_eval(problem1.kernel_cubic, xi - x) * psi**2) for xi in x]
+        [np.sum(kernel_eval(problem1.kernel, xi - x) * psi**2) for xi in x]
     ) * grid.spacing
     conv_q = np.array(
-        [np.sum(kernel_eval(problem1.kernel_quintic, xi - x) * psi**4) for xi in x]
+        [np.sum(kernel_eval(problem1.kernel, xi - x) * psi**4) for xi in x]
     ) * grid.spacing
     direct = (
         -0.5 * lap / grid.spacing**2
@@ -106,32 +107,37 @@ def test_residual_matches_direct_quadrature(problem1):
 
 
 def test_delta_kernels_give_local_cubic_quintic(grid):
-    problem = StationaryProblem(
-        grid, PotentialParams(), Kernel(DELTA), Kernel(DELTA), s=1, delta=-1
-    )
+    problem = StationaryProblem(grid, PotentialParams(), Kernel(DELTA), s=1, delta=-1)
     x = grid.points
     psi = np.exp(-(x**2))
     expected = problem.operator.matvec(psi.copy()) - 0.2 * psi + (psi**2 - psi**4) * psi
     assert np.max(np.abs(problem.residual(psi, 0.2) - expected)) <= 1e-14
 
 
-def test_jacobian_matches_finite_differences(problem1):
-    x = problem1.grid.points
+# The delta kernel is the case where the quadrature matrix K is the identity.
+@pytest.mark.parametrize(
+    "kernel",
+    [Kernel(GAUSSIAN, 1.0), Kernel(EXPONENTIAL, 1.0), Kernel(DELTA)],
+    ids=lambda k: k.family,
+)
+def test_jacobian_matches_finite_differences(grid, kernel):
+    problem = StationaryProblem(grid, PotentialParams(), kernel, s=1, delta=-1)
+    x = grid.points
     psi = 0.7 * np.exp(-((x - 0.8) ** 2)) + 0.2 * np.exp(-((x + 1.5) ** 2) / 2.0)
     mu = 0.19
-    jac = problem1.jacobian(psi, mu)
+    jac = problem.jacobian(psi, mu)
     h = 1e-6
     for center, width in ((-3.0, 1.0), (0.5, 0.7), (2.0, 1.8)):
         direction = np.exp(-((x - center) ** 2) / width**2)
-        fd = (problem1.residual(psi + h * direction, mu)
-              - problem1.residual(psi - h * direction, mu)) / (2.0 * h)
+        fd = (problem.residual(psi + h * direction, mu)
+              - problem.residual(psi - h * direction, mu)) / (2.0 * h)
         assert np.max(np.abs(jac @ direction - fd)) <= 1e-6
 
 
 def test_sign_arguments_validated(grid):
     kernel = Kernel(GAUSSIAN, 1.0)
     with pytest.raises(ContinuationError, match="signs"):
-        StationaryProblem(grid, PotentialParams(), kernel, kernel, s=0, delta=-1)
+        StationaryProblem(grid, PotentialParams(), kernel, s=0, delta=-1)
 
 
 # --- Newton ---------------------------------------------------------------------

@@ -174,16 +174,6 @@ def test_kernel_matrix_agrees_with_plan():
     np.testing.assert_allclose(kernel_matrix(k, grid) @ f, plan.apply(f), atol=1e-12)
 
 
-def test_kernel_matrix_cache_is_bounded_and_shared():
-    grid = build_grid(6.0, 0.1)
-    first = kernel_matrix(Kernel(GAUSSIAN, 1.0), grid)
-    assert kernel_matrix(Kernel(GAUSSIAN, 1.0), grid) is first
-    assert not first.flags.writeable
-    for sigma in (0.5, 2.0, 3.0):
-        kernel_matrix(Kernel(GAUSSIAN, sigma), grid)
-    assert kernel_matrix.cache_info().currsize <= 2
-
-
 def test_parity_residuals():
     grid = build_grid(5.0, 0.1)
     even = np.exp(-(grid.points**2))

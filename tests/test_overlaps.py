@@ -29,7 +29,6 @@ from cqdw.overlaps import (
     find_threshold,
     overlap_sweep,
     recompute_thresholds,
-    shared_kernel_overlaps,
 )
 from cqdw.spectrum import default_basis
 
@@ -48,7 +47,7 @@ def brute_force_eta(kernel, f, g, grid):
 @pytest.mark.parametrize("sigma", [0.1, 1.0, 8.0])
 def test_overlaps_match_double_integral(basis, sigma):
     kernel = Kernel(GAUSSIAN, sigma)
-    overlaps = compute_overlaps(basis, kernel, kernel)
+    overlaps = compute_overlaps(basis, kernel)
     grid = basis.grid
     ll = basis.phi_left**2
     rr = basis.phi_right**2
@@ -74,7 +73,7 @@ def test_overlaps_match_double_integral(basis, sigma):
 
 def test_exponential_kernel_against_oracle(basis):
     kernel = Kernel(EXPONENTIAL, 1.7)
-    overlaps = compute_overlaps(basis, kernel, kernel)
+    overlaps = compute_overlaps(basis, kernel)
     grid = basis.grid
     ll = basis.phi_left**2
     assert overlaps.eta0 == pytest.approx(
@@ -87,7 +86,7 @@ def test_exponential_kernel_against_oracle(basis):
 
 def test_delta_kernel_reduces_to_local_integrals(basis):
     # contact limit: eta0 -> int phi_L^4, eta4 -> int phi_L^6
-    overlaps = compute_overlaps(basis, Kernel(DELTA), Kernel(DELTA))
+    overlaps = compute_overlaps(basis, Kernel(DELTA))
     grid = basis.grid
     phi4 = float(grid.integrate(basis.phi_left**4))
     phi6 = float(grid.integrate(basis.phi_left**6))
@@ -144,14 +143,14 @@ def test_overlaps_positive_and_ordered(overlaps_sigma01, overlaps_sigma1, overla
 
 def test_eta0_decays_with_range(basis):
     sigmas = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
-    values = [shared_kernel_overlaps(basis, GAUSSIAN, s).eta0 for s in sigmas]
+    values = [compute_overlaps(basis, Kernel(GAUSSIAN, s)).eta0 for s in sigmas]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_eta1_grows_with_range(basis):
     # longer range couples the wells more strongly
     sigmas = [0.5, 2.0, 8.0]
-    values = [shared_kernel_overlaps(basis, GAUSSIAN, s).eta1 for s in sigmas]
+    values = [compute_overlaps(basis, Kernel(GAUSSIAN, s)).eta1 for s in sigmas]
     assert values[0] < values[1] < values[2]
 
 
@@ -163,7 +162,7 @@ def test_regime_boundaries_from_ratio(basis):
     table = RegimeThresholds(GAUSSIAN, *REFERENCE_THRESHOLDS[GAUSSIAN])
     expected = {0.1: CASE1, 1.0: CASE1, 5.0: CASE2, 8.0: CASE2, 12.0: CASE3}
     for sigma, case in expected.items():
-        overlaps = shared_kernel_overlaps(basis, GAUSSIAN, sigma)
+        overlaps = compute_overlaps(basis, Kernel(GAUSSIAN, sigma))
         assert overlaps.regime == case, sigma
         # the data-driven label agrees with the threshold-table one
         assert classify_regime(sigma, table) == case
@@ -173,7 +172,7 @@ def test_eta_rel_is_the_classifier(basis, overlaps_sigma1, overlaps_sigma8):
     assert eta_rel(overlaps_sigma1, "eta1") < RELEVANCE_CUTOFF
     assert eta_rel(overlaps_sigma8, "eta1") >= RELEVANCE_CUTOFF
     assert eta_rel(overlaps_sigma8, "eta4") >= RELEVANCE_CUTOFF
-    overlaps12 = shared_kernel_overlaps(basis, GAUSSIAN, 12.0)
+    overlaps12 = compute_overlaps(basis, Kernel(GAUSSIAN, 12.0))
     assert eta_rel(overlaps12, "eta4") < RELEVANCE_CUTOFF
 
 
@@ -195,8 +194,8 @@ def test_threshold_values(basis):
 
 def test_threshold_is_a_cutoff_crossing(basis):
     sigma_b = find_threshold(basis, GAUSSIAN, "eta1")
-    below = shared_kernel_overlaps(basis, GAUSSIAN, sigma_b - 0.05)
-    above = shared_kernel_overlaps(basis, GAUSSIAN, sigma_b + 0.05)
+    below = compute_overlaps(basis, Kernel(GAUSSIAN, sigma_b - 0.05))
+    above = compute_overlaps(basis, Kernel(GAUSSIAN, sigma_b + 0.05))
     assert eta_rel(below, "eta1") < RELEVANCE_CUTOFF < eta_rel(above, "eta1")
 
 
@@ -224,12 +223,3 @@ def test_overlap_set_accessors(overlaps_sigma1):
     assert overlaps_sigma1.kernel_family == GAUSSIAN
     assert overlaps_sigma1[0] == overlaps_sigma1.eta0
     assert overlaps_sigma1[4] == overlaps_sigma1.eta4
-
-
-def test_distinct_cubic_and_quintic_kernels(basis):
-    # the two interaction terms may carry different ranges
-    overlaps = compute_overlaps(basis, Kernel(GAUSSIAN, 1.0), Kernel(GAUSSIAN, 8.0))
-    wide = shared_kernel_overlaps(basis, GAUSSIAN, 8.0)
-    narrow = shared_kernel_overlaps(basis, GAUSSIAN, 1.0)
-    assert overlaps.eta0 == pytest.approx(narrow.eta0, abs=1e-12)
-    assert overlaps.eta4 == pytest.approx(wide.eta4, abs=1e-12)

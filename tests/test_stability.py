@@ -77,13 +77,12 @@ def test_entries_match_direct_quadrature(bdg_mid):
     psi = op.psi
     dense_l = problem.operator.to_dense()
     for i in range(0, grid.n_points, 37):
-        row1 = kernel_eval(problem.kernel_cubic, x[i] - x) * dx
-        row2 = kernel_eval(problem.kernel_quintic, x[i] - x) * dx
-        exchange = (problem.s * psi[i] * row1 * psi
-                    + 2.0 * problem.delta * psi[i] * row2 * psi**3)
+        row = kernel_eval(problem.kernel, x[i] - x) * dx
+        exchange = (problem.s * psi[i] * row * psi
+                    + 2.0 * problem.delta * psi[i] * row * psi**3)
         assert np.abs(op.l2[i] - exchange).max() <= 1e-10
         local = dense_l[i].copy()
-        local[i] += -op.mu + problem.s * row1 @ psi**2 + problem.delta * row2 @ psi**4
+        local[i] += -op.mu + problem.s * row @ psi**2 + problem.delta * row @ psi**4
         assert np.abs(op.l_minus[i] - local).max() <= 1e-10
         assert np.abs(op.l1[i] - (local + exchange)).max() <= 1e-10
 

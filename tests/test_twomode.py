@@ -14,8 +14,8 @@ import pytest
 import sympy as sp
 from scipy.optimize import brentq
 
-from cqdw.discretization import GAUSSIAN
-from cqdw.overlaps import CASE2, shared_kernel_overlaps
+from cqdw.discretization import GAUSSIAN, Kernel
+from cqdw.overlaps import CASE2, compute_overlaps
 from cqdw.twomode import (
     ANTISYMMETRIC,
     ASYMMETRIC,
@@ -117,7 +117,7 @@ def test_from_overlaps_regime_filter(basis, overlaps_sigma01, overlaps_sigma8):
     assert wide.mu == 0.2
 
     widest = ModeParams.from_overlaps(
-        shared_kernel_overlaps(basis, GAUSSIAN, 12.0), basis, 1, -1, 1.0)
+        compute_overlaps(basis, Kernel(GAUSSIAN, 12.0)), basis, 1, -1, 1.0)
     assert widest.eta4 == 0.0
     assert widest.eta1 > 0.0
 
@@ -259,7 +259,7 @@ def test_critical_norms_frozen_tables(make_params, sigma):
 
 
 def test_critical_norms_case3_degenerates_to_linear(basis):
-    overlaps = shared_kernel_overlaps(basis, GAUSSIAN, 12.0)
+    overlaps = compute_overlaps(basis, Kernel(GAUSSIAN, 12.0))
     p = ModeParams.from_overlaps(overlaps, basis, 1, -1, 1.0)
     assert p.eta4 == 0.0
     norms = critical_norms(p)
@@ -270,15 +270,15 @@ def test_critical_norms_case3_degenerates_to_linear(basis):
 def test_critical_norm_pair_coalescence(basis):
     # the antisymmetric-parent pair merges where eta_z^2 = 8 eta4 omega
     def gap(sigma):
-        ov = shared_kernel_overlaps(basis, GAUSSIAN, sigma)
+        ov = compute_overlaps(basis, Kernel(GAUSSIAN, sigma))
         e = ov.eta0 - ov.eta1
         return e * e - 8 * ov.eta4 * basis.omega
 
     sigma_star = brentq(gap, 7.0, 8.0, xtol=1e-5)
     assert sigma_star == pytest.approx(7.5091, abs=5e-3)
 
-    below = shared_kernel_overlaps(basis, GAUSSIAN, sigma_star - 0.05)
-    above = shared_kernel_overlaps(basis, GAUSSIAN, sigma_star + 0.05)
+    below = compute_overlaps(basis, Kernel(GAUSSIAN, sigma_star - 0.05))
+    above = compute_overlaps(basis, Kernel(GAUSSIAN, sigma_star + 0.05))
     norms_below = critical_norms(ModeParams.from_overlaps(below, basis, 1, -1, 1.0))
     norms_above = critical_norms(ModeParams.from_overlaps(above, basis, 1, -1, 1.0))
     assert norms_below.n2 is not None and norms_below.n3 is not None
@@ -508,7 +508,7 @@ def test_stationary_amplitudes_close_the_norm_map(make_params):
 
 
 def test_stationary_amplitudes_case3_is_linear(basis):
-    overlaps = shared_kernel_overlaps(basis, GAUSSIAN, 12.0)
+    overlaps = compute_overlaps(basis, Kernel(GAUSSIAN, 12.0))
     p0 = ModeParams.from_overlaps(overlaps, basis, 1, -1, 1.0)
     p = p0.with_mu(p0.omega0 + 0.05)
     pairs = stationary_amplitudes(p, SYMMETRIC)
@@ -595,7 +595,7 @@ def test_quartic_root_closure_case1(make_params):
 
 def test_quartic_root_closure_case2(basis):
     # intermediate range keeps eta1; the elimination must still close
-    overlaps = shared_kernel_overlaps(basis, GAUSSIAN, 5.0)
+    overlaps = compute_overlaps(basis, Kernel(GAUSSIAN, 5.0))
     assert overlaps.regime == CASE2
     p = ModeParams.from_overlaps(overlaps, basis, 1, -1, 1.0)
     n_star = p.eta_z / (2 * p.eta4)  # peak of f(N), comfortably valid
