@@ -552,6 +552,15 @@ class ReflectionSector:
         row = inv * (matrix[m:m + 1, :m] + matrix[m:m + 1, ::-1][:, :m])
         return np.block([[core, column], [row, matrix[m:m + 1, m:m + 1]]])
 
+    def restrict(self, vector: np.ndarray) -> np.ndarray:
+        """B.T @ vector: grid values to sector coordinates, the transpose of lift."""
+        m = self.n // 2
+        sign = 1.0 if self.parity == "even" else -1.0
+        out = math.sqrt(0.5) * (vector[:m] + sign * vector[::-1][:m])
+        if self.parity == "even":
+            out = np.append(out, vector[m])
+        return out
+
     def lift(self, vector: np.ndarray) -> np.ndarray:
         """B @ vector: sector coordinates back to grid values."""
         m = self.n // 2

@@ -101,10 +101,6 @@ class GridFunction:
             )
         object.__setattr__(self, "values", values)
 
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.values)
-
     def norm_sq(self) -> float:
         return self.grid.norm_sq(self.values)
 

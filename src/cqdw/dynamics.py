@@ -80,7 +80,6 @@ class EvolutionRun:
     times: np.ndarray
     snapshots: list[GridFunction]
     norm_series: np.ndarray
-    projection: "PhaseSeries | None" = None
 
 
 @dataclass(frozen=True)

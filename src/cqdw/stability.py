@@ -20,41 +20,36 @@ and X the nonlocal exchange block, with K the quadrature matrix of R,
 The factor 2 on the quintic term comes from differentiating psi^2 conj(psi)^2
 inside the convolution; it makes X (and hence L1, L2) nonsymmetric whenever
 delta psi0 != 0, because K[i, j] psi0_j^3 has no i <-> j symmetry.  Both
-blocks are still real, which is what the solvers below rely on.
+blocks are still real, which is what the solver below relies on.
 
-In the sum/difference variables u = a + b, w = a - b the system factorizes:
+With p = a + b and q = -i (a - b), i.e. (p, q) = (Re delta-psi, Im delta-psi)
+for a real eigenvector, the system becomes real,
 
-    i l u = Ld w,    i l w = Lplus u,    Lplus = Ld + 2 X,
+    l p = Ld q,    l q = -Lplus p,    Lplus = Ld + 2 X,
 
-so l^2 = -eig(Ld Lplus).  Lplus is exactly the Newton Jacobian of the
-stationary problem: `StationaryProblem.linearization` assembles Ld and Lplus
-once for both, and X = (Lplus - Ld) / 2.  This product form halves the matrix
-size but takes a square root at the end, which amplifies roundoff near l = 0
-(an eigenvalue error of 1e-11 in l^2 becomes ~3e-6 in l), so the phase zero
-mode (a, b) = (psi0, -psi0) lands above the instability threshold.
+so l^2 = -eig(Ld Lplus), with p an eigenvector of Ld Lplus and
+q = -Lplus p / l.  Lplus is exactly the Newton Jacobian, and
+`StationaryProblem.linearization` assembles Ld and Lplus once for both.  The
+square root amplifies roundoff near l = 0 (1e-12 in l^2 becomes 1e-6 in l),
+and the phase mode puts l^2 = 0 into every nonzero state, so it is removed
+exactly.  Ld is symmetric and Ld psi0 is the stationary residual, so psi0 is
+a left null vector of Ld Lplus and its orthogonal complement is invariant:
+with one Householder reflector Q whose first column is psi0 / |psi0|, the
+trailing block of Q^T Ld Lplus Q holds every other l^2 (Van Loan's
+square-reduced form, LAA 61, 1984).  The removed zero pair is measured as l = +-sqrt(-a),
+a = <Ld psi0, Lplus psi0> / |psi0|^2, not read from the corner of
+Q^T Ld Lplus Q, which holds ~1e-12 of roundoff from forming the product.
+Exactly one l^2 = 0 goes as long as <psi0, Lplus^-1 psi0>, proportional to
+dN/dmu, is nonzero: away from a fold.
 
-With p = u and q = -i w, i.e. (p, q) = (Re delta-psi, Im delta-psi) for a
-real eigenvector, the block becomes the real matrix
-
-    l p = Ld q,    l q = -Lplus p,
-
-which is similar to -i times the block M = [[L1, L2], [-L2, -L1]] (whose
-spectrum is i l): same spectrum and conditioning, no square root, and a real
-growth rate comes out as an exactly real eigenvalue.
-
-When psi0 is even or odd (a zero profile counts as even), reflection commutes
-with Ld and Lplus, and each matrix splits into an even and an odd sector,
-restricted by an index fold.  The parent sector, of psi0's own parity, holds
-the zero mode; the breaking sector carries every pitchfork instability and,
-away from a pitchfork, has no zero mode, so the product form is safe there
-(Van Loan's square-reduced form, LAA 61, 1984).  Right at a pitchfork l^2 = 0
-is an eigenvalue of the breaking sector too, and its root carries noise of
-about sqrt(eps) ||L||, the same mechanism as for the phase zero mode.
-`solve_bdg` and `sweep_branch` solve the parent sector as its restricted
-block M and the breaking sector in product form, and a state without parity
-as the whole 2n x 2n M.
-`dominant_unstable_mode` diagonalizes the real form H on both sectors, or
-whole without parity, and takes the eigenvector by inverse iteration.
+When psi0 is even or odd, each matrix splits into an even and an odd
+reflection sector, restricted by an index fold.  psi0 lives in the parent
+sector, of its own parity, which is deflated.  The breaking sector carries
+every pitchfork instability and, away from a pitchfork, no zero mode, so it
+is not deflated; right at a pitchfork its critical root carries noise of
+about sqrt(eps) ||L||.  A state without parity is deflated on the whole grid,
+and the vacuum, which has no phase mode, nowhere.  `solve_bdg` and
+`dominant_unstable_mode` share this one route.
 """
 
 from __future__ import annotations
@@ -79,66 +74,79 @@ class StabilityError(RuntimeError):
     pass
 
 
-def _reflection_sectors(
-    grid: Grid, psi: np.ndarray
-) -> tuple[ReflectionSector, ReflectionSector] | None:
-    """(parent, breaking) sectors when psi0 is even or odd, else None.
-
-    Reflection commutes with Ld and Lplus exactly when psi0 has a parity (a
-    zero profile counts as even), and the spectrum is then the union of the
-    two sectors.  The parent sector holds the phase zero mode (psi0, -psi0);
-    the breaking sector holds every pitchfork instability, and a zero mode
-    only at a pitchfork itself.
-    """
-    symmetry = classify_symmetry(grid, psi)
-    if symmetry == ASYMMETRIC:
-        return None
-    return reflection_sectors(grid, symmetry)
-
-
 @dataclass(frozen=True)
 class BdGOperator:
-    """Dense real blocks of the linearization around one stationary state."""
+    """Dense real blocks Ld and Lplus of the linearization around one state."""
 
     grid: Grid
     psi: np.ndarray
     mu: float
     l_minus: np.ndarray
-    exchange: np.ndarray
-
-    @property
-    def l1(self) -> np.ndarray:
-        return self.l_minus + self.exchange
-
-    @property
-    def l2(self) -> np.ndarray:
-        return self.exchange
-
-    @property
-    def l_plus(self) -> np.ndarray:
-        return self.l_minus + 2.0 * self.exchange
+    l_plus: np.ndarray
 
     def restricted(self, sector: ReflectionSector | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(Ld, X), folded onto a reflection sector when one is given."""
+        """(Ld, Lplus), folded onto a reflection sector when one is given."""
         if sector is None:
-            return self.l_minus, self.exchange
-        return sector.fold(self.l_minus), sector.fold(self.exchange)
+            return self.l_minus, self.l_plus
+        return sector.fold(self.l_minus), sector.fold(self.l_plus)
 
-    def block(self, sector: ReflectionSector | None = None) -> np.ndarray:
-        """Real matrix M with spectrum i l: [[L1, L2], [-L2, -L1]] (2n x 2n whole)."""
-        ld, x = self.restricted(sector)
-        l1 = ld + x
-        return np.block([[l1, x], [-x, -l1]])
 
-    def real_form(self, sector: ReflectionSector | None = None) -> np.ndarray:
-        """Real matrix H = [[0, Ld], [-Lplus, 0]] with spectrum l itself.
+@dataclass(frozen=True)
+class _ProductForm:
+    """Ld Lplus on one reflection sector or on the whole grid.
 
-        H acts on (Re delta-psi, Im delta-psi), on the whole grid or on the
-        sector coordinates of one reflection sector.
-        """
-        ld, x = self.restricted(sector)
-        zero = np.zeros_like(ld)
-        return np.block([[zero, ld], [-(ld + 2.0 * x), zero]])
+    When psi0 is deflated, matrix is (Q^T Ld Lplus Q)[1:, 1:] for the
+    Householder reflector Q = I - 2 v v^T / v^T v, and zero_sq is the l^2 of
+    the removed phase zero pair; otherwise matrix is Ld Lplus itself.
+    """
+
+    sector: ReflectionSector | None
+    matrix: np.ndarray
+    reflector: np.ndarray | None = None
+    zero_sq: float | None = None
+
+    def lift(self, vector: np.ndarray) -> np.ndarray:
+        """Eigenvector of matrix back to grid values, through Q and the sector."""
+        if self.reflector is not None:
+            v = self.reflector
+            vector = np.concatenate([[0.0], vector])
+            vector = vector - (2.0 * (v @ vector) / (v @ v)) * v
+        return vector if self.sector is None else self.sector.lift(vector)
+
+
+def _product_form(
+    operator: BdGOperator, sector: ReflectionSector | None, psi: np.ndarray | None
+) -> _ProductForm:
+    """Ld Lplus of one sector, deflated of psi (its sector coordinates) if given."""
+    ld, l_plus = operator.restricted(sector)
+    matrix = ld @ l_plus
+    if psi is None or not psi.any():
+        return _ProductForm(sector, matrix)
+    norm_sq = float(psi @ psi)
+    zero_sq = -float((ld @ psi) @ (l_plus @ psi)) / norm_sq
+    # Q's first column is -+psi / |psi|; the sign avoids cancellation in v.
+    v = psi / np.sqrt(norm_sq)
+    v[0] += np.copysign(1.0, v[0])
+    tau = 2.0 / float(v @ v)
+    matrix -= tau * np.outer(v, v @ matrix)
+    matrix -= tau * np.outer(matrix @ v, v)
+    return _ProductForm(sector, matrix[1:, 1:], v, zero_sq)
+
+
+def _product_forms(operator: BdGOperator) -> list[_ProductForm]:
+    """The product form of both reflection sectors, or of the whole grid.
+
+    Reflection commutes with Ld and Lplus exactly when psi0 is even or odd (a
+    zero profile counts as even), and the spectrum is then the union of the
+    two sectors.  psi0 is deflated where it lives: in the parent sector, or
+    on the whole grid when it has no parity.
+    """
+    symmetry = classify_symmetry(operator.grid, operator.psi)
+    if symmetry == ASYMMETRIC:
+        return [_product_form(operator, None, operator.psi)]
+    parent, breaking = reflection_sectors(operator.grid, symmetry)
+    return [_product_form(operator, parent, parent.restrict(operator.psi)),
+            _product_form(operator, breaking, None)]
 
 
 @dataclass(frozen=True)
@@ -216,22 +224,8 @@ def build_bdg(problem: StationaryProblem, state: StationaryState) -> BdGOperator
     state = _polish(problem, state)
     psi = np.asarray(state.psi.values, dtype=float)
     l_minus, l_plus = problem.linearization(psi, state.mu)
-    exchange = l_plus - l_minus
-    exchange *= 0.5
     return BdGOperator(grid=problem.grid, psi=psi, mu=state.mu,
-                       l_minus=l_minus, exchange=exchange)
-
-
-def _sorted_spectrum(values: np.ndarray) -> np.ndarray:
-    order = np.lexsort((-values.imag, -values.real))
-    return values[order]
-
-
-def _product_roots(l_minus: np.ndarray, l_plus: np.ndarray) -> np.ndarray:
-    """Both square roots of l^2 = -eig(Ld Lplus)."""
-    lam_sq = -np.linalg.eigvals(l_minus @ l_plus)
-    roots = np.sqrt(lam_sq.astype(complex))
-    return np.concatenate([roots, -roots])
+                       l_minus=l_minus, l_plus=l_plus)
 
 
 def solve_bdg(
@@ -240,27 +234,20 @@ def solve_bdg(
 ) -> BdGSpectrum:
     """Full eigenvalue spectrum (all 2n values) of one linearization.
 
-    The phase zero mode stays at roundoff level.  When psi0 is even or odd
-    the two reflection sectors are solved apart: the parent sector (with the
-    zero mode) as its restricted block, reading l = -i m, and the breaking
-    sector (every pitchfork instability) in the half-size product form
-    l^2 = -eig(Ld Lplus).  Away from a pitchfork the breaking sector has no
-    zero mode for the square root to amplify; right at one its critical root
-    carries noise of about sqrt(eps) ||L||.  A state without parity
-    diagonalizes the whole 2n x 2n block.
+    l = +-sqrt(-eig) of the product form on each reflection sector, or on the
+    whole grid for a state without parity, with the phase zero pair measured
+    by the deflation rather than diagonalized.
     """
     if threshold <= 0:
         raise StabilityError(f"threshold must be positive, got {threshold}")
-    sectors = _reflection_sectors(operator.grid, operator.psi)
-    if sectors is None:
-        eigenvalues = -1j * np.linalg.eigvals(operator.block())
-    else:
-        parent, breaking = sectors
-        ld, x = operator.restricted(breaking)
-        eigenvalues = np.concatenate([
-            -1j * np.linalg.eigvals(operator.block(parent)),
-            _product_roots(ld, ld + 2.0 * x)])
-    eigenvalues = _sorted_spectrum(eigenvalues)
+    lam_sq = []
+    for form in _product_forms(operator):
+        lam_sq.append(-np.linalg.eigvals(form.matrix))
+        if form.zero_sq is not None:
+            lam_sq.append([form.zero_sq])
+    roots = np.sqrt(np.concatenate(lam_sq).astype(complex))
+    eigenvalues = np.concatenate([roots, -roots])
+    eigenvalues = eigenvalues[np.lexsort((-eigenvalues.imag, -eigenvalues.real))]
     unstable = int(np.count_nonzero(eigenvalues.real > threshold))
     return BdGSpectrum(eigenvalues=eigenvalues,
                        max_real_part=float(eigenvalues.real.max()),
@@ -283,54 +270,59 @@ def quartet_defect(eigenvalues: np.ndarray) -> float:
     return defect
 
 
+def _dominant_eigenpair(
+    operator: BdGOperator, threshold: float
+) -> tuple[complex, np.ndarray, np.ndarray]:
+    """Fastest-growing l with its eigenvector (p, q) on the grid.
+
+    l p = Ld q and l q = -Lplus p.  The winner comes from the same product
+    forms as `solve_bdg`; the deflated phase zero pair is no growing mode and
+    takes no part.  p comes from inverse iteration on the winner's matrix,
+    lifted through Q and its sector, and q = -Lplus p / l.
+    """
+    best = None
+    for form in _product_forms(operator):
+        nus = np.linalg.eigvals(form.matrix)
+        roots = np.sqrt((-nus).astype(complex))
+        k = int(np.argmax(roots.real))
+        if best is None or roots[k].real > best[0].real:
+            best = (complex(roots[k]), nus[k], form)
+    lam, nu, form = best
+    if lam.real <= threshold:
+        raise StabilityError(
+            f"state has no growth above threshold: max rate {lam.real:.3e}")
+    # Two steps of inverse iteration at the computed eigenvalue give its
+    # eigenvector for two linear solves instead of a full eigenvector run; a
+    # real pair keeps them in real arithmetic.
+    if nu.imag == 0.0:
+        nu, lam = nu.real, lam.real
+    shifted = form.matrix - nu * np.eye(len(form.matrix))
+    vector = np.ones(len(form.matrix))
+    for _ in range(2):
+        vector = np.linalg.solve(shifted, vector)
+        vector /= np.linalg.norm(vector)
+    p = form.lift(vector)
+    return complex(lam), p, -(operator.l_plus @ p) / lam
+
+
 def dominant_unstable_mode(
     operator: BdGOperator,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> UnstableMode:
     """Eigenvalue and initial perturbation profile of the fastest instability.
 
-    Solved on the real form H of the block, not through the product route,
-    so the phase zero mode stays at roundoff level as in `solve_bdg`, and a
-    real pair comes out with frequency exactly 0.  When psi0 is even or odd
-    (a zero profile counts as even), reflection commutes with Ld and Lplus
-    and H splits into an even and an odd sector of about half the size; both
-    sectors are diagonalized and the faster instability wins.  A state
-    without parity uses the whole 2n matrix.  The eigenvector (p, q) of the
-    winning eigenvalue gives the perturbation Re p + i Re q at t = 0, which
-    is a + conj(b) for the matching block eigenvector (a, b).
+    The eigenvector (p, q) of the winning eigenvalue gives the perturbation
+    Re p + i Re q at t = 0, which is a + conj(b) for the matching block
+    eigenvector (a, b); a real pair comes out with frequency exactly 0.
     """
-    sectors = _reflection_sectors(operator.grid, operator.psi) or (None,)
-    best = None
-    for sector in sectors:
-        matrix = operator.real_form(sector)
-        lams = np.linalg.eigvals(matrix)
-        k = int(np.argmax(lams.real))
-        if best is None or lams[k].real > best[0].real:
-            best = (complex(lams[k]), matrix, sector)
-    lam, matrix, sector = best
-    rate = lam.real
-    if rate <= threshold:
-        raise StabilityError(
-            f"state has no growth above threshold: max rate {rate:.3e}")
-    # Two steps of inverse iteration at the computed eigenvalue give its
-    # eigenvector for two linear solves instead of a full eigenvector run; a
-    # real pair keeps them in real arithmetic.
-    shift = lam.real if lam.imag == 0.0 else lam
-    shifted = matrix - shift * np.eye(len(matrix))
-    vector = np.ones(len(matrix))
-    for _ in range(2):
-        vector = np.linalg.solve(shifted, vector)
-        vector /= np.linalg.norm(vector)
-    p, q = np.split(vector, 2)
-    if sector is not None:
-        p, q = sector.lift(p), sector.lift(q)
+    lam, p, q = _dominant_eigenpair(operator, threshold)
     # Eigenvectors come with an arbitrary complex phase; rotate p to be real
     # and positive at its largest component.
     pivot = p[int(np.argmax(np.abs(p)))]
     phase = np.conj(pivot) / abs(pivot)
     direction = (phase * p).real + 1j * (phase * q).real
     norm = np.sqrt(operator.grid.integrate(np.abs(direction) ** 2))
-    return UnstableMode(rate=rate, frequency=abs(lam.imag),
+    return UnstableMode(rate=lam.real, frequency=abs(lam.imag),
                         direction=direction / norm)
 
 
@@ -355,9 +347,8 @@ def sweep_branch(
 ) -> list[BdGSpectrum]:
     """`solve_bdg` spectrum per state, aligned with the input list.
 
-    Even and odd parents are solved sector by sector (BENCH_3.json has the
-    timings), and the zero mode stays at roundoff level, so the default
-    threshold separates stable from unstable states.
+    The phase zero pair is measured at the level of the stationary residual,
+    so the default threshold separates stable from unstable states.
     """
     return [solve_bdg(build_bdg(problem, state), threshold=threshold)
             for state in states]

@@ -1,0 +1,42 @@
+"""Reference for the BdG eigen-route: the real 2n x 2n block.
+
+M = [[L1, L2], [-L2, -L1]] with L1 = Ld + X, L2 = X and X = (Lplus - Ld) / 2
+has spectrum i l.  Diagonalized directly it takes no square root and inserts
+no zero pair, so it checks the deflated product form of `cqdw.stability`
+from outside.
+"""
+
+import numpy as np
+
+from cqdw.continuation import classify_symmetry, reflection_sectors
+from cqdw.twomode import ASYMMETRIC
+
+
+def exchange_block(op) -> np.ndarray:
+    """X, the nonlocal exchange block."""
+    return 0.5 * (op.l_plus - op.l_minus)
+
+
+def block(op, sector=None) -> np.ndarray:
+    """M on the whole grid, or folded onto one reflection sector."""
+    ld, l_plus = op.restricted(sector)
+    x = 0.5 * (l_plus - ld)
+    l1 = ld + x
+    return np.block([[l1, x], [-x, -l1]])
+
+
+def block_spectrum(op, sector=None) -> np.ndarray:
+    """Eigenvalues l = -i eig(M)."""
+    return -1j * np.linalg.eigvals(block(op, sector))
+
+
+def parent_block_spectrum(op) -> np.ndarray:
+    """l from M on the parent sector, which holds the phase mode.
+
+    A state without parity has no sectors and uses the whole block.
+    """
+    symmetry = classify_symmetry(op.grid, op.psi)
+    if symmetry == ASYMMETRIC:
+        return block_spectrum(op)
+    parent, _ = reflection_sectors(op.grid, symmetry)
+    return block_spectrum(op, parent)

@@ -6,7 +6,7 @@ from cqdw.continuation import make_state
 from cqdw.discretization import kernel_eval, parity_residuals
 from cqdw.stability import (
     StabilityError,
-    _product_roots,
+    _dominant_eigenpair,
     build_bdg,
     dominant_unstable_mode,
     quartet_defect,
@@ -15,6 +15,8 @@ from cqdw.stability import (
     two_mode_lambda_check,
 )
 from cqdw.twomode import ANTISYMMETRIC, ModeParams, TwoModeState, critical_norms, fixed_point_stability
+
+from bdg_reference import block, block_spectrum, exchange_block
 
 # Event locations frozen from the continuation suite (sigma = 0.1 scan):
 # the antisymmetric parent breaks symmetry at N = 0.1398, restores it at
@@ -66,7 +68,7 @@ def test_block_annihilates_phase_mode(bdg_mid):
     _, state, op = bdg_mid
     psi = op.psi
     vec = np.concatenate([psi, -psi])
-    defect = np.abs(op.block() @ vec).max() / np.abs(psi).max()
+    defect = np.abs(block(op) @ vec).max() / np.abs(psi).max()
     assert defect <= 1e-8
 
 
@@ -75,16 +77,17 @@ def test_entries_match_direct_quadrature(bdg_mid):
     grid = problem.grid
     x, dx = grid.points, grid.spacing
     psi = op.psi
+    x_block = exchange_block(op)
     dense_l = problem.operator.to_dense()
     for i in range(0, grid.n_points, 37):
         row = kernel_eval(problem.kernel, x[i] - x) * dx
         exchange = (problem.s * psi[i] * row * psi
                     + 2.0 * problem.delta * psi[i] * row * psi**3)
-        assert np.abs(op.l2[i] - exchange).max() <= 1e-10
+        assert np.abs(x_block[i] - exchange).max() <= 1e-10
         local = dense_l[i].copy()
         local[i] += -op.mu + problem.s * row @ psi**2 + problem.delta * row @ psi**4
         assert np.abs(op.l_minus[i] - local).max() <= 1e-10
-        assert np.abs(op.l1[i] - (local + exchange)).max() <= 1e-10
+        assert np.abs(op.l_minus[i] + x_block[i] - (local + exchange)).max() <= 1e-10
 
 
 def test_sum_block_equals_newton_jacobian(bdg_mid):
@@ -99,7 +102,8 @@ def test_exchange_block_is_not_symmetric(bdg_mid):
     # The quintic exchange couples psi_i to psi_j^3, so X has no reason to
     # be symmetric; solvers must not assume it ever again.
     _, _, op = bdg_mid
-    assert np.abs(op.exchange - op.exchange.T).max() > 1e-6
+    x_block = exchange_block(op)
+    assert np.abs(x_block - x_block.T).max() > 1e-6
 
 
 def test_build_requires_converged_state(entry01, basis):
@@ -186,8 +190,7 @@ def test_linearization_matches_symbolic_toy_grid():
 
 def test_quartet_symmetry(bdg_mid):
     _, _, op = bdg_mid
-    for eigenvalues in (solve_bdg(op).eigenvalues,
-                        _product_roots(op.l_minus, op.l_plus)):
+    for eigenvalues in (solve_bdg(op).eigenvalues, block_spectrum(op)):
         assert quartet_defect(eigenvalues) <= 1e-8
 
 
@@ -202,40 +205,37 @@ def test_phase_zero_mode_present(entry01, ssb_daughter):
         assert np.abs(spectrum.eigenvalues).min() <= 1e-6
 
 
-def test_product_and_block_routes_agree(bdg_mid):
-    _, _, op = bdg_mid
-    # the whole-grid product form l^2 = -eig(Ld Lplus) is the reference
-    block = solve_bdg(op)
-    product = _product_roots(op.l_minus, op.l_plus)
-    anchored = block.eigenvalues[np.abs(block.eigenvalues) > 1e-3]
-    for lam in anchored:
-        assert np.abs(product - lam).min() <= 1e-8
-    assert abs(block.max_real_part - product.real.max()) <= 1e-8
-
-
 @pytest.fixture(scope="module")
-def parity_states(entry01, bdg_mid):
-    """Operators at an even parent, an odd parent and the vacuum."""
+def parity_states(entry01, bdg_mid, ssb_daughter):
+    """Operators at an even parent, an odd parent, the vacuum and a daughter."""
     problem = entry01["problem"]
     vacuum = make_state(problem, np.zeros(problem.grid.n_points), 0.1)
     return {"even": build_bdg(problem, nearest_state(entry01["sym"], 2.0)),
             "odd": bdg_mid[2],
-            "vacuum": build_bdg(problem, vacuum)}
+            "vacuum": build_bdg(problem, vacuum),
+            "daughter": build_bdg(problem, nearest_state(ssb_daughter[2], 3.0))}
 
 
-@pytest.mark.parametrize("name", ["even", "odd", "vacuum"])
+@pytest.mark.parametrize("name", ["even", "odd", "vacuum", "daughter"])
 def test_parity_split_matches_whole_block(parity_states, name):
     # The default route solves the two reflection sectors of a state with
-    # parity; together they must reproduce the whole 2n x 2n block.
+    # parity, or the whole grid without it, in deflated product form; it must
+    # reproduce the whole 2n x 2n block.
     op = parity_states[name]
     split = solve_bdg(op)
-    whole = -1j * np.linalg.eigvals(op.block())
+    whole = block_spectrum(op)
     assert len(split.eigenvalues) == len(whole)
     for ref, other in ((whole, split.eigenvalues), (split.eigenvalues, whole)):
         for lam in ref[np.abs(ref) > 1e-3]:
             assert np.abs(other - lam).min() <= 1e-8
     assert split.unstable_count == np.count_nonzero(whole.real > split.threshold)
-    assert abs(split.max_real_part - whole.real.max()) <= 1e-8
+    if split.max_real_part > split.threshold:
+        assert abs(split.max_real_part - whole.real.max()) <= 1e-8
+    if np.any(op.psi):
+        # the phase zero pair, which rounding splits on the block, is bounded
+        # on both routes as in criterion 10
+        for values in (split.eigenvalues, whole):
+            assert np.abs(values).min() <= 1e-6
 
 
 def test_asymmetric_state_keeps_whole_spectrum(entry01, ssb_daughter):
@@ -379,11 +379,16 @@ def test_growth_rates_vanish_at_ssb(entry01, overlaps_sigma01, basis):
 # --- dominant mode extraction -------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def unstable_daughter(entry01, ssb_daughter):
+    """Operator at an unstable daughter state mid-branch (a real pair)."""
+    return build_bdg(entry01["problem"], nearest_state(ssb_daughter[2], 3.4))
+
+
 def test_dominant_mode_matches_block_rate(bdg_mid):
     _, _, op = bdg_mid
     mode = dominant_unstable_mode(op)
-    block = solve_bdg(op)
-    assert mode.rate == pytest.approx(block.max_real_part, abs=1e-8)
+    assert mode.rate == pytest.approx(block_spectrum(op).real.max(), abs=1e-8)
     assert mode.frequency <= 1e-8
     grid_norm = np.sqrt(op.grid.integrate(np.abs(mode.direction) ** 2))
     assert grid_norm == pytest.approx(1.0, abs=1e-12)
@@ -415,15 +420,32 @@ def test_dominant_mode_requires_instability(entry01, ssb_daughter):
             dominant_unstable_mode(op)
 
 
-def test_dominant_mode_on_asymmetric_state_matches_block(entry01, ssb_daughter):
-    # The whole-block route on an unstable daughter state mid-branch.
-    _, _, daughter = ssb_daughter
-    op = build_bdg(entry01["problem"], nearest_state(daughter, 3.4))
-    lead = solve_bdg(op).eigenvalues[0]
+def test_dominant_mode_on_asymmetric_state_matches_block(unstable_daughter):
+    # The whole-grid route on an unstable daughter state mid-branch.
+    op = unstable_daughter
+    whole = block_spectrum(op)
+    lead = whole[np.argmax(whole.real)]
     assert lead.real > 1e-3
     mode = dominant_unstable_mode(op)
     assert mode.rate == pytest.approx(lead.real, abs=1e-8)
     assert mode.frequency == pytest.approx(abs(lead.imag), abs=1e-8)
+
+
+@pytest.mark.parametrize("name", ["odd", "daughter", "quartet"])
+def test_dominant_mode_is_an_eigenvector(entry01, ssb_daughter, bdg_mid, unstable_daughter, name):
+    # (p, q) must solve l p = Ld q and l q = -Lplus p: real pairs on an odd
+    # parent (sector route) and on a daughter (whole-grid route), and an
+    # oscillatory quartet further up the daughter.
+    if name == "odd":
+        op = bdg_mid[2]
+    elif name == "daughter":
+        op = unstable_daughter
+    else:
+        op = build_bdg(entry01["problem"], nearest_state(ssb_daughter[2], 4.33))
+    lam, p, q = _dominant_eigenpair(op, 1e-6)
+    assert (abs(lam.imag) > 0.1) == (name == "quartet")
+    assert np.linalg.norm(lam * p - op.l_minus @ q) <= 1e-8 * np.linalg.norm(lam * p)
+    assert np.linalg.norm(lam * q + op.l_plus @ p) <= 1e-8 * np.linalg.norm(lam * q)
 
 
 def test_sweep_is_aligned(entry01, parent_sweeps):
