@@ -2,11 +2,13 @@
 
 Every subcommand writes into its own output directory: the resolved config
 (config.json), the declared artifacts, and a manifest.json naming each file
-alongside the sha256 config hash and any headline quantities the run
-produced. Nothing written contains timestamps or machine state, so a repeated
-run with the same config and seed is byte-identical. Failures are reported as
-one JSON object on stderr (machine-readable) with a nonzero exit status;
-configuration problems arrive all at once in the `fields` list.
+alongside the sha256 config hash, any headline quantities the run produced
+and the deterministic work counters of its solvers (`counters`; so far the
+midpoint fixed-point passes of `evolve`). Nothing written contains timestamps
+or machine state, so a repeated run with the same config and seed is
+byte-identical. Failures are reported as one JSON object on stderr
+(machine-readable) with a nonzero exit status; configuration problems arrive
+all at once in the `fields` list.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ def run_spectrum(config: RunConfig, out: Path, seed: int):
     return ["eigenvalues.json", "modes.csv"], {
         "omega0": basis.omega0,
         "omega1": basis.omega1,
-    }
+    }, {}
 
 
 def run_overlaps(config: RunConfig, out: Path, seed: int):
@@ -259,7 +261,7 @@ def run_overlaps(config: RunConfig, out: Path, seed: int):
     return ["overlaps.csv", "thresholds.json"], {
         "sigma_b": thresholds.sigma_b,
         "sigma_c": thresholds.sigma_c,
-    }
+    }, {}
 
 
 def run_twomode(config: RunConfig, out: Path, seed: int):
@@ -339,7 +341,7 @@ def run_twomode(config: RunConfig, out: Path, seed: int):
     )
     artifacts = ["fixed_points.csv", "critical_norms.csv", "twomode_summary.json"]
     artifacts.extend(portrait_files)
-    return artifacts, quantities
+    return artifacts, quantities, {}
 
 
 def run_continue(config: RunConfig, out: Path, seed: int):
@@ -381,7 +383,7 @@ def run_continue(config: RunConfig, out: Path, seed: int):
         out / "events.json",
         {"events": events, "pitchforks": pitchfork_entries, "termination": termination},
     )
-    return artifacts, quantities
+    return artifacts, quantities, {}
 
 
 def _load_states(path: Path, problem):
@@ -440,7 +442,7 @@ def run_stability(config: RunConfig, out: Path, seed: int):
     quantities = {}
     if rows:
         quantities["max_re_lambda"] = max(row[2] for row in rows)
-    return artifacts, quantities
+    return artifacts, quantities, {}
 
 
 def run_evolve(config: RunConfig, out: Path, seed: int):
@@ -498,16 +500,22 @@ def run_evolve(config: RunConfig, out: Path, seed: int):
             np.max(np.abs(run.norm_series - run.norm_series[0]))
             / max(run.norm_series[0], 1e-300)
         )
-        return [density_name, phase_name], quantities, drift
+        counters = {
+            f"fixed_point_passes_mu{tag}": run.fixed_point_passes,
+            f"max_passes_per_step_mu{tag}": run.max_passes_per_step,
+        }
+        return [density_name, phase_name], quantities, drift, counters
 
     artifacts = []
     quantities = {}
+    counters = {}
     for index, mu in enumerate(dy.mu_list):
-        names, q, drift = one_run(index, mu)
+        names, q, drift, c = one_run(index, mu)
         artifacts.extend(names)
         quantities.update(q)
         quantities["max_norm_drift"] = max(quantities.get("max_norm_drift", 0.0), drift)
-    return artifacts, quantities
+        counters.update(c)
+    return artifacts, quantities, counters
 
 
 def run_thermal(config: RunConfig, out: Path, seed: int):
@@ -548,7 +556,7 @@ def run_thermal(config: RunConfig, out: Path, seed: int):
     )
     return ["absorption.csv", "thermal_check.json"], {
         "screened_poisson_max_diff": worst
-    }
+    }, {}
 
 
 RUNNERS = {
@@ -575,9 +583,10 @@ def run_regress(preset_name: str, out: Path, seed_override):
 
     pipeline_error = None
     quantities = {}
+    counters = {}
     sub_artifacts = []
     try:
-        sub_artifacts, quantities = RUNNERS[preset.subcommand](
+        sub_artifacts, quantities, counters = RUNNERS[preset.subcommand](
             config, artifacts_dir, config.seed
         )
     except Exception as exc:  # pipeline failure -> ERROR rows, not FAIL
@@ -650,14 +659,16 @@ def run_regress(preset_name: str, out: Path, seed_override):
 
     artifacts = ["report.json", "report.csv"]
     artifacts.extend(f"artifacts/{name}" for name in sub_artifacts)
-    _finish_run(out, "regress", config, config.seed, artifacts, quantities, preset.name)
+    _finish_run(
+        out, "regress", config, config.seed, artifacts, quantities, counters, preset.name
+    )
     return 0 if overall == "PASS" else 1
 
 
 # --- entry point ----------------------------------------------------------------
 
 
-def _finish_run(out, subcommand, config, seed, artifacts, quantities, preset=None):
+def _finish_run(out, subcommand, config, seed, artifacts, quantities, counters, preset=None):
     with open(out / "config.json", "w", encoding="utf-8") as fh:
         fh.write(config_to_json(config))
         fh.write("\n")
@@ -668,6 +679,7 @@ def _finish_run(out, subcommand, config, seed, artifacts, quantities, preset=Non
         "config_hash": config_hash(config),
         "artifacts": sorted(artifacts + ["config.json"]),
         "quantities": quantities,
+        "counters": counters,
     }
     _write_json(out / "manifest.json", manifest)
 
@@ -718,9 +730,10 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
         out = Path(args.out or f"runs/{args.subcommand}")
         out.mkdir(parents=True, exist_ok=True)
-        artifacts, quantities = RUNNERS[args.subcommand](config, out, config.seed)
+        artifacts, quantities, counters = RUNNERS[args.subcommand](config, out, config.seed)
         _finish_run(
-            out, args.subcommand, config, config.seed, artifacts, quantities, args.preset
+            out, args.subcommand, config, config.seed, artifacts, quantities, counters,
+            args.preset,
         )
         return 0
     except ConfigError as exc:

@@ -204,7 +204,16 @@ def kernel_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
 
 
 class ConvolutionPlan:
-    """Cached FFT plan for repeated convolutions with one kernel on one grid."""
+    """Cached FFT plan for repeated convolutions with one kernel on one grid.
+
+    The kernel samples span the 2n - 1 offsets -(n-1)..(n-1) and the field
+    its n points, so their linear convolution has 3n - 2 entries, of which
+    only the middle n (indices n-1..2n-2) are kept. A cyclic convolution of
+    length L folds entry k + L onto k; for every kept k the partner k + L lies
+    past the last entry 3n - 3 once L >= 2n - 1, and k - L is negative. So the
+    FFT length is next_fast_len(2n - 1): the kept outputs see no wrap-around,
+    and the discarded ones are free to.
+    """
 
     def __init__(self, kernel: Kernel, grid: Grid):
         self.kernel = kernel
@@ -213,8 +222,7 @@ class ConvolutionPlan:
         if kernel.is_delta:
             self._kernel_hat = None
         else:
-            full = 3 * self.n - 2
-            self._size = _fft.next_fast_len(full)
+            self._size = _fft.next_fast_len(2 * self.n - 1)
             samples = kernel_samples(kernel, grid)
             self._kernel_hat = _fft.rfft(samples, self._size)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from cqdw.cli import RUNNERS, SUBCOMMANDS, main
 from cqdw.config import RunConfig, config_hash
+from cqdw.dynamics import MAX_FIXED_POINT
 from cqdw.presets import PRESETS, RegressionTarget, ScenarioPreset, get_preset
 
 
@@ -165,6 +166,10 @@ def test_evolve_stable_run_layout(tmp_path):
     assert all(r[4] == "1" for r in phase[1:])
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["quantities"]["max_norm_drift"] < 1e-10
+    counters = manifest["counters"]
+    assert set(counters) == {"fixed_point_passes_mu0.15", "max_passes_per_step_mu0.15"}
+    assert counters["fixed_point_passes_mu0.15"] >= 400  # at least one pass per step
+    assert 1 <= counters["max_passes_per_step_mu0.15"] <= MAX_FIXED_POINT + 1
 
 
 def test_two_mu_evolve_rerun_is_identical(tmp_path):

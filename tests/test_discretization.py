@@ -131,6 +131,23 @@ def test_convolution_matches_bruteforce_oracle():
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
 
+@pytest.mark.parametrize("n_points", [3, 13, 41, 63])
+def test_plan_at_tightest_padding_matches_oracle(n_points):
+    # 2n - 1 is 5-smooth for these n, so the FFT length is exactly 2n - 1 with
+    # no slack, and a kernel wider than half the box keeps its far tail at
+    # offset (n - 1) dx within e^-2 of its peak: any wrap-around into the
+    # kept outputs would show.
+    spacing = 0.1
+    grid = build_grid(spacing * (n_points // 2), spacing)
+    kernel = Kernel(EXPONENTIAL, max(grid.half_width, spacing))
+    plan = ConvolutionPlan(kernel, grid)
+    rng = np.random.default_rng(n_points)
+    f = rng.normal(size=n_points)
+    g = f + 1j * rng.normal(size=n_points)
+    np.testing.assert_allclose(plan.apply(f), brute_force_convolution(kernel, f, grid), atol=1e-12)
+    np.testing.assert_allclose(plan.apply(g), brute_force_convolution(kernel, g, grid), atol=1e-12)
+
+
 def test_convolution_complex_input():
     grid = build_grid(8.0, 0.1)
     rng = np.random.default_rng(3)

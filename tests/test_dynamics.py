@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from cqdw import dynamics
 from cqdw.discretization import (
     ConvolutionPlan,
     GridFunction,
@@ -19,6 +20,8 @@ from cqdw.discretization import (
     reflect,
 )
 from cqdw.dynamics import (
+    DEFAULT_DT,
+    MAX_FIXED_POINT,
     DynamicsError,
     density_imbalance,
     evolve,
@@ -197,6 +200,57 @@ def test_evolve_validation(branch_suite):
         evolve(problem, psi[:-1], 0.2, 1.0)
     with pytest.raises(DynamicsError, match="t_end"):
         evolve(problem, psi, 0.2, -1.0)
+
+
+def test_midpoint_passes_per_step(breaking_runs):
+    """The extrapolated start converges in about two passes a step."""
+    _, runs = breaking_runs
+    for item in runs.values():
+        run = item["run"]
+        steps = round(float(run.times[-1]) / DEFAULT_DT)
+        assert run.fixed_point_passes / steps <= 2.1
+        assert 1 <= run.max_passes_per_step <= MAX_FIXED_POINT + 1
+
+
+def test_extrapolated_start_matches_single_steps(breaking_runs):
+    """400 steps in one call equal 400 one-step calls, which start from psi_n.
+
+    Only the multi-step call has the history for the extrapolated start, so
+    the one-step chain is an independent reference for the fixed point.
+    """
+    entry, runs = breaking_runs
+    item = runs[0.25]
+    init = perturb_state(item["state"], amplitude=1e-3, direction=item["mode"].direction)
+    dt = DEFAULT_DT
+    whole = evolve(entry["problem"], init, 0.25, 400 * dt, snapshot_dt=400 * dt)
+    psi = init.values
+    chained_passes = 0
+    for _ in range(400):
+        step = evolve(entry["problem"], psi, 0.25, dt, snapshot_dt=dt)
+        psi = step.snapshots[-1].values
+        chained_passes += step.fixed_point_passes
+    assert np.max(np.abs(whole.snapshots[-1].values - psi)) <= 1e-11
+    assert whole.fixed_point_passes < chained_passes
+
+
+def test_tridiagonal_failure_names_the_time(breaking_runs, monkeypatch):
+    entry, runs = breaking_runs
+    state = runs[0.25]["state"]
+
+    def singular(dl, d, du, b, **_):
+        return dl, d, du, b, 2
+
+    monkeypatch.setattr(dynamics, "zgtsv", singular)
+    with pytest.raises(DynamicsError, match=r"t=0\.0050"):
+        evolve(entry["problem"], state.psi.values.astype(complex), 0.25, 1.0)
+
+
+def test_non_finite_initial_field_aborts(branch_suite):
+    problem = branch_suite["sigma1"]["problem"]
+    psi = np.zeros(problem.grid.n_points, dtype=complex)
+    psi[problem.grid.center_index] = np.nan
+    with pytest.raises(DynamicsError, match="not finite"):
+        evolve(problem, psi, 0.2, 1.0)
 
 
 def test_runaway_amplitude_aborts(breaking_runs):

@@ -314,12 +314,21 @@ def test_sigma1_transitions_only_at_pitchforks(branch_suite, parent_sweeps):
             assert lo <= pf.event.norm <= hi
 
 
-def test_daughter_branch_secondary_instabilities(ssb_daughter):
+@pytest.fixture(scope="module")
+def daughter_sweep(entry01, ssb_daughter):
+    """`solve_bdg` spectra along the sigma=0.1 daughter, aligned with its states."""
+    return sweep_branch(entry01["problem"], ssb_daughter[2].states)
+
+
+def test_daughter_branch_secondary_instabilities(daughter_sweep):
     # The reduced model calls every asymmetric state a center, but the PDE
-    # daughter picks up oscillatory quartets and real pairs mid-branch
-    # (N ~ 3.0-3.6) before handing its stability back at the merge.
-    entry, _, branch = ssb_daughter
-    spectra = sweep_branch(entry["problem"], branch.states)
+    # daughter does not stay stable. Along the arclength it is stable up to
+    # N = 3.585, where an oscillatory quartet opens just below a fold in N
+    # near 3.617. The branch turns back to a second fold near 3.357 carrying
+    # real pairs, climbs again, and stays unstable (quartets again past
+    # N ~ 3.63) until N = 4.916, before handing its stability back at the
+    # merge.
+    spectra = daughter_sweep
     counts = [sp_.unstable_count for sp_ in spectra]
     assert counts[0] == 0
     assert counts[-1] == 0
@@ -380,9 +389,22 @@ def test_growth_rates_vanish_at_ssb(entry01, overlaps_sigma01, basis):
 
 
 @pytest.fixture(scope="module")
-def unstable_daughter(entry01, ssb_daughter):
-    """Operator at an unstable daughter state mid-branch (a real pair)."""
-    return build_bdg(entry01["problem"], nearest_state(ssb_daughter[2], 3.4))
+def unstable_daughter(entry01, ssb_daughter, daughter_sweep):
+    """Operator at an unstable daughter state mid-branch (a real pair).
+
+    Three segments of the daughter pass N = 3.4 (see the census above), so
+    the state is the one nearest N = 3.4 among those whose leading pair is
+    real and unstable: a shift of the arclength steps can move it along its
+    segment but not onto another one.
+    """
+    states = ssb_daughter[2].states
+    real_unstable = [
+        i for i, spectrum in enumerate(daughter_sweep)
+        if spectrum.unstable_count and abs(spectrum.eigenvalues[0].imag) <= 1e-8
+    ]
+    assert real_unstable, "no daughter state has a real unstable leading pair"
+    index = min(real_unstable, key=lambda i: abs(states[i].norm - 3.4))
+    return build_bdg(entry01["problem"], states[index])
 
 
 def test_dominant_mode_matches_block_rate(bdg_mid):
