@@ -4,7 +4,8 @@ Every subcommand writes into its own output directory: the resolved config
 (config.json), the declared artifacts, and a manifest.json naming each file
 alongside the sha256 config hash, any headline quantities the run produced
 and the deterministic work counters of its solvers (`counters`; so far the
-midpoint fixed-point passes of `evolve`). Nothing written contains timestamps
+midpoint fixed-point passes of `evolve` and the arclength corrector
+iterations and rejected steps of `continue`). Nothing written contains timestamps
 or machine state, so a repeated run with the same config and seed is
 byte-identical. Failures are reported as one JSON object on stderr
 (machine-readable) with a nonzero exit status; configuration problems arrive
@@ -354,6 +355,7 @@ def run_continue(config: RunConfig, out: Path, seed: int):
     pitchfork_entries = []
     termination = {}
     quantities = {}
+    counters = {}
     artifacts = ["branches.csv", "events.json"]
     for family, branch, pitchforks in traced:
         spectra = sweep_branch(problem, branch.states)
@@ -364,6 +366,8 @@ def run_continue(config: RunConfig, out: Path, seed: int):
                 {"family": family, "kind": event.kind, "mu": event.mu, "norm": event.norm}
             )
         termination[family] = branch.termination
+        counters[f"corrector_iterations_{family}"] = branch.corrector_iterations
+        counters[f"rejected_steps_{family}"] = branch.rejected_steps
         for k, pf in enumerate(pitchforks):
             pitchfork_entries.append(
                 {"family": family, "mu": pf.state.mu, "norm": pf.state.norm}
@@ -383,7 +387,7 @@ def run_continue(config: RunConfig, out: Path, seed: int):
         out / "events.json",
         {"events": events, "pitchforks": pitchfork_entries, "termination": termination},
     )
-    return artifacts, quantities, {}
+    return artifacts, quantities, counters
 
 
 def _load_states(path: Path, problem):

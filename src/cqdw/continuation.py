@@ -108,11 +108,12 @@ class StationaryProblem:
         uses Lplus, the linear stability analysis both.
         """
         psi = np.asarray(psi, dtype=float)
-        n = self.grid.n_points
-        local = self._dense_l - mu * np.eye(n)
-        local[np.diag_indices(n)] += self.nonlinear_potential(psi)
+        local = self._dense_l.copy()
+        local.flat[:: self.grid.n_points + 1] += self.nonlinear_potential(psi) - mu
         weight = 2.0 * self.s * psi + 4.0 * self.delta * psi**3
-        jac = local + psi[:, None] * self._k * weight[None, :]
+        jac = self._k * weight
+        jac *= psi[:, None]
+        jac += local
         return local, jac
 
     def jacobian(self, psi: np.ndarray, mu: float) -> np.ndarray:
@@ -176,11 +177,16 @@ class Branch:
 
     `termination` records why tracing stopped: mu_range, norm_cap, max_steps,
     merge, or newton_failure (partial results are still returned).
+    `corrector_iterations` sums the corrector iterations of the accepted
+    arclength steps, and `rejected_steps` counts the steps whose corrector
+    failed and were retried shorter.
     """
 
     states: list[StationaryState] = field(default_factory=list)
     events: list[BranchEvent] = field(default_factory=list)
     termination: str = ""
+    corrector_iterations: int = 0
+    rejected_steps: int = 0
 
     def mu_values(self) -> np.ndarray:
         return np.array([s.mu for s in self.states])
@@ -252,7 +258,9 @@ def newton_solve(
     """Solve the stationary equation at fixed mu by damped-free Newton.
 
     Raises NewtonError with the residual history on non-convergence, and with
-    trivial=True when the iteration lands on the zero solution.
+    trivial=True when the iteration lands on the zero solution. The first
+    step may raise the residual, since a guess can start off the solution
+    manifold; a rise after any later step stops the solve as diverging.
     """
     settings = settings or NewtonSettings()
     if isinstance(guess, GridFunction):
@@ -279,6 +287,11 @@ def newton_solve(
             return make_state(problem, psi, mu)
         if len(history) > settings.max_iter:
             break
+        if len(history) > 2 and rn > history[-2]:
+            raise NewtonError(
+                f"Newton diverging at mu={mu:.6g} (residuals {history[-2]:.3g} -> {rn:.3g})",
+                history,
+            )
         psi += np.linalg.solve(problem.jacobian(psi, mu), -r)
     raise NewtonError(
         f"Newton did not reach {settings.tol:g} within {settings.max_iter} iterations "
@@ -477,11 +490,13 @@ def continue_branch(
                 )
                 break
             except NewtonError:
+                branch.rejected_steps += 1
                 ds *= _SHRINK
                 if ds < settings.ds_min:
                     branch.termination = "newton_failure"
                     return branch
         psi_new, mu_new, iters = stepped
+        branch.corrector_iterations += iters
         state = make_state(problem, psi_new, mu_new)
         branch.states.append(state)
 

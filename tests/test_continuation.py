@@ -195,6 +195,32 @@ def test_newton_failure_reports_residual_history(problem1):
     assert all(math.isfinite(r) for r in info.value.residual_history)
 
 
+def test_newton_stops_once_it_diverges(branch_suite):
+    # Above the sigma=1 symmetric pitchfork no daughter exists; a kicked
+    # parent there must be given up within a few steps, not after max_iter.
+    pf = branch_suite["sigma1"]["sym_pitchforks"][0]
+    guess = pf.state.psi.values.real + 1e-3 * math.sqrt(pf.state.norm) * pf.direction
+    with pytest.raises(NewtonError, match="diverging") as info:
+        newton_solve(branch_suite["sigma1"]["problem"], guess, pf.state.mu + 5e-3)
+    assert not info.value.trivial
+    assert len(info.value.residual_history) <= 6
+
+
+def test_daughter_seed_jacobian_budget(branch_suite, monkeypatch):
+    entry = branch_suite["sigma1"]
+    calls = []
+    jacobian = StationaryProblem.jacobian
+
+    def counted(self, psi, mu):
+        calls.append(mu)
+        return jacobian(self, psi, mu)
+
+    monkeypatch.setattr(StationaryProblem, "jacobian", counted)
+    state = seed_daughter(entry["problem"], entry["sym_pitchforks"][0])
+    assert state.symmetry == ASYMMETRIC
+    assert len(calls) <= 40
+
+
 def test_newton_flags_trivial_collapse(problem1, basis):
     # Below omega0 no nontrivial state exists for the focusing sign; the
     # iteration lands on zero and must say so rather than return it.

@@ -20,6 +20,7 @@ from cqdw.discretization import (
     grid_function_to_json,
     kernel_eval,
     kernel_matrix,
+    kernel_samples,
     parity_residuals,
     potential_profile,
     reflect,
@@ -189,6 +190,38 @@ def test_kernel_matrix_agrees_with_plan():
     f = rng.normal(size=grid.n_points)
     plan = ConvolutionPlan(k, grid)
     np.testing.assert_allclose(kernel_matrix(k, grid) @ f, plan.apply(f), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kernel", [Kernel(GAUSSIAN, 0.1), Kernel(GAUSSIAN, 1.0), Kernel(EXPONENTIAL, 0.05)]
+)
+def test_kernel_samples_truncate_below_eps_squared(kernel):
+    grid = build_grid(20.0, 0.1)
+    n = grid.n_points
+    samples = kernel_samples(kernel, grid)
+    exact = kernel_eval(kernel, grid.spacing * np.arange(-(n - 1), n))
+    floor = np.finfo(float).eps ** 2 * exact.max()
+    kept = exact >= floor
+    assert not np.any((samples != 0.0) & (np.abs(samples) < np.finfo(float).tiny))
+    assert np.all(samples[~kept] == 0.0)
+    np.testing.assert_array_equal(samples[kept], exact[kept])
+
+
+def test_truncated_kernel_keeps_the_newton_step(branch_suite):
+    # The sigma=1 Gaussian underflows to subnormals past |x| ~ 26.6; zeroing
+    # them must not move a Newton step taken with the dense Jacobian.
+    problem = branch_suite["sigma1"]["problem"]
+    state = branch_suite["sigma1"]["sym"].states[40]
+    psi, mu = state.psi.values.real, state.mu + 1e-3
+    x = problem.grid.points
+    full_k = kernel_eval(problem.kernel, x[:, None] - x[None, :]) * problem.grid.spacing
+    local, jac = problem.linearization(psi, mu)
+    weight = 2.0 * problem.s * psi + 4.0 * problem.delta * psi**3
+    full_jac = local + psi[:, None] * full_k * weight[None, :]
+    r = problem.residual(psi, mu)
+    step = np.linalg.solve(jac, -r)
+    full_step = np.linalg.solve(full_jac, -r)
+    assert np.linalg.norm(step - full_step) <= 1e-14 * np.linalg.norm(full_step)
 
 
 def test_parity_residuals():
