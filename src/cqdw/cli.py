@@ -4,10 +4,10 @@ Every subcommand writes into its own output directory: the resolved config
 (config.json), the declared artifacts, and a manifest.json naming each file
 alongside the sha256 config hash, any headline quantities the run produced
 and the deterministic work counters of its solvers (`counters`; so far the
-midpoint fixed-point passes of `evolve` and the arclength corrector
-iterations and rejected steps of `continue`). Nothing written contains timestamps
-or machine state, so a repeated run with the same config and seed is
-byte-identical. Failures are reported as one JSON object on stderr
+midpoint fixed-point passes of `evolve`, and the arclength corrector
+iterations, rejected steps and pitchfork bisection steps of `continue`).
+Nothing written contains timestamps or machine state, so a repeated run with
+the same config and seed is byte-identical. Failures are reported as one JSON object on stderr
 (machine-readable) with a nonzero exit status; configuration problems arrive
 all at once in the `fields` list.
 """
@@ -55,7 +55,6 @@ from .dynamics import (
     DynamicsError,
     evolve,
     growth_rate,
-    imbalance_series,
     onset_time,
     perturb_state,
     project_phase_plane,
@@ -70,7 +69,7 @@ from .overlaps import (
     overlap_sweep,
     recompute_thresholds,
 )
-from .presets import PRESETS, PresetError, get_preset
+from .presets import PresetError, get_preset
 from .spectrum import default_basis
 from .stability import build_bdg, dominant_unstable_mode, solve_bdg, sweep_branch
 from .twomode import (
@@ -368,6 +367,7 @@ def run_continue(config: RunConfig, out: Path, seed: int):
         termination[family] = branch.termination
         counters[f"corrector_iterations_{family}"] = branch.corrector_iterations
         counters[f"rejected_steps_{family}"] = branch.rejected_steps
+        counters[f"pitchfork_bisections_{family}"] = sum(pf.bisections for pf in pitchforks)
         for k, pf in enumerate(pitchforks):
             pitchfork_entries.append(
                 {"family": family, "mu": pf.state.mu, "norm": pf.state.norm}

@@ -6,15 +6,17 @@ that carries both the cubic and the quintic terms. States can be taken real;
 Newton's method with the exact dense Jacobian (including the nonlocal
 Frechet terms) converges quadratically from nearby guesses.
 Branches are traced in (psi, mu) with pseudo-arclength steps so folds are
-crossed without parameter switching, and pitchforks are located by a sign
-change of the Jacobian determinant restricted to the parity subspace that
-the daughter branch breaks into.
+crossed without parameter switching. Pitchforks (a sign change of the
+Jacobian determinant restricted to the parity subspace the daughter breaks
+into) and merges are refined by one arclength-resolved bisection; daughters
+are seeded by branch switching along the critical direction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +47,10 @@ TRIVIAL_NORM = 1e-8
 _GROW = 1.4
 _SHRINK = 0.5
 _FAST_ITERS = 4
+# Daughter predictor offset along the critical direction, in units of
+# sqrt(N_c): the seed is solidly asymmetric (parity residual about 0.05) and
+# stays within 6e-3 of mu_c.
+_SWITCH_AMPLITUDE = 0.05
 
 
 class ContinuationError(RuntimeError):
@@ -124,13 +130,6 @@ class StationaryProblem:
         return self.grid.norm_sq(np.asarray(psi))
 
 
-def stationary_residual(problem: StationaryProblem, psi, mu: float) -> np.ndarray:
-    """Residual of the stationary equation; zero field maps to zero."""
-    if isinstance(psi, GridFunction):
-        psi = psi.values
-    return problem.residual(np.real(np.asarray(psi, dtype=complex)), mu)
-
-
 def classify_symmetry(grid: Grid, psi: np.ndarray) -> str:
     """Label by reflection residual: even, odd, or neither.
 
@@ -155,9 +154,6 @@ class StationaryState:
     norm: float
     symmetry: str
     residual: float
-
-    def reflected(self) -> np.ndarray:
-        return reflect(self.psi.values)
 
 
 @dataclass(frozen=True)
@@ -421,38 +417,15 @@ class _MergeTracker:
     def projection(self, psi: np.ndarray) -> float:
         return _weighted_dot(self.grid, _asymmetry_part(psi, self.parent_parity), self.witness)
 
+    def side(self, state: StationaryState) -> float:
+        return math.copysign(1.0, self.projection(state.psi.values.real))
+
     def crossed(self, state: StationaryState) -> bool:
         s = self.projection(state.psi.values.real)
         flipped = s * self.last_sign < 0
         if s != 0.0:
             self.last_sign = math.copysign(1.0, s)
         return flipped or state.symmetry != ASYMMETRIC
-
-
-def _refine_merge(
-    problem: StationaryProblem,
-    tracker: _MergeTracker,
-    a: StationaryState,
-    b: StationaryState,
-    settings: NewtonSettings,
-) -> StationaryState:
-    """Bisect the asymmetry-projection crossing down to the merge point.
-
-    The bracket width is measured in the profile norm, not in mu: the branch
-    meets its parent at a quadratic mu extremum, so the two bracket ends can
-    share mu to 1e-4 while still sitting far apart on either side.
-    """
-    sign_a = math.copysign(1.0, tracker.projection(a.psi.values.real))
-    for _ in range(60):
-        gap = math.sqrt(problem.grid.norm_sq(b.psi.values.real - a.psi.values.real))
-        if gap <= 1e-4 * (1.0 + math.sqrt(max(a.norm, b.norm))):
-            break
-        mid = _segment_state(problem, a, b, 0.5, settings)
-        if math.copysign(1.0, tracker.projection(mid.psi.values.real)) == sign_a:
-            a = mid
-        else:
-            b = mid
-    return _segment_state(problem, a, b, 0.5, settings)
 
 
 def continue_branch(
@@ -511,7 +484,7 @@ def continue_branch(
             # not a separate fold.
             if folded:
                 branch.events.pop()
-            merged = _refine_merge(problem, merges, last, state, settings.newton)
+            merged, _ = _bisect(problem, last, state, merges.side, settings.newton)
             branch.states[-1] = merged
             branch.events.append(BranchEvent(MERGE, merged.mu, merged.norm))
             branch.termination = "merge"
@@ -615,11 +588,12 @@ def _restricted_detsign(
 
 @dataclass(frozen=True)
 class PitchforkEvent:
-    """Refined bifurcation point with the critical direction for seeding."""
+    """Refined bifurcation point, its critical direction and bisection steps."""
 
     event: BranchEvent
     state: StationaryState
     direction: np.ndarray
+    bisections: int
 
 
 def _segment_state(
@@ -648,41 +622,60 @@ def _segment_state(
     return make_state(problem, psi, mu)
 
 
+def _bisect(
+    problem: StationaryProblem,
+    a: StationaryState,
+    b: StationaryState,
+    side: Callable[[StationaryState], float],
+    settings: NewtonSettings,
+) -> tuple[StationaryState, int]:
+    """Bisect the branch segment [a, b] down to the sign change of `side`.
+
+    The bracket is measured as (psi, mu) arclength, not in mu alone: near a
+    fold or a merge mu is quadratic in arclength, so the bracket ends can
+    share mu closely while sitting far apart on the branch. Returns the
+    midpoint state of the final bracket and the number of bisection steps.
+    """
+    side_a = side(a)
+    for steps in range(60):
+        gap = math.sqrt(problem.grid.norm_sq(b.psi.values.real - a.psi.values.real)
+                        + (b.mu - a.mu) ** 2)
+        if gap <= 1e-4 * (1.0 + math.sqrt(max(a.norm, b.norm))):
+            return _segment_state(problem, a, b, 0.5, settings), steps
+        mid = _segment_state(problem, a, b, 0.5, settings)
+        a, b = (mid, b) if side(mid) == side_a else (a, mid)
+    raise ContinuationError(f"bisection near mu={a.mu:.6g} did not close in 60 steps")
+
+
 def detect_pitchfork(
     problem: StationaryProblem,
     branch: Branch,
     settings: NewtonSettings | None = None,
-    mu_resolution: float = 1e-4,
 ) -> list[PitchforkEvent]:
     """Locate parity-breaking bifurcations along an even or odd branch.
 
     The indicator is the determinant sign of the Jacobian restricted to the
     parity subspace complementary to the parent (the Jacobian block-
     diagonalizes over reflection parity at a definite-parity state). Each sign
-    change between neighbouring states is refined by bisection along the
-    branch segment until the bracket is below mu_resolution, and the critical
-    eigenvector is returned as the daughter seeding direction.
+    change between neighbouring states is refined by `_bisect` along the
+    branch segment, resolved in (psi, mu) arclength so that a pitchfork next
+    to a fold is not cut short, and the critical eigenvector is returned as
+    the daughter seeding direction.
     """
     settings = settings or NewtonSettings()
     if len(branch.states) < 2:
         return []
     _, breaking = reflection_sectors(problem.grid, branch.symmetry())
-    signs = [_restricted_detsign(problem, s, breaking) for s in branch.states]
+
+    def side(state: StationaryState) -> float:
+        return _restricted_detsign(problem, state, breaking)
+
+    signs = [side(s) for s in branch.states]
     found: list[PitchforkEvent] = []
-    for k in range(len(branch.states) - 1):
-        if signs[k] == 0.0 or signs[k] * signs[k + 1] >= 0:
+    for a, b, sign_a, sign_b in zip(branch.states, branch.states[1:], signs, signs[1:]):
+        if sign_a == 0.0 or sign_a * sign_b >= 0:
             continue
-        lo_state, hi_state = branch.states[k], branch.states[k + 1]
-        lo_sign = signs[k]
-        for _ in range(64):
-            if abs(hi_state.mu - lo_state.mu) <= mu_resolution:
-                break
-            mid = _segment_state(problem, lo_state, hi_state, 0.5, settings)
-            if _restricted_detsign(problem, mid, breaking) == lo_sign:
-                lo_state = mid
-            else:
-                hi_state = mid
-        critical = _segment_state(problem, lo_state, hi_state, 0.5, settings)
+        critical, steps = _bisect(problem, a, b, side, settings)
         jac = problem.jacobian(critical.psi.values.real, critical.mu)
         eigvals, eigvecs = np.linalg.eig(breaking.fold(jac))
         idx = int(np.argmin(np.abs(eigvals)))
@@ -693,6 +686,7 @@ def detect_pitchfork(
                 event=BranchEvent(PITCHFORK, critical.mu, critical.norm),
                 state=critical,
                 direction=direction,
+                bisections=steps,
             )
         )
     return found
@@ -702,43 +696,24 @@ def seed_daughter(
     problem: StationaryProblem,
     pitchfork: PitchforkEvent,
     settings: NewtonSettings | None = None,
-    kick: float = 1e-3,
-    retries: int = 10,
-    mu_offset: float = 5e-3,
 ) -> StationaryState:
-    """Converge an asymmetric state just off a pitchfork.
+    """Converge an asymmetric state just off a pitchfork by branch switching.
 
-    The parent profile is nudged along the critical eigenvector with an
-    amplitude of kick * ||psi||; if Newton falls back onto the parent (or the
-    trivial state), the kick is doubled and retried. The solve runs at
-    mu_offset to either side of the bifurcation because daughters only exist
-    off the critical point, and states whose reflection residual is still in
-    the parent band are rejected: a daughter that close to its birth cannot
-    be traced reliably.
+    The predictor steps from the critical state along the critical
+    eigenvector phi, and the corrector holds the solve in the hyperplane
+    <phi, psi - psi_pred> = 0 normal to the daughter's tangent (phi, 0)
+    (Keller's branch switching). No state of the parent's parity lies in that
+    hyperplane, so one solve gives the daughter; a state of definite parity
+    raises ContinuationError and a failed solve raises NewtonError.
     """
     settings = settings or NewtonSettings()
-    parent = pitchfork.state
-    psi0 = parent.psi.values.real
-    amp0 = kick * math.sqrt(parent.norm)
-    for attempt in range(retries):
-        amp = amp0 * 2.0**attempt
-        for mu_off in (mu_offset, -mu_offset):
-            try:
-                state = newton_solve(problem, psi0 + amp * pitchfork.direction,
-                                     parent.mu + mu_off, settings)
-            except NewtonError:
-                continue
-            if state.symmetry != ASYMMETRIC:
-                continue
-            r_even, r_odd = parity_residuals(problem.grid, state.psi.values.real)
-            if min(r_even, r_odd) > 1e-3:
-                return state
-    raise ContinuationError(
-        f"no asymmetric daughter found near mu={parent.mu:.6g} after {retries} kicks"
-    )
-
-
-def mirror_state(problem: StationaryProblem, state: StationaryState,
-                 settings: NewtonSettings | None = None) -> StationaryState:
-    """Newton from the reflected profile; closes the mirror-pair orbit."""
-    return newton_solve(problem, reflect(state.psi.values.real), state.mu, settings)
+    parent, phi = pitchfork.state, pitchfork.direction
+    guess = parent.psi.values.real + _SWITCH_AMPLITUDE * math.sqrt(parent.norm) * phi
+    psi, mu, _ = _corrector(problem, guess, parent.mu, phi, 0.0, settings)
+    state = make_state(problem, psi, mu)
+    if state.symmetry != ASYMMETRIC:
+        raise ContinuationError(
+            f"branch switching at the pitchfork mu={parent.mu:.6g} landed on a "
+            f"{state.symmetry} state"
+        )
+    return state

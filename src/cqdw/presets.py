@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .config import (
-    DynamicsConfig,
     InteractionConfig,
     OverlapsConfig,
     RunConfig,

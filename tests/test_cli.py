@@ -121,6 +121,8 @@ def test_continue_finds_pitchfork_and_daughter(tmp_path):
     assert families == {"anti", "asym-anti"}
     manifest = json.loads((out / "manifest.json").read_text())
     assert abs(manifest["quantities"]["anti_ssb_mu"] - 0.168565) < 1e-4
+    assert manifest["counters"]["pitchfork_bisections_anti"] >= 1
+    assert manifest["counters"]["pitchfork_bisections_asym-anti"] == 0
     # past the pitchfork the parent is unstable, the daughter is not
     unstable = [r for r in rows[1:] if r[2] == "anti" and float(r[0]) > 0.175]
     assert unstable and all(int(r[3]) >= 1 for r in unstable)
