@@ -246,22 +246,6 @@ class ConvolutionPlan:
         return full[self.n - 1 : 2 * self.n - 1] * self.grid.spacing
 
 
-def convolve(kernel: Kernel, f, grid: Grid | None = None):
-    """Zero-padded convolution (R * f)(x_i) = dx * sum_j R(x_i - x_j) f(x_j).
-
-    `f` may be a GridFunction (grid taken from it) or an ndarray with an
-    explicit grid. The delta kernel returns a copy of f. No periodic
-    wrap-around: the trap breaks periodicity, so the field is extended by
-    zero outside the box.
-    """
-    if isinstance(f, GridFunction):
-        out = convolve(kernel, f.values, f.grid)
-        return GridFunction(f.grid, out)
-    if grid is None:
-        raise DiscretizationError("convolve needs a grid when given a bare array")
-    return ConvolutionPlan(kernel, grid).apply(np.asarray(f))
-
-
 # --- parity helpers -----------------------------------------------------------
 
 

@@ -2,10 +2,10 @@
 
 The twelve integrals eta0..eta11 are double integrals
     eta = Int g(x) R(x - x') f(x') dx' dx
-computed as quadrature(g * convolve(R, f)) with the one kernel R of the
-model. eta0..eta3 come from its cubic term, eta4..eta11 from its quintic
-term. Which of them survive in the reduced two-mode model depends on the
-kernel range sigma:
+computed as quadrature(g * plan.apply(f)) with one ConvolutionPlan for the
+kernel R of the model. eta0..eta3 come from its cubic term, eta4..eta11
+from its quintic term. Which of them survive in the reduced two-mode model
+depends on the kernel range sigma:
 
   case 1 (narrow):        keep eta0, eta4
   case 2 (intermediate):  keep eta0, eta1, eta4

@@ -1,11 +1,13 @@
 """Named scenario presets: figure-data runs and regression targets.
 
 Each of the twelve figures has a preset whose artifacts carry the data needed
-to re-plot it, and one more wraps the absorption-model cross-check. Expected
-values follow the source text; each carries its provenance note. Anchors that
-the rebuilt pipeline reproduces only approximately (the Fig. 5 caption
-numbers, see the acceptance suite) are deliberately not duplicated here:
-`regress` targets are the quantities this pipeline is expected to hit.
+to re-plot it; figures drawn from the same run share one preset, named after
+all of them (fig04-05, fig11-12). One more wraps the absorption-model
+cross-check. Expected values follow the source text; each carries its
+provenance note. Anchors that the rebuilt pipeline reproduces only
+approximately (the Fig. 5 caption numbers, see the acceptance suite) are
+deliberately not duplicated here: `regress` targets are the quantities this
+pipeline is expected to hit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .config import (
     OverlapsConfig,
     RunConfig,
     ScanConfig,
-    TwoModeConfig,
 )
 
 
@@ -95,7 +96,7 @@ def _catalogue() -> dict[str, ScenarioPreset]:
             note="overlap integrals vs kernel range, exponential kernel",
         ),
         ScenarioPreset(
-            name="fig04-critical-norms",
+            name="fig04-05-critical-norms",
             subcommand="twomode",
             config=base,
             expected=(
@@ -103,13 +104,8 @@ def _catalogue() -> dict[str, ScenarioPreset]:
                     "n23_coalescence_sigma", 7.52, 0.1, "Sec. II.B, N2/N3 coalescence"
                 ),
             ),
-            note="critical norms of the reduction vs kernel range",
-        ),
-        ScenarioPreset(
-            name="fig05-phase-portrait",
-            subcommand="twomode",
-            config=replace(base, twomode=TwoModeConfig(portrait_norms=(5.0,))),
-            note="two-mode phase portraits at sigma=1, N=5",
+            note="critical norms of the reduction vs kernel range, and the "
+            "two-mode phase portraits at sigma=1, N=5",
         ),
         ScenarioPreset(
             name="fig06-twomode-stability",
@@ -182,16 +178,11 @@ def _catalogue() -> dict[str, ScenarioPreset]:
             note="bifurcation diagram, defocusing cubic / focusing quintic",
         ),
         ScenarioPreset(
-            name="fig11-breaking-density",
+            name="fig11-12-symmetry-breaking",
             subcommand="evolve",
             config=base,
-            note="space-time density of the symmetry-breaking runs (mu=0.19, 0.25)",
-        ),
-        ScenarioPreset(
-            name="fig12-phase-plane",
-            subcommand="evolve",
-            config=base,
-            note="phase-plane projections of the symmetry-breaking runs",
+            note="space-time density and phase-plane projections of the "
+            "symmetry-breaking runs (mu=0.19, 0.25)",
         ),
         ScenarioPreset(
             name="thermal-check",

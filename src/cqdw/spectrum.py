@@ -93,12 +93,6 @@ def lowest_eigenpairs(
     return omegas, vecs
 
 
-def eigen_residual(op: TridiagonalOperator, omega: float, mode: np.ndarray) -> float:
-    """Quadrature-norm residual || A u - omega u ||."""
-    r = op.matvec(mode.copy()) - omega * mode
-    return math.sqrt(op.grid.norm_sq(r))
-
-
 @dataclass(frozen=True)
 class LinearBasis:
     """Two lowest modes plus the rotated left/right well basis."""

@@ -176,20 +176,6 @@ class UnstableMode:
     direction: np.ndarray
 
 
-@dataclass(frozen=True)
-class GrowthComparison:
-    """PDE growth rate against the reduced-model prediction sqrt(lambda^2).
-
-    relative_difference is None when the reduction predicts stability
-    (lambda_sq <= 0), since there is no rate to compare against.
-    """
-
-    pde_rate: float
-    reduced_rate: float
-    relative_difference: float | None
-    agree_on_stability: bool
-
-
 def _polish(problem: StationaryProblem, state: StationaryState) -> StationaryState:
     """Push the stationary residual to machine level before linearizing.
 
@@ -255,21 +241,6 @@ def solve_bdg(
                        threshold=threshold)
 
 
-def quartet_defect(eigenvalues: np.ndarray) -> float:
-    """Worst distance from the spectrum to its own quartet images.
-
-    The blocks are real and the system is Hamiltonian, so the spectrum must
-    be invariant under l -> -l and l -> conj(l); the defect measures how far
-    the computed set is from that closure.
-    """
-    values = np.asarray(eigenvalues)
-    defect = 0.0
-    for image in (-values, np.conj(values)):
-        dist = np.abs(values[:, None] - image[None, :]).min(axis=1)
-        defect = max(defect, float(dist.max()))
-    return defect
-
-
 def _dominant_eigenpair(
     operator: BdGOperator, threshold: float
 ) -> tuple[complex, np.ndarray, np.ndarray]:
@@ -324,20 +295,6 @@ def dominant_unstable_mode(
     norm = np.sqrt(operator.grid.integrate(np.abs(direction) ** 2))
     return UnstableMode(rate=lam.real, frequency=abs(lam.imag),
                         direction=direction / norm)
-
-
-def two_mode_lambda_check(spectrum: BdGSpectrum, lambda_sq: float) -> GrowthComparison:
-    """Compare a PDE growth rate with a reduced-model lambda^2 prediction."""
-    pde_rate = spectrum.max_real_part
-    reduced_rate = float(np.sqrt(lambda_sq)) if lambda_sq > 0 else 0.0
-    pde_unstable = pde_rate > spectrum.threshold
-    agree = pde_unstable == (lambda_sq > 0)
-    relative = None
-    if lambda_sq > 0:
-        relative = abs(pde_rate - reduced_rate) / reduced_rate
-    return GrowthComparison(pde_rate=pde_rate, reduced_rate=reduced_rate,
-                            relative_difference=relative,
-                            agree_on_stability=agree)
 
 
 def sweep_branch(

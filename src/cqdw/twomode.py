@@ -11,8 +11,7 @@ population imbalance z and relative phase theta:
 with eta_z = eta0 (case 1) or eta0 - eta1 (cases 2, 3). Everything
 derivable from this system lives here: fixed points, the four critical
 norms where asymmetric states appear or vanish, linearized stability,
-branch chemical potentials, the asymmetric-branch norm quartic, and
-phase-plane orbit integration.
+parent-branch chemical potentials, and phase-plane orbit integration.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ class ModeParams:
     eta1 = 0, case 3 sets eta4 = 0, so every formula below is uniform in
     the three cases. s and delta are the cubic/quintic signs, N the total
     norm, omega the tunneling half-splitting, Omega the mean mode energy.
-    mu is optional and only consumed by the amplitude-level operations.
     """
 
     s: int
@@ -67,7 +65,6 @@ class ModeParams:
     eta4: float
     omega: float
     Omega: float
-    mu: float | None = None
 
     def __post_init__(self):
         if self.s not in (-1, 1) or self.delta not in (-1, 1):
@@ -103,19 +100,15 @@ class ModeParams:
     def with_norm(self, N: float) -> "ModeParams":
         return replace(self, N=N)
 
-    def with_mu(self, mu: float) -> "ModeParams":
-        return replace(self, mu=mu)
-
     @classmethod
-    def from_overlaps(cls, overlaps, basis, s: int, delta: int, N: float,
-                      mu: float | None = None) -> "ModeParams":
+    def from_overlaps(cls, overlaps, basis, s: int, delta: int, N: float) -> "ModeParams":
         """Build params from an OverlapSet and LinearBasis, applying the
         regime filter (case 1 drops eta1, case 3 drops eta4)."""
         regime = overlaps.regime
         eta1 = 0.0 if regime == "case1" else overlaps.eta1
         eta4 = 0.0 if regime == "case3" else overlaps.eta4
         return cls(s=s, delta=delta, N=N, eta0=overlaps.eta0, eta1=eta1,
-                   eta4=eta4, omega=basis.omega, Omega=basis.Omega, mu=mu)
+                   eta4=eta4, omega=basis.omega, Omega=basis.Omega)
 
 
 @dataclass(frozen=True)
@@ -177,7 +170,6 @@ class Orbit:
     t: np.ndarray
     z: np.ndarray
     theta: np.ndarray
-    momentum: np.ndarray
     hamiltonian: np.ndarray
     dt: float
 
@@ -202,28 +194,6 @@ def reduced_rhs(state: TwoModeState, p: ModeParams) -> tuple[float, float]:
 def hamiltonian(state: TwoModeState, p: ModeParams) -> float:
     """H = 2 omega sqrt(1-z^2) cos(theta) - (1/2) f(N) z^2."""
     return _energy(state.z, state.theta, p.omega, p.coupling())
-
-
-def momentum(state: TwoModeState, p: ModeParams) -> float:
-    """p = dz/dt, the conjugate variable of the second-order form."""
-    return 2 * p.omega * math.sqrt(1 - state.z ** 2) * math.sin(state.theta)
-
-
-def phase_plane_rhs(z: float, mom: float, p: ModeParams,
-                    cos_branch: int = 1) -> tuple[float, float]:
-    """(dz/dt, dp/dt) of the second-order form.
-
-    The square root stands for 2 omega sqrt(1-z^2) cos(theta), so it is
-    valid on one sign branch of cos(theta) at a time; cos_branch supplies
-    that sign.
-    """
-    if cos_branch not in (-1, 1):
-        raise TwoModeError("cos_branch must be +-1")
-    radicand = 4 * p.omega ** 2 * (1 - z * z) - mom * mom
-    if radicand < -1e-12:
-        raise TwoModeError("momentum outside the energy shell")
-    root = math.sqrt(max(radicand, 0.0))
-    return mom, -4 * p.omega ** 2 * z - p.coupling() * z * cos_branch * root
 
 
 def asymmetric_z(p: ModeParams) -> list[TwoModeState]:
@@ -351,106 +321,6 @@ def parent_mu(p: ModeParams, family: str, N: float | None = None) -> float:
     return base + p.s * p.eta_amp * n / 2 + p.delta * p.eta4 * n * n / 4
 
 
-def asymmetric_mu(p: ModeParams, N: float | None = None) -> float:
-    """Chemical potential of the asymmetric branch at norm N:
-    mu = Omega + s eta0 N + delta eta4 N^2 - delta eta4 omega^2 / D^2 with
-    D = s eta_z + delta eta4 N. Only meaningful where |f(N)| >= 2 omega."""
-    n = p.N if N is None else N
-    d = p.s * p.eta_z + p.delta * p.eta4 * n
-    if d == 0:
-        raise TwoModeError("asymmetric branch relation is singular at s eta_z + delta eta4 N = 0")
-    return p.Omega + p.s * p.eta0 * n + p.delta * p.eta4 * n * n \
-        - p.delta * p.eta4 * p.omega ** 2 / (d * d)
-
-
-def amplitude_existence_bound(p: ModeParams, family: str) -> float:
-    """Fold chemical potential of an equal-amplitude branch: the mu at which
-    its two rho^2 roots merge, omega_parent + s_delta eta_amp^2/(4 eta4)."""
-    if p.eta4 == 0.0:
-        raise TwoModeError("no amplitude fold without a quintic term")
-    base = p.omega0 if family == SYMMETRIC else p.omega1
-    return base - p.eta_amp ** 2 / (4 * p.delta * p.eta4)
-
-
-def stationary_amplitudes(p: ModeParams, family: str) -> list[tuple[float, float]]:
-    """Equal-amplitude stationary solutions (rho_L^2, rho_R^2) at p.mu.
-
-    Solves delta eta4 r^2 + s eta_amp r - (mu - omega_parent) = 0 for
-    r = rho^2 and keeps the real non-negative roots.
-    """
-    if p.mu is None:
-        raise TwoModeError("stationary_amplitudes needs mu set on ModeParams")
-    if family not in (SYMMETRIC, ANTISYMMETRIC):
-        raise TwoModeError(f"family must be symmetric or antisymmetric, got {family}")
-    base = p.omega0 if family == SYMMETRIC else p.omega1
-    rhs = p.mu - base
-    if p.eta4 == 0.0:
-        if p.eta_amp == 0.0:
-            return []
-        roots = [rhs / (p.s * p.eta_amp)]
-    else:
-        disc = p.eta_amp ** 2 + 4 * p.delta * p.eta4 * rhs
-        if disc < 0:
-            return []
-        sq = math.sqrt(disc)
-        roots = [(-p.s * p.eta_amp + sq) / (2 * p.delta * p.eta4),
-                 (-p.s * p.eta_amp - sq) / (2 * p.delta * p.eta4)]
-    out = [(r, r) for r in sorted(roots) if r >= 0]
-    return out
-
-
-@dataclass(frozen=True)
-class QuarticResult:
-    coefficients: np.ndarray
-    roots: tuple[float, ...]
-    discarded: dict[str, int]
-
-
-def asymmetric_norm_coefficients(p: ModeParams, mu: float | None = None) -> np.ndarray:
-    """Descending coefficients of the asymmetric-branch norm polynomial,
-    the elimination of z from the stationary projected equations:
-    D^2 [(Omega - mu) + s eta0 N + delta eta4 N^2] = delta eta4 omega^2."""
-    m = p.mu if mu is None else mu
-    if m is None:
-        raise TwoModeError("asymmetric norm polynomial needs mu")
-    big_m = m - p.Omega
-    e = p.eta_z
-    s, d, e0, e4 = p.s, p.delta, p.eta0, p.eta4
-    return np.array([
-        d * e4 ** 3,
-        s * e4 ** 2 * (e0 + 2 * e),
-        -e4 ** 2 * big_m + 2 * d * e0 * e * e4 + d * e4 * e ** 2,
-        -2 * s * d * e * e4 * big_m + s * e0 * e ** 2,
-        -big_m * e ** 2 - d * e4 * p.omega ** 2,
-    ])
-
-
-def asymmetric_norm_polynomial(p: ModeParams, mu: float | None = None) -> QuarticResult:
-    """Real positive roots of the asymmetric norm polynomial that survive
-    back-substitution (|f(N)| >= 2 omega so z^2 >= 0). Discarded roots are
-    counted, not returned."""
-    coeffs = asymmetric_norm_coefficients(p, mu)
-    lead = np.flatnonzero(np.abs(coeffs) > 0)
-    if lead.size == 0:
-        return QuarticResult(coeffs, (), {"complex": 0, "nonpositive": 0, "invalid_z": 0})
-    trimmed = coeffs[lead[0]:]
-    discarded = {"complex": 0, "nonpositive": 0, "invalid_z": 0}
-    kept = []
-    for root in np.roots(trimmed) if trimmed.size > 1 else []:
-        if abs(root.imag) > 1e-9 * max(1.0, abs(root.real)):
-            discarded["complex"] += 1
-            continue
-        n = float(root.real)
-        if n <= 0:
-            discarded["nonpositive"] += 1
-            continue
-        if abs(p.coupling(n)) < 2 * p.omega:
-            discarded["invalid_z"] += 1
-            continue
-        kept.append(n)
-    return QuarticResult(coeffs, tuple(sorted(kept)), discarded)
-
-
 def predicted_bifurcations(p: ModeParams) -> list[BifurcationPrediction]:
     """Pitchforks of the parent branches implied by the critical norms,
     each mapped to the parent-branch chemical potential."""
@@ -510,8 +380,7 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
                 break
             zs[i], thetas[i], hs[i] = z, theta, h
         else:
-            return Orbit(t=ts, z=zs, theta=thetas, hamiltonian=hs, dt=step,
-                         momentum=2 * omega * np.sqrt(1 - zs * zs) * np.sin(thetas))
+            return Orbit(t=ts, z=zs, theta=thetas, hamiltonian=hs, dt=step)
         step *= 0.5
     raise TwoModeError(
         f"Hamiltonian drift above {_HAMILTONIAN_DRIFT_TOL} even at dt = {step}")

@@ -40,3 +40,18 @@ def parent_block_spectrum(op) -> np.ndarray:
         return block_spectrum(op)
     parent, _ = reflection_sectors(op.grid, symmetry)
     return block_spectrum(op, parent)
+
+
+def quartet_defect(eigenvalues: np.ndarray) -> float:
+    """Worst distance from the spectrum to its own quartet images.
+
+    The blocks are real and the system is Hamiltonian, so the spectrum must
+    be invariant under l -> -l and l -> conj(l); the defect measures how far
+    the computed set is from that closure.
+    """
+    values = np.asarray(eigenvalues)
+    defect = 0.0
+    for image in (-values, np.conj(values)):
+        dist = np.abs(values[:, None] - image[None, :]).min(axis=1)
+        defect = max(defect, float(dist.max()))
+    return defect

@@ -57,8 +57,8 @@ def make_params(basis, overlaps_sigma01, overlaps_sigma1, overlaps_sigma8):
     """Factory for regime-filtered ModeParams at the three reference ranges."""
     table = {0.1: overlaps_sigma01, 1.0: overlaps_sigma1, 8.0: overlaps_sigma8}
 
-    def make(sigma=1.0, s=1, delta=-1, N=1.0, mu=None):
-        return ModeParams.from_overlaps(table[sigma], basis, s, delta, N, mu)
+    def make(sigma=1.0, s=1, delta=-1, N=1.0):
+        return ModeParams.from_overlaps(table[sigma], basis, s, delta, N)
 
     return make
 

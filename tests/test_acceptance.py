@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 from cqdw.discretization import ConvolutionPlan, GridFunction, Kernel, kernel_eval
 from cqdw.dynamics import growth_rate, onset_time, solve_screened_poisson
 from cqdw.overlaps import compute_overlaps, recompute_thresholds
-from cqdw.stability import build_bdg, quartet_defect, solve_bdg
+from cqdw.stability import build_bdg, solve_bdg
 from cqdw.twomode import (
     ANTISYMMETRIC,
     RESTORING,
@@ -42,7 +42,7 @@ from cqdw.twomode import (
     predicted_bifurcations,
 )
 
-from bdg_reference import parent_block_spectrum
+from bdg_reference import parent_block_spectrum, quartet_defect
 
 
 def box(value: float, target: float, tol: float, label: str):

@@ -7,6 +7,7 @@ artifact layout exactly as a shell invocation would, without subprocess cost.
 
 import csv
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -270,18 +271,21 @@ def test_config_and_preset_conflict(tmp_path, capsys):
 
 
 def test_preset_catalogue_covers_every_figure():
-    for k in range(1, 13):
-        prefix = f"fig{k:02d}-"
-        assert any(name.startswith(prefix) for name in PRESETS), prefix
+    # a preset named figAA-BB-... serves figures AA and BB
+    covered = set()
+    for name in PRESETS:
+        figures = re.match(r"fig(\d\d(?:-\d\d)*)-", name)
+        if figures:
+            covered.update(int(k) for k in figures.group(1).split("-"))
+    assert covered == set(range(1, 13))
     for preset in PRESETS.values():
         assert preset.subcommand in RUNNERS
         assert get_preset(preset.name) is preset
         for target in preset.expected:
             assert target.provenance
             assert target.tolerance > 0
-    # the time-evolution figures are qualitative; their presets carry no targets
-    assert PRESETS["fig11-breaking-density"].expected == ()
-    assert PRESETS["fig12-phase-plane"].expected == ()
+    # the time-evolution figures are qualitative; their preset carries no targets
+    assert PRESETS["fig11-12-symmetry-breaking"].expected == ()
 
 
 def test_regress_pass(tmp_path, capsys):

@@ -15,7 +15,6 @@ from cqdw.discretization import (
     Kernel,
     PotentialParams,
     build_grid,
-    convolve,
     grid_function_from_json,
     grid_function_to_json,
     kernel_eval,
@@ -117,7 +116,7 @@ def test_kernel_unit_mass():
 
 def test_convolution_of_ones_is_one_inside():
     grid = build_grid(20.0, 0.1)
-    out = convolve(Kernel(GAUSSIAN, 0.5), np.ones(grid.n_points), grid)
+    out = ConvolutionPlan(Kernel(GAUSSIAN, 0.5), grid).apply(np.ones(grid.n_points))
     interior = np.abs(grid.points) <= 10.0
     assert np.max(np.abs(out[interior] - 1.0)) < 1e-8
 
@@ -127,7 +126,7 @@ def test_convolution_matches_bruteforce_oracle():
     rng = np.random.default_rng(7)
     f = np.exp(-grid.points**2) * rng.normal(size=grid.n_points)
     for k in (Kernel(GAUSSIAN, 0.9), Kernel(EXPONENTIAL, 1.7)):
-        fast = convolve(k, f, grid)
+        fast = ConvolutionPlan(k, grid).apply(f)
         slow = brute_force_convolution(k, f, grid)
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
@@ -153,32 +152,32 @@ def test_convolution_complex_input():
     grid = build_grid(8.0, 0.1)
     rng = np.random.default_rng(3)
     f = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
-    k = Kernel(GAUSSIAN, 1.0)
-    out = convolve(k, f, grid)
-    np.testing.assert_allclose(out.real, convolve(k, f.real, grid), atol=1e-12)
-    np.testing.assert_allclose(out.imag, convolve(k, f.imag, grid), atol=1e-12)
+    plan = ConvolutionPlan(Kernel(GAUSSIAN, 1.0), grid)
+    out = plan.apply(f)
+    np.testing.assert_allclose(out.real, plan.apply(f.real), atol=1e-12)
+    np.testing.assert_allclose(out.imag, plan.apply(f.imag), atol=1e-12)
 
 
 def test_delta_kernel_is_identity():
     grid = build_grid(5.0, 0.1)
     rng = np.random.default_rng(11)
     f = rng.normal(size=grid.n_points)
-    np.testing.assert_allclose(convolve(Kernel(DELTA), f, grid), f, atol=1e-14)
+    np.testing.assert_allclose(ConvolutionPlan(Kernel(DELTA), grid).apply(f), f, atol=1e-14)
     np.testing.assert_allclose(kernel_matrix(Kernel(DELTA), grid), np.eye(grid.n_points))
 
 
 def test_convolution_linearity_and_parity():
     grid = build_grid(10.0, 0.1)
     rng = np.random.default_rng(5)
-    k = Kernel(GAUSSIAN, 1.2)
+    plan = ConvolutionPlan(Kernel(GAUSSIAN, 1.2), grid)
     f, g = rng.normal(size=(2, grid.n_points))
-    lhs = convolve(k, 2.5 * f - 1.5 * g, grid)
-    rhs = 2.5 * convolve(k, f, grid) - 1.5 * convolve(k, g, grid)
+    lhs = plan.apply(2.5 * f - 1.5 * g)
+    rhs = 2.5 * plan.apply(f) - 1.5 * plan.apply(g)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
     even = np.exp(-grid.points**2)
     odd = grid.points * even
-    r_even = convolve(k, even, grid)
-    r_odd = convolve(k, odd, grid)
+    r_even = plan.apply(even)
+    r_odd = plan.apply(odd)
     np.testing.assert_allclose(r_even, reflect(r_even), atol=1e-12)
     np.testing.assert_allclose(r_odd, -reflect(r_odd), atol=1e-12)
 

@@ -3,8 +3,7 @@
 Reference values were frozen from a converged run on the default grid
 (half-width 20, dx 0.1). Independent oracles: a symbolic Hamilton
 derivation for the vector field, finite-difference Jacobians for the
-stability eigenvalues, and back-substitution of every amplitude-level
-result into the raw projected stationary equations.
+stability eigenvalues, and a textbook RK4 for the orbit integrator.
 """
 
 import math
@@ -15,7 +14,7 @@ import sympy as sp
 from scipy.optimize import brentq
 
 from cqdw.discretization import GAUSSIAN, Kernel
-from cqdw.overlaps import CASE2, compute_overlaps
+from cqdw.overlaps import compute_overlaps
 from cqdw.twomode import (
     ANTISYMMETRIC,
     ASYMMETRIC,
@@ -28,10 +27,6 @@ from cqdw.twomode import (
     ModeParams,
     TwoModeError,
     TwoModeState,
-    amplitude_existence_bound,
-    asymmetric_mu,
-    asymmetric_norm_coefficients,
-    asymmetric_norm_polynomial,
     asymmetric_z,
     coalescence_sigma,
     critical_norms,
@@ -39,12 +34,9 @@ from cqdw.twomode import (
     fixed_point_stability,
     hamiltonian,
     integrate_orbit,
-    momentum,
     parent_mu,
-    phase_plane_rhs,
     predicted_bifurcations,
     reduced_rhs,
-    stationary_amplitudes,
 )
 
 # frozen critical norms N(f = -+2 omega), gaussian kernel, (s, delta) = (1, -1)
@@ -103,7 +95,6 @@ def test_mode_params_derived_quantities():
     assert p.coupling() == pytest.approx(1 * 0.25 * 2 - 0.04 * 4)
     assert p.coupling(1.0) == pytest.approx(0.25 - 0.04)
     assert p.with_norm(3.0).N == 3.0
-    assert p.with_mu(0.2).mu == 0.2
 
 
 def test_from_overlaps_regime_filter(basis, overlaps_sigma01, overlaps_sigma8):
@@ -112,9 +103,8 @@ def test_from_overlaps_regime_filter(basis, overlaps_sigma01, overlaps_sigma8):
     assert narrow.eta0 == overlaps_sigma01.eta0
     assert narrow.eta4 == overlaps_sigma01.eta4
 
-    wide = ModeParams.from_overlaps(overlaps_sigma8, basis, 1, -1, 1.0, mu=0.2)
+    wide = ModeParams.from_overlaps(overlaps_sigma8, basis, 1, -1, 1.0)
     assert wide.eta1 == overlaps_sigma8.eta1
-    assert wide.mu == 0.2
 
     widest = ModeParams.from_overlaps(
         compute_overlaps(basis, Kernel(GAUSSIAN, 12.0)), basis, 1, -1, 1.0)
@@ -200,21 +190,6 @@ def test_rhs_rejects_singular_rim(make_params):
         reduced_rhs(TwoModeState(1.0, 0.3), p)
     with pytest.raises(TwoModeError):
         reduced_rhs(TwoModeState(-1.0, 0.3), p)
-
-
-def test_momentum_equals_dz_dt(make_params):
-    p = make_params(1.0, N=5.0)
-    for z, theta in ((0.3, 0.7), (-0.5, 2.0), (0.0, 1.2)):
-        state = TwoModeState(z, theta)
-        assert momentum(state, p) == pytest.approx(reduced_rhs(state, p)[0], rel=1e-14)
-
-
-def test_phase_plane_rhs_validation(make_params):
-    p = make_params(1.0, N=5.0)
-    with pytest.raises(TwoModeError):
-        phase_plane_rhs(0.1, 0.0, p, cos_branch=0)
-    with pytest.raises(TwoModeError):
-        phase_plane_rhs(0.0, 1.0, p)  # momentum too large for the shell
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +377,7 @@ def test_stability_rejects_non_fixed_points(make_params):
 
 
 # ---------------------------------------------------------------------------
-# chemical-potential maps and amplitude equations
+# chemical-potential maps
 
 
 def test_parent_mu_frozen_values(make_params):
@@ -458,198 +433,6 @@ def test_predicted_bifurcations_structure(make_params):
     assert dual_wide[0].mu == pytest.approx(0.028433468, abs=FROZEN_TOL)
 
 
-def test_asymmetric_mu_merges_with_parent_at_critical_norms(make_params):
-    # continuity of the daughter branch at every pitchfork it is born at
-    for sigma in (0.1, 1.0, 8.0):
-        p = make_params(sigma, N=1.0)
-        norms = critical_norms(p).present()
-        family_of = {"n1": SYMMETRIC, "n2": ANTISYMMETRIC, "n3": ANTISYMMETRIC}
-        for label, n in norms.items():
-            expected = parent_mu(p, family_of[label], n)
-            assert asymmetric_mu(p, n) == pytest.approx(expected, abs=1e-10), (sigma, label)
-
-
-def test_asymmetric_mu_singular_denominator():
-    p = ModeParams(s=1, delta=-1, N=2.0, eta0=0.1, eta1=0.0, eta4=0.05,
-                   omega=0.01, Omega=0.14)
-    with pytest.raises(TwoModeError):
-        asymmetric_mu(p)
-
-
-def test_stationary_amplitudes_linear_limit_pair(make_params):
-    p0 = make_params(1.0, N=1.0)
-    p = p0.with_mu(p0.omega0)
-    pairs = stationary_amplitudes(p, SYMMETRIC)
-    assert len(pairs) == 2
-    assert pairs[0][0] == pytest.approx(0.0, abs=1e-12)
-    assert pairs[1][0] == pytest.approx(p.eta_amp / p.eta4, rel=1e-12)
-    assert all(rl == rr for rl, rr in pairs)
-
-
-def test_stationary_amplitudes_fold_bound(make_params):
-    p0 = make_params(1.0, N=1.0)
-    bound = amplitude_existence_bound(p0, SYMMETRIC)
-    assert bound == pytest.approx(p0.omega0 + p0.eta_amp ** 2 / (4 * p0.eta4),
-                                  rel=1e-12)
-    assert stationary_amplitudes(p0.with_mu(bound - 1e-6), SYMMETRIC) != []
-    assert stationary_amplitudes(p0.with_mu(bound + 1e-6), SYMMETRIC) == []
-    assert len(stationary_amplitudes(p0.with_mu(bound - 1e-6), SYMMETRIC)) == 2
-
-
-def test_stationary_amplitudes_close_the_norm_map(make_params):
-    # each rho^2 root reproduces its mu through the parent-branch norm map
-    p0 = make_params(1.0, N=1.0)
-    for family in (SYMMETRIC, ANTISYMMETRIC):
-        for mu in (0.2, 0.25, 0.3):
-            p = p0.with_mu(mu)
-            for r, _ in stationary_amplitudes(p, family):
-                if r > 0:
-                    assert parent_mu(p, family, 2 * r) == pytest.approx(mu, abs=1e-10)
-
-
-def test_stationary_amplitudes_case3_is_linear(basis):
-    overlaps = compute_overlaps(basis, Kernel(GAUSSIAN, 12.0))
-    p0 = ModeParams.from_overlaps(overlaps, basis, 1, -1, 1.0)
-    p = p0.with_mu(p0.omega0 + 0.05)
-    pairs = stationary_amplitudes(p, SYMMETRIC)
-    assert len(pairs) == 1
-    assert pairs[0][0] == pytest.approx(0.05 / p.eta_amp, rel=1e-10)
-    assert stationary_amplitudes(p0.with_mu(p0.omega0 - 0.05), SYMMETRIC) == []
-    with pytest.raises(TwoModeError):
-        amplitude_existence_bound(p0, SYMMETRIC)
-
-
-def test_stationary_amplitudes_needs_mu(make_params):
-    with pytest.raises(TwoModeError):
-        stationary_amplitudes(make_params(1.0, N=1.0), SYMMETRIC)
-
-
-# ---------------------------------------------------------------------------
-# the asymmetric-branch norm polynomial
-
-
-def raw_projection_residuals(p, n, mu):
-    """Residuals of the stationary projected equations at the asymmetric
-    state of norm n: amplitudes u, v from the imbalance, relative sign c
-    from the parent attachment."""
-    f = p.coupling(n)
-    z = math.sqrt(1 - 4 * p.omega ** 2 / f ** 2)
-    u, v = n * (1 + z) / 2, n * (1 - z) / 2
-    c = -1.0 if f > 0 else 1.0
-    su, sv = math.sqrt(u), math.sqrt(v)
-    res_a = (mu - p.Omega) * su + p.omega * c * sv \
-        - (p.s * (p.eta0 * u + p.eta1 * v) + p.delta * p.eta4 * u ** 2) * su
-    res_b = (mu - p.Omega) * sv + p.omega * c * su \
-        - (p.s * (p.eta0 * v + p.eta1 * u) + p.delta * p.eta4 * v ** 2) * sv
-    return res_a, res_b
-
-
-def test_quartic_coefficients_symbolic_identity():
-    # expansion of D^2 [(Omega - mu) + s eta0 N + delta eta4 N^2] = delta eta4 omega^2
-    e0, e1, e4, w, big_m, n = sp.symbols("eta0 eta1 eta4 omega M N", positive=True)
-    for s_val in (1, -1):
-        for d_val in (1, -1):
-            e = e0 - e1
-            dd = s_val * e + d_val * e4 * n
-            expr = sp.expand(dd ** 2 * (-big_m + s_val * e0 * n + d_val * e4 * n ** 2)
-                             - d_val * e4 * w ** 2)
-            sym_coeffs = sp.Poly(expr, n).all_coeffs()
-            p = ModeParams(s=s_val, delta=d_val, N=1.0, eta0=0.21, eta1=0.03,
-                           eta4=0.07, omega=0.013, Omega=0.15, mu=0.27)
-            subs = {e0: 0.21, e1: 0.03, e4: 0.07, w: 0.013, big_m: 0.27 - 0.15}
-            expected = [float(c.subs(subs)) for c in sym_coeffs]
-            got = asymmetric_norm_coefficients(p)
-            assert np.allclose(got, expected, rtol=1e-12, atol=1e-15), (s_val, d_val)
-
-
-def test_quartic_coefficients_flip_under_duality():
-    rng = np.random.default_rng(5)
-    for _ in range(6):
-        eta0 = rng.uniform(0.05, 0.3)
-        p = ModeParams(s=1, delta=-1, N=1.0, eta0=eta0,
-                       eta1=rng.uniform(0.0, 0.4) * eta0,
-                       eta4=rng.uniform(0.01, 0.1),
-                       omega=rng.uniform(0.005, 0.05),
-                       Omega=rng.uniform(0.1, 0.3),
-                       mu=rng.uniform(-0.2, 0.5))
-        dual = ModeParams(s=-1, delta=1, N=p.N, eta0=p.eta0, eta1=p.eta1,
-                          eta4=p.eta4, omega=p.omega, Omega=p.Omega,
-                          mu=2 * p.Omega - p.mu)
-        assert np.allclose(asymmetric_norm_coefficients(dual),
-                           -asymmetric_norm_coefficients(p),
-                           rtol=1e-13, atol=1e-16)
-
-
-def test_quartic_root_closure_case1(make_params):
-    # mu taken from the branch map at N* must return N* among the roots,
-    # and every root must satisfy the raw projected equations
-    p = make_params(1.0, N=1.0)
-    n_star = 5.0
-    mu_star = asymmetric_mu(p, n_star)
-    result = asymmetric_norm_polynomial(p.with_mu(mu_star))
-    assert any(abs(r - n_star) < 1e-7 * n_star for r in result.roots)
-    for root in result.roots:
-        res_a, res_b = raw_projection_residuals(p, root, mu_star)
-        assert abs(res_a) < 1e-8 and abs(res_b) < 1e-8
-
-
-def test_quartic_root_closure_case2(basis):
-    # intermediate range keeps eta1; the elimination must still close
-    overlaps = compute_overlaps(basis, Kernel(GAUSSIAN, 5.0))
-    assert overlaps.regime == CASE2
-    p = ModeParams.from_overlaps(overlaps, basis, 1, -1, 1.0)
-    n_star = p.eta_z / (2 * p.eta4)  # peak of f(N), comfortably valid
-    assert p.coupling(n_star) > 2 * p.omega
-    mu_star = asymmetric_mu(p, n_star)
-    result = asymmetric_norm_polynomial(p.with_mu(mu_star))
-    assert any(abs(r - n_star) < 1e-7 * n_star for r in result.roots)
-    for root in result.roots:
-        res_a, res_b = raw_projection_residuals(p, root, mu_star)
-        assert abs(res_a) < 1e-8 and abs(res_b) < 1e-8
-
-
-def test_quartic_degenerates_without_quintic_term():
-    p = ModeParams(s=1, delta=-1, N=1.0, eta0=0.17, eta1=0.0, eta4=0.0,
-                   omega=0.0115, Omega=0.1442, mu=0.1442 + 0.05)
-    result = asymmetric_norm_polynomial(p)
-    assert result.roots == (pytest.approx(0.05 / 0.17, rel=1e-12),)
-    assert result.coefficients[0] == 0.0 and result.coefficients[1] == 0.0
-
-
-def test_quartic_roots_confined_to_existence_windows(make_params):
-    p = make_params(1.0, N=1.0)
-    norms = critical_norms(p)
-    total = 0
-    for mu in np.linspace(0.15, 0.45, 25):
-        roots = asymmetric_norm_polynomial(p.with_mu(float(mu))).roots
-        total += len(roots)
-        for r in roots:
-            inside_pair = norms.n2 - 1e-6 <= r <= norms.n3 + 1e-6
-            beyond_single = r >= norms.n1 - 1e-6
-            assert inside_pair or beyond_single, (mu, r)
-    assert total >= 5
-
-
-def test_quartic_discards_are_counted(make_params):
-    # wide kernel: the antisymmetric-parent window is empty, so every valid
-    # root must sit on the symmetric-parent side (f <= -2 omega)
-    p = make_params(8.0, N=1.0)
-    for mu in np.linspace(0.03, 0.45, 15):
-        result = asymmetric_norm_polynomial(p.with_mu(float(mu)))
-        assert len(result.roots) + sum(result.discarded.values()) == 4
-        for r in result.roots:
-            assert p.coupling(r) <= -2 * p.omega + 1e-12
-    # above the branch entirely: everything is discarded
-    empty = asymmetric_norm_polynomial(p.with_mu(0.5))
-    assert empty.roots == ()
-    assert sum(empty.discarded.values()) == 4
-
-
-def test_quartic_needs_mu(make_params):
-    with pytest.raises(TwoModeError):
-        asymmetric_norm_polynomial(make_params(1.0, N=1.0))
-
-
 # ---------------------------------------------------------------------------
 # orbit integration
 
@@ -682,20 +465,6 @@ def test_lobe_orbit_conserves_hamiltonian(lobe_params, lobe_orbit):
     drift = np.max(np.abs(lobe_orbit.hamiltonian - lobe_orbit.hamiltonian[0]))
     assert drift <= 1e-8 * scale
     assert lobe_orbit.dt == pytest.approx(0.05)
-
-
-def test_second_order_form_along_orbit(lobe_params, lobe_orbit):
-    # dz/dt = p and dp/dt from the position-momentum form, checked against
-    # centered differences of the sampled series; cos(theta) > 0 on this lobe
-    dt = lobe_orbit.dt
-    z, mom = lobe_orbit.z, lobe_orbit.momentum
-    dz_fd = (z[2:] - z[:-2]) / (2 * dt)
-    dp_fd = (mom[2:] - mom[:-2]) / (2 * dt)
-    for i in range(1, len(z) - 1, 37):
-        dz_model, dp_model = phase_plane_rhs(z[i], mom[i], lobe_params,
-                                             cos_branch=1)
-        assert dz_fd[i - 1] == pytest.approx(dz_model, abs=1e-6)
-        assert dp_fd[i - 1] == pytest.approx(dp_model, abs=1e-6)
 
 
 def test_orbit_mirror_antisymmetry(lobe_params):
