@@ -4,12 +4,12 @@ Every subcommand writes into its own output directory: the resolved config
 (config.json), the declared artifacts, and a manifest.json naming each file
 alongside the sha256 config hash, any headline quantities the run produced
 and the deterministic work counters of its solvers (`counters`; so far the
-midpoint fixed-point passes of `evolve`, and the arclength corrector
-iterations, rejected steps and pitchfork bisection steps of `continue`).
-Nothing written contains timestamps or machine state, so a repeated run with
-the same config and seed is byte-identical. Failures are reported as one JSON object on stderr
-(machine-readable) with a nonzero exit status; configuration problems arrive
-all at once in the `fields` list.
+midpoint fixed-point passes and mu-walk Newton iterations of `evolve`, and
+the arclength corrector iterations, rejected steps and pitchfork bisection
+steps of `continue`). Nothing written contains timestamps or machine state,
+so a repeated run with the same config and seed is byte-identical. Failures
+are reported as one JSON object on stderr (machine-readable) with a nonzero
+exit status; configuration problems arrive all at once in the `fields` list.
 """
 
 from __future__ import annotations
@@ -156,20 +156,22 @@ def _family_mode(basis, family: str):
 
 
 def _state_at_mu(problem, basis, family: str, mu_target: float, delta_mu: float):
-    """Walk the parent branch from the linear limit to the requested mu."""
+    """Walk the parent branch from the linear limit to mu; also sum its Newton iterations."""
     mode, omega = _family_mode(basis, family)
     state = seed_from_mode(problem, mode, omega, delta_mu=problem.s * delta_mu)
+    iterations = state.newton_iterations
     while abs(state.mu - mu_target) > 1e-12:
         step = math.copysign(
             min(delta_mu, abs(mu_target - state.mu)), mu_target - state.mu
         )
         state = newton_solve(problem, state.psi.values.real, state.mu + step)
+        iterations += state.newton_iterations
         if state.norm < 1e-8:
             raise CliError(
                 f"{family} branch ran into the vacuum before mu={mu_target}; "
                 "the state does not exist there"
             )
-    return state
+    return state, iterations
 
 
 def _trace_branches(problem, basis, config: RunConfig):
@@ -456,7 +458,7 @@ def run_evolve(config: RunConfig, out: Path, seed: int):
     density_stride = max(1, int(round(dy.snapshot_dt / dy.phase_dt)))
 
     def one_run(index: int, mu: float):
-        state = _state_at_mu(problem, basis, dy.family, mu, config.scan.seed_delta_mu)
+        state, iterations = _state_at_mu(problem, basis, dy.family, mu, config.scan.seed_delta_mu)
         if dy.perturbation == "eigenvector":
             mode = dominant_unstable_mode(build_bdg(problem, state))
             initial = perturb_state(state, dy.amplitude, direction=mode.direction)
@@ -507,6 +509,7 @@ def run_evolve(config: RunConfig, out: Path, seed: int):
         counters = {
             f"fixed_point_passes_mu{tag}": run.fixed_point_passes,
             f"max_passes_per_step_mu{tag}": run.max_passes_per_step,
+            f"newton_iterations_mu{tag}": iterations,
         }
         return [density_name, phase_name], quantities, drift, counters
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -154,6 +154,7 @@ class StationaryState:
     norm: float
     symmetry: str
     residual: float
+    newton_iterations: int = 0  # steps of the fixed-mu Newton solve behind it
 
 
 @dataclass(frozen=True)
@@ -280,7 +281,7 @@ def newton_solve(
                     history,
                     trivial=True,
                 )
-            return make_state(problem, psi, mu)
+            return replace(make_state(problem, psi, mu), newton_iterations=len(history) - 1)
         if len(history) > settings.max_iter:
             break
         if len(history) > 2 and rn > history[-2]:

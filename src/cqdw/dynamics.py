@@ -20,12 +20,12 @@ point iteration. H_mid is real symmetric tridiagonal plus a real diagonal, so
 each pass is one convolution for the potential and one direct complex
 tridiagonal solve (LAPACK zgtsv; a nonzero info aborts the run); the
 converged step is unitary and second order in dt. The iteration starts from
-the quadratic extrapolation 3(psi_n - psi_{n-1}) + psi_{n-2} of the last
-three steps (the linear 2 psi_n - psi_{n-1} on the second step, psi_n on the
-first), whose O(dt^3) error leaves one or two passes per step where a start
-from psi_n needs three. The start only changes how soon the iteration meets
-FIXED_POINT_TOL, not the fixed point it converges to. Each run reports its
-pass count in fixed_point_passes and max_passes_per_step.
+the cubic extrapolation 4 psi_n - 6 psi_{n-1} + 4 psi_{n-2} - psi_{n-3}
+(psi_n, then the linear and the quadratic one, on the first three steps),
+whose O(dt^4) error leaves one pass per step where a start from psi_n needs
+three. The start only changes how soon the iteration meets FIXED_POINT_TOL,
+not the fixed point it converges to. Each run reports its pass count in
+fixed_point_passes and max_passes_per_step.
 
 Norm bookkeeping: the inner product in which this H is symmetric (and the
 step exactly unitary) is the uniform-weight sum dx sum |psi_i|^2, so that is
@@ -140,7 +140,7 @@ def evolve(
     if dt <= 0.0 or t_end < 0.0:
         raise DynamicsError(f"need dt > 0 and t_end >= 0, got dt={dt}, t_end={t_end}")
     grid = problem.grid
-    scale = float(np.max(problem.operator.diagonal) - 1.0 / grid.spacing**2) + 1.0 / grid.spacing**2
+    scale = float(np.max(problem.operator.diagonal))  # max V + 1/dx^2
     if dt * scale > DT_SCALE_LIMIT:
         raise DynamicsError(
             f"dt={dt} is too coarse: dt*(max V + 1/dx^2) = {dt * scale:.3f} "
@@ -167,11 +167,13 @@ def evolve(
     norms = [n0]
 
     t = 0.0
-    history: list[np.ndarray] = []  # psi_{n-1}, psi_{n-2}: the predictor's memory
+    history: list[np.ndarray] = []  # psi_{n-1}, psi_{n-2}, psi_{n-3}: the predictor's memory
     passes = max_passes = 0
     for _ in range(frames):
         for _ in range(steps_per_frame):
-            if len(history) == 2:
+            if len(history) == 3:
+                psi_next = 4.0 * (psi + history[1]) - 6.0 * history[0] - history[2]
+            elif len(history) == 2:
                 psi_next = 3.0 * (psi - history[0]) + history[1]
             elif history:
                 psi_next = 2.0 * psi - history[0]
@@ -204,7 +206,7 @@ def evolve(
                 )
             passes += attempt + 1
             max_passes = max(max_passes, attempt + 1)
-            history = [psi, *history[:1]]
+            history = [psi, *history[:2]]
             psi = psi_next
             t += dt
         if not np.all(np.isfinite(psi.view(float))):

@@ -181,6 +181,14 @@ def _catalogue() -> dict[str, ScenarioPreset]:
             name="fig11-12-symmetry-breaking",
             subcommand="evolve",
             config=base,
+            expected=(
+                RegressionTarget(
+                    "onset_mu0.19", 225.0, 75.0, "Figs. 11-12, |z| >= 0.5 onset in [150, 300]"
+                ),
+                RegressionTarget(
+                    "onset_mu0.25", 110.0, 40.0, "Figs. 11-12, |z| >= 0.5 onset in [70, 150]"
+                ),
+            ),
             note="space-time density and phase-plane projections of the "
             "symmetry-breaking runs (mu=0.19, 0.25)",
         ),

@@ -170,9 +170,14 @@ def test_evolve_stable_run_layout(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["quantities"]["max_norm_drift"] < 1e-10
     counters = manifest["counters"]
-    assert set(counters) == {"fixed_point_passes_mu0.15", "max_passes_per_step_mu0.15"}
+    assert set(counters) == {
+        "fixed_point_passes_mu0.15",
+        "max_passes_per_step_mu0.15",
+        "newton_iterations_mu0.15",
+    }
     assert counters["fixed_point_passes_mu0.15"] >= 400  # at least one pass per step
     assert 1 <= counters["max_passes_per_step_mu0.15"] <= MAX_FIXED_POINT + 1
+    assert counters["newton_iterations_mu0.15"] >= 1  # the seed solve at least
 
 
 def test_two_mu_evolve_rerun_is_identical(tmp_path):
@@ -284,8 +289,11 @@ def test_preset_catalogue_covers_every_figure():
         for target in preset.expected:
             assert target.provenance
             assert target.tolerance > 0
-    # the time-evolution figures are qualitative; their preset carries no targets
-    assert PRESETS["fig11-12-symmetry-breaking"].expected == ()
+    # the time-evolution figures are gated on criterion 08's onset windows
+    onsets = {t.quantity: t for t in PRESETS["fig11-12-symmetry-breaking"].expected}
+    assert set(onsets) == {"onset_mu0.19", "onset_mu0.25"}
+    assert (onsets["onset_mu0.19"].value, onsets["onset_mu0.19"].tolerance) == (225.0, 75.0)
+    assert (onsets["onset_mu0.25"].value, onsets["onset_mu0.25"].tolerance) == (110.0, 40.0)
 
 
 def test_regress_pass(tmp_path, capsys):

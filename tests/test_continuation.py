@@ -161,6 +161,7 @@ def test_converged_state_reconverges_immediately(problem1, branch_suite):
     again = newton_solve(problem1, state.psi.values.real, state.mu)
     # Residual is already below tolerance, so no correction step is taken.
     assert np.max(np.abs(again.psi.values.real - state.psi.values.real)) == 0.0
+    assert again.newton_iterations == 0
 
 
 def test_newton_converges_quadratically(problem1, branch_suite):
@@ -179,6 +180,7 @@ def test_newton_converges_quadratically(problem1, branch_suite):
             break
         psi += np.linalg.solve(problem1.jacobian(psi, state.mu), -r)
     assert len(history) <= 7
+    assert solved.newton_iterations == len(history) - 1
     for r_now, r_next in zip(history, history[1:]):
         if 1e-8 <= r_now <= 1e-3:
             assert r_next <= 1e4 * r_now**2

@@ -203,12 +203,12 @@ def test_evolve_validation(branch_suite):
 
 
 def test_midpoint_passes_per_step(breaking_runs):
-    """The extrapolated start converges in about two passes a step."""
+    """The cubic extrapolated start converges in one pass on almost every step."""
     _, runs = breaking_runs
     for item in runs.values():
         run = item["run"]
         steps = round(float(run.times[-1]) / DEFAULT_DT)
-        assert run.fixed_point_passes / steps <= 2.1
+        assert run.fixed_point_passes / steps <= 1.1
         assert 1 <= run.max_passes_per_step <= MAX_FIXED_POINT + 1
 
 
@@ -231,6 +231,21 @@ def test_extrapolated_start_matches_single_steps(breaking_runs):
         chained_passes += step.fixed_point_passes
     assert np.max(np.abs(whole.snapshots[-1].values - psi)) <= 1e-11
     assert whole.fixed_point_passes < chained_passes
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4])
+def test_each_start_of_the_ramp_matches_single_steps(breaking_runs, steps):
+    """Steps 1-4 start from psi_n, then the linear, quadratic and cubic
+    extrapolation; each must land on the fixed point of the one-step chain."""
+    entry, runs = breaking_runs
+    item = runs[0.25]
+    init = perturb_state(item["state"], amplitude=1e-3, direction=item["mode"].direction)
+    dt = DEFAULT_DT
+    whole = evolve(entry["problem"], init, 0.25, steps * dt, snapshot_dt=steps * dt)
+    psi = init.values
+    for _ in range(steps):
+        psi = evolve(entry["problem"], psi, 0.25, dt, snapshot_dt=dt).snapshots[-1].values
+    assert np.max(np.abs(whole.snapshots[-1].values - psi)) <= 1e-11
 
 
 def test_tridiagonal_failure_names_the_time(breaking_runs, monkeypatch):
