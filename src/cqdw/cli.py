@@ -34,6 +34,7 @@ from .config import (
 )
 from .continuation import (
     ContinuationSettings,
+    NewtonError,
     StationaryProblem,
     continue_branch,
     detect_pitchfork,
@@ -44,12 +45,11 @@ from .continuation import (
 )
 from .discretization import (
     ConvolutionPlan,
-    GridFunction,
     Kernel,
     PotentialParams,
     build_grid,
-    grid_function_from_json,
-    grid_function_to_json,
+    field_from_payload,
+    field_payload,
 )
 from .dynamics import (
     DynamicsError,
@@ -164,13 +164,16 @@ def _state_at_mu(problem, basis, family: str, mu_target: float, delta_mu: float)
         step = math.copysign(
             min(delta_mu, abs(mu_target - state.mu)), mu_target - state.mu
         )
-        state = newton_solve(problem, state.psi.values.real, state.mu + step)
-        iterations += state.newton_iterations
-        if state.norm < 1e-8:
+        try:
+            state = newton_solve(problem, state.psi, state.mu + step)
+        except NewtonError as exc:
+            if not exc.trivial:
+                raise
             raise CliError(
                 f"{family} branch ran into the vacuum before mu={mu_target}; "
                 "the state does not exist there"
-            )
+            ) from exc
+        iterations += state.newton_iterations
     return state, iterations
 
 
@@ -196,12 +199,12 @@ def _trace_branches(problem, basis, config: RunConfig):
     return traced
 
 
-def _state_payload(state, family: str) -> dict:
+def _state_payload(grid, state, family: str) -> dict:
     return {
         "mu": state.mu,
         "norm": state.norm,
         "family": family,
-        "field": json.loads(grid_function_to_json(state.psi)),
+        "field": field_payload(grid, state.psi),
     }
 
 
@@ -381,7 +384,7 @@ def run_continue(config: RunConfig, out: Path, seed: int):
             states_dir.mkdir(exist_ok=True)
             for k, state in enumerate(branch.states):
                 name = f"states/{family}_{k:04d}.json"
-                _write_json(out / name, _state_payload(state, family))
+                _write_json(out / name, _state_payload(problem.grid, state, family))
                 artifacts.append(name)
 
     _write_csv(out / "branches.csv", ["mu", "N", "symmetry", "n_unstable"], rows)
@@ -393,7 +396,8 @@ def run_continue(config: RunConfig, out: Path, seed: int):
 
 
 def _load_states(path: Path, problem):
-    """Stored state payloads from a file or directory, shape-checked."""
+    """Stored states from a file or directory, shape-checked; a file that is
+    not a stored state (not JSON, a key missing, wrong shape) is named."""
     if path.is_dir():
         files = sorted(path.glob("*.json"))
         if not files:
@@ -404,14 +408,20 @@ def _load_states(path: Path, problem):
         files = [path]
     states = []
     for file in files:
-        with open(file, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        gf = grid_function_from_json(json.dumps(payload["field"]))
-        if gf.grid.n_points != problem.grid.n_points or not math.isclose(
-            gf.grid.spacing, problem.grid.spacing
+        try:
+            with open(file, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+            grid, values = field_from_payload(payload["field"])
+            mu = float(payload["mu"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(
+                f"{file}: not a stored state file ({type(exc).__name__}: {exc})"
+            ) from exc
+        if grid.n_points != problem.grid.n_points or not math.isclose(
+            grid.spacing, problem.grid.spacing
         ):
             raise CliError(f"{file}: stored grid does not match the configured grid")
-        states.append(make_state(problem, np.real(gf.values), float(payload["mu"])))
+        states.append(make_state(problem, np.real(values), mu))
     return states
 
 
@@ -461,23 +471,21 @@ def run_evolve(config: RunConfig, out: Path, seed: int):
         state, iterations = _state_at_mu(problem, basis, dy.family, mu, config.scan.seed_delta_mu)
         if dy.perturbation == "eigenvector":
             mode = dominant_unstable_mode(build_bdg(problem, state))
-            initial = perturb_state(state, dy.amplitude, direction=mode.direction)
+            initial = perturb_state(problem.grid, state, dy.amplitude, direction=mode.direction)
         elif dy.perturbation == "random":
             initial = perturb_state(
-                state, dy.amplitude, rng=np.random.default_rng(seed + index)
+                problem.grid, state, dy.amplitude, rng=np.random.default_rng(seed + index)
             )
         else:
-            initial = GridFunction(problem.grid, state.psi.values.astype(complex))
+            initial = state.psi
         run = evolve(problem, initial, mu, dy.t_end, dt=dy.dt, snapshot_dt=dy.phase_dt)
         tag = file_tag(mu)
 
         density_name = f"density_mu{tag}.csv"
         header = ["t", *[format(x, ".17g") for x in problem.grid.points]]
-        density_rows = [
-            [run.times[k], *np.abs(run.snapshots[k].values) ** 2]
-            for k in range(0, len(run.snapshots), density_stride)
-        ]
-        _write_csv(out / density_name, header, density_rows)
+        every = slice(None, None, density_stride)
+        density = np.column_stack((run.times[every], np.abs(run.snapshots[every]) ** 2))
+        _write_csv(out / density_name, header, density)
 
         phase_name = f"phase_mu{tag}.csv"
         series = project_phase_plane(run, basis)
@@ -531,23 +539,23 @@ def run_thermal(config: RunConfig, out: Path, seed: int):
     x = grid.points
     beam = th.beam_amplitude * np.exp(-((x / th.beam_width) ** 2))
     intensity = beam**2
-    solved = solve_screened_poisson(GridFunction(grid, intensity), th.d, th.sigma0)
+    solved = solve_screened_poisson(grid, intensity, th.d, th.sigma0)
     plan = ConvolutionPlan(Kernel("exponential", math.sqrt(th.d)), grid)
     convolved = plan.apply(th.sigma0 * (intensity - intensity**2))
-    beam_diff = float(np.max(np.abs(solved.values - convolved)))
+    beam_diff = float(np.max(np.abs(solved - convolved)))
 
     rng = np.random.default_rng(seed)
     random_diff = 0.0
     for _ in range(th.random_sources):
         source = rng.uniform(0.0, 1.0, grid.n_points)
-        m = solve_screened_poisson(GridFunction(grid, source), th.d, th.sigma0)
+        m = solve_screened_poisson(grid, source, th.d, th.sigma0)
         ref = plan.apply(th.sigma0 * (source - source**2))
-        random_diff = max(random_diff, float(np.max(np.abs(m.values - ref))))
+        random_diff = max(random_diff, float(np.max(np.abs(m - ref))))
 
     _write_csv(
         out / "absorption.csv",
         ["x", "intensity", "m", "m_convolution"],
-        zip(x, intensity, solved.values, convolved),
+        zip(x, intensity, solved, convolved),
     )
     worst = max(beam_diff, random_diff)
     _write_json(
@@ -692,8 +700,6 @@ def _finish_run(out, subcommand, config, seed, artifacts, quantities, counters, 
 
 
 def _resolve_config(args) -> RunConfig:
-    if args.config and args.preset:
-        raise CliError("pass either --config or --preset, not both")
     if args.preset:
         preset = get_preset(args.preset)
         if preset.subcommand != args.subcommand:
@@ -728,6 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.config and args.preset:
+            raise CliError("pass either --config or --preset, not both")
         if args.subcommand == "regress":
             if not args.preset:
                 raise CliError("regress requires --preset")

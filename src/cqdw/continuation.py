@@ -23,7 +23,6 @@ import numpy as np
 from .discretization import (
     ConvolutionPlan,
     Grid,
-    GridFunction,
     Kernel,
     PotentialParams,
     kernel_matrix,
@@ -147,9 +146,9 @@ def classify_symmetry(grid: Grid, psi: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class StationaryState:
-    """Converged real stationary profile with its labels."""
+    """Converged real stationary profile, on the problem's grid, with its labels."""
 
-    psi: GridFunction
+    psi: np.ndarray
     mu: float
     norm: float
     symmetry: str
@@ -184,12 +183,6 @@ class Branch:
     termination: str = ""
     corrector_iterations: int = 0
     rejected_steps: int = 0
-
-    def mu_values(self) -> np.ndarray:
-        return np.array([s.mu for s in self.states])
-
-    def norms(self) -> np.ndarray:
-        return np.array([s.norm for s in self.states])
 
     def symmetry(self) -> str:
         return self.states[0].symmetry if self.states else ""
@@ -238,7 +231,7 @@ def make_state(problem: StationaryProblem, psi: np.ndarray, mu: float) -> Statio
     psi = np.asarray(psi, dtype=float)
     res = float(np.max(np.abs(problem.residual(psi, mu))))
     return StationaryState(
-        psi=GridFunction(problem.grid, psi),
+        psi=psi,
         mu=float(mu),
         norm=problem.norm(psi),
         symmetry=classify_symmetry(problem.grid, psi),
@@ -248,7 +241,7 @@ def make_state(problem: StationaryProblem, psi: np.ndarray, mu: float) -> Statio
 
 def newton_solve(
     problem: StationaryProblem,
-    guess,
+    guess: np.ndarray,
     mu: float,
     settings: NewtonSettings | None = None,
 ) -> StationaryState:
@@ -260,9 +253,7 @@ def newton_solve(
     manifold; a rise after any later step stops the solve as diverging.
     """
     settings = settings or NewtonSettings()
-    if isinstance(guess, GridFunction):
-        guess = guess.values
-    psi = np.real(np.asarray(guess, dtype=complex)).copy()
+    psi = np.array(np.real(guess), dtype=float)
     if psi.shape != (problem.grid.n_points,):
         raise ContinuationError(
             f"guess has shape {psi.shape}, expected ({problem.grid.n_points},)"
@@ -337,7 +328,7 @@ def _tangent_from_jacobian(
     problem: StationaryProblem, state: StationaryState, direction: int
 ) -> tuple[np.ndarray, float]:
     """Unit tangent (t_psi, t_mu) of the solution curve, oriented by dmu sign."""
-    psi = state.psi.values.real
+    psi = state.psi
     # dF/dmu = -psi, so the mu-derivative of the profile solves J dpsi = psi.
     dpsi = np.linalg.solve(problem.jacobian(psi, state.mu), psi)
     scale = math.sqrt(problem.grid.norm_sq(dpsi) + 1.0)
@@ -408,10 +399,10 @@ class _MergeTracker:
     """
 
     def __init__(self, grid: Grid, seed: StationaryState):
-        r_even, r_odd = parity_residuals(grid, seed.psi.values.real)
+        r_even, r_odd = parity_residuals(grid, seed.psi)
         self.grid = grid
         self.parent_parity = "even" if r_even < r_odd else "odd"
-        witness = _asymmetry_part(seed.psi.values.real, self.parent_parity)
+        witness = _asymmetry_part(seed.psi, self.parent_parity)
         self.witness = witness / math.sqrt(grid.norm_sq(witness))
         self.last_sign = 1.0
 
@@ -419,10 +410,10 @@ class _MergeTracker:
         return _weighted_dot(self.grid, _asymmetry_part(psi, self.parent_parity), self.witness)
 
     def side(self, state: StationaryState) -> float:
-        return math.copysign(1.0, self.projection(state.psi.values.real))
+        return math.copysign(1.0, self.projection(state.psi))
 
     def crossed(self, state: StationaryState) -> bool:
-        s = self.projection(state.psi.values.real)
+        s = self.projection(state.psi)
         flipped = s * self.last_sign < 0
         if s != 0.0:
             self.last_sign = math.copysign(1.0, s)
@@ -450,7 +441,7 @@ def continue_branch(
     mu_dir = 0
     while len(branch.states) <= settings.max_steps:
         last = branch.states[-1]
-        psi_last = last.psi.values.real
+        psi_last = last.psi
         stepped = None
         while True:
             try:
@@ -498,7 +489,7 @@ def continue_branch(
             return branch
 
         # Secant tangent follows the curve through folds without re-solving.
-        d_psi = state.psi.values.real - psi_last
+        d_psi = state.psi - psi_last
         d_mu = state.mu - last.mu
         scale = math.sqrt(problem.grid.norm_sq(d_psi) + d_mu**2)
         t_psi, t_mu = d_psi / scale, d_mu / scale
@@ -582,7 +573,7 @@ def reflection_sectors(
 def _restricted_detsign(
     problem: StationaryProblem, state: StationaryState, sector: ReflectionSector
 ) -> float:
-    jac = problem.jacobian(state.psi.values.real, state.mu)
+    jac = problem.jacobian(state.psi, state.mu)
     sign, _ = np.linalg.slogdet(sector.fold(jac))
     return sign
 
@@ -609,7 +600,7 @@ def _segment_state(
     The corrector constraint uses the secant of the segment, so the result is
     the branch point closest to the interpolant even where mu is not monotone.
     """
-    pa, pb = a.psi.values.real, b.psi.values.real
+    pa, pb = a.psi, b.psi
     d_psi, d_mu = pb - pa, b.mu - a.mu
     scale = math.sqrt(problem.grid.norm_sq(d_psi) + d_mu**2)
     psi, mu, _ = _corrector(
@@ -639,8 +630,7 @@ def _bisect(
     """
     side_a = side(a)
     for steps in range(60):
-        gap = math.sqrt(problem.grid.norm_sq(b.psi.values.real - a.psi.values.real)
-                        + (b.mu - a.mu) ** 2)
+        gap = math.sqrt(problem.grid.norm_sq(b.psi - a.psi) + (b.mu - a.mu) ** 2)
         if gap <= 1e-4 * (1.0 + math.sqrt(max(a.norm, b.norm))):
             return _segment_state(problem, a, b, 0.5, settings), steps
         mid = _segment_state(problem, a, b, 0.5, settings)
@@ -677,7 +667,7 @@ def detect_pitchfork(
         if sign_a == 0.0 or sign_a * sign_b >= 0:
             continue
         critical, steps = _bisect(problem, a, b, side, settings)
-        jac = problem.jacobian(critical.psi.values.real, critical.mu)
+        jac = problem.jacobian(critical.psi, critical.mu)
         eigvals, eigvecs = np.linalg.eig(breaking.fold(jac))
         idx = int(np.argmin(np.abs(eigvals)))
         direction = breaking.lift(np.real(eigvecs[:, idx]))
@@ -709,7 +699,7 @@ def seed_daughter(
     """
     settings = settings or NewtonSettings()
     parent, phi = pitchfork.state, pitchfork.direction
-    guess = parent.psi.values.real + _SWITCH_AMPLITUDE * math.sqrt(parent.norm) * phi
+    guess = parent.psi + _SWITCH_AMPLITUDE * math.sqrt(parent.norm) * phi
     psi, mu, _ = _corrector(problem, guess, parent.mu, phi, 0.0, settings)
     state = make_state(problem, psi, mu)
     if state.symmetry != ASYMMETRIC:

@@ -6,11 +6,14 @@ zero-padded linear convolutions: the parabolic trap makes the problem
 non-periodic, so periodic wrap-around is never allowed. With zero padding the
 trapezoid rule on the whole line reduces to a plain dx-weighted sum, which is
 what the FFT route computes.
+
+A field on the grid is a plain 1-D array of its n_points values; the grid
+comes from the object that owns the field (a StationaryProblem, a
+LinearBasis, an EvolutionRun).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,8 +22,7 @@ from scipy import fft as _fft
 
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
-DELTA = "delta"
-KERNEL_FAMILIES = (GAUSSIAN, EXPONENTIAL, DELTA)
+KERNEL_FAMILIES = (GAUSSIAN, EXPONENTIAL)
 
 
 class DiscretizationError(ValueError):
@@ -86,25 +88,6 @@ def build_grid(half_width: float, spacing: float) -> Grid:
     return grid
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Values of a scalar field sampled on a grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.shape != (self.grid.n_points,):
-            raise DiscretizationError(
-                f"values have shape {values.shape}, expected ({self.grid.n_points},)"
-            )
-        object.__setattr__(self, "values", values)
-
-    def norm_sq(self) -> float:
-        return self.grid.norm_sq(self.values)
-
-
 # --- potential ---------------------------------------------------------------
 
 
@@ -147,38 +130,31 @@ def potential_profile(grid: Grid, params: PotentialParams) -> np.ndarray:
 class Kernel:
     """Unit-mass even interaction kernel.
 
-    family is one of "gaussian", "exponential", "delta". `range_` is the width
-    parameter sigma (unused for the delta kernel, which acts as the identity
-    under convolution and has no pointwise density).
+    family is one of "gaussian", "exponential"; `range_` is the width
+    parameter sigma.
     """
 
     family: str
-    range_: float = 0.0
+    range_: float
 
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise DiscretizationError(
                 f"unknown kernel family {self.family!r}, expected one of {KERNEL_FAMILIES}"
             )
-        if self.family != DELTA and not (self.range_ > 0.0):
+        if not (self.range_ > 0.0):
             raise DiscretizationError(
                 f"kernel range must be positive for family {self.family!r}, got {self.range_}"
             )
 
-    @property
-    def is_delta(self) -> bool:
-        return self.family == DELTA
-
 
 def kernel_eval(kernel: Kernel, x: np.ndarray) -> np.ndarray:
-    """Pointwise kernel density. Rejected for the delta kernel."""
+    """Pointwise kernel density."""
     x = np.asarray(x, dtype=float)
     s = kernel.range_
     if kernel.family == GAUSSIAN:
         return np.exp(-((x / s) ** 2)) / (s * math.sqrt(math.pi))
-    if kernel.family == EXPONENTIAL:
-        return np.exp(-np.abs(x) / s) / (2.0 * s)
-    raise DiscretizationError("delta kernel has no pointwise density")
+    return np.exp(-np.abs(x) / s) / (2.0 * s)
 
 
 def kernel_samples(kernel: Kernel, grid: Grid) -> np.ndarray:
@@ -198,15 +174,13 @@ def kernel_samples(kernel: Kernel, grid: Grid) -> np.ndarray:
 
 
 def kernel_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
-    """Dense quadrature matrix K[i, j] = R(x_i - x_j) dx (identity for delta).
+    """Dense quadrature matrix K[i, j] = R(x_i - x_j) dx.
 
     Applying K to sampled values is the same zero-padded discrete convolution
     the FFT route computes; the matrix form is what the Newton and BdG
     Jacobians need.
     """
     n = grid.n_points
-    if kernel.is_delta:
-        return np.eye(n)
     samples = kernel_samples(kernel, grid)
     idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     return samples[n - 1 :][idx] * grid.spacing
@@ -228,17 +202,11 @@ class ConvolutionPlan:
         self.kernel = kernel
         self.grid = grid
         self.n = grid.n_points
-        if kernel.is_delta:
-            self._kernel_hat = None
-        else:
-            self._size = _fft.next_fast_len(2 * self.n - 1)
-            samples = kernel_samples(kernel, grid)
-            self._kernel_hat = _fft.rfft(samples, self._size)
+        self._size = _fft.next_fast_len(2 * self.n - 1)
+        self._kernel_hat = _fft.rfft(kernel_samples(kernel, grid), self._size)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
-        if self._kernel_hat is None:
-            return values.copy()
         if np.iscomplexobj(values):
             return self.apply(values.real) + 1j * self.apply(values.imag)
         fhat = _fft.rfft(values, self._size)
@@ -268,24 +236,27 @@ def parity_residuals(grid: Grid, values: np.ndarray) -> tuple[float, float]:
 # --- serialization ------------------------------------------------------------
 
 
-def grid_function_to_json(gf: GridFunction) -> str:
-    values = np.asarray(gf.values, dtype=complex)
-    payload = {
-        "half_width": gf.grid.half_width,
-        "spacing": gf.grid.spacing,
-        "n_points": gf.grid.n_points,
+def field_payload(grid: Grid, values: np.ndarray) -> dict:
+    """JSON-ready record of a field on the grid: the grid and both value parts."""
+    values = np.asarray(values, dtype=complex)
+    return {
+        "half_width": grid.half_width,
+        "spacing": grid.spacing,
+        "n_points": grid.n_points,
         "values_re": values.real.tolist(),
         "values_im": values.imag.tolist(),
     }
-    return json.dumps(payload)
 
 
-def grid_function_from_json(text: str) -> GridFunction:
-    payload = json.loads(text)
+def field_from_payload(payload: dict) -> tuple[Grid, np.ndarray]:
+    """(grid, values) of a `field_payload` record; values are real when im is zero."""
     grid = build_grid(payload["half_width"], payload["spacing"])
     if grid.n_points != payload["n_points"]:
         raise DiscretizationError("n_points inconsistent with half_width/spacing")
     re = np.asarray(payload["values_re"], dtype=float)
     im = np.asarray(payload["values_im"], dtype=float)
-    values = re if not im.any() else re + 1j * im
-    return GridFunction(grid, values)
+    if re.shape != (grid.n_points,) or im.shape != re.shape:
+        raise DiscretizationError(
+            f"values have shapes {re.shape} and {im.shape}, expected ({grid.n_points},)"
+        )
+    return grid, re if not im.any() else re + 1j * im

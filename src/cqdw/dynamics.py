@@ -55,7 +55,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv, zgtsv
 
 from .continuation import StationaryProblem, StationaryState
-from .discretization import Grid, GridFunction
+from .discretization import Grid
 from .spectrum import LinearBasis
 
 DEFAULT_DT = 5e-3
@@ -81,15 +81,17 @@ class DynamicsError(RuntimeError):
 class EvolutionRun:
     """Sampled trajectory of one accepted evolution.
 
-    norm_series holds the scheme's conserved discrete norm dx sum |psi|^2 at
-    each sample; |N(t) - N(0)|/N(0) <= 1e-8 is enforced during propagation.
+    snapshots holds the field on `grid` at each of `times`, one row per
+    sample, and norm_series the scheme's conserved discrete norm dx sum
+    |psi|^2; |N(t) - N(0)|/N(0) <= 1e-8 is enforced during propagation.
     fixed_point_passes counts the midpoint passes (one convolution and one
     tridiagonal solve each) over all steps, max_passes_per_step the most that
     any one step took.
     """
 
+    grid: Grid
     times: np.ndarray
-    snapshots: list[GridFunction]
+    snapshots: np.ndarray
     norm_series: np.ndarray
     fixed_point_passes: int
     max_passes_per_step: int
@@ -111,12 +113,6 @@ class PhaseSeries:
     defined: np.ndarray
 
 
-def _as_values(initial) -> np.ndarray:
-    if isinstance(initial, GridFunction):
-        return np.asarray(initial.values)
-    return np.asarray(initial)
-
-
 def _invariant_norm(grid: Grid, psi: np.ndarray) -> float:
     """dx sum |psi|^2: the quadrature the unitary step conserves exactly."""
     return float(grid.spacing * np.sum(np.abs(psi) ** 2))
@@ -124,7 +120,7 @@ def _invariant_norm(grid: Grid, psi: np.ndarray) -> float:
 
 def evolve(
     problem: StationaryProblem,
-    initial,
+    initial: np.ndarray,
     mu: float,
     t_end: float,
     dt: float = DEFAULT_DT,
@@ -151,7 +147,7 @@ def evolve(
         raise DynamicsError(f"snapshot_dt={snapshot_dt} is not a multiple of dt={dt}")
     frames = int(math.floor(t_end / snapshot_dt + 1e-9))
 
-    psi = _as_values(initial).astype(complex)
+    psi = np.array(initial, dtype=complex)
     if psi.shape != (grid.n_points,):
         raise DynamicsError(f"initial data has shape {psi.shape}, grid has {grid.n_points} points")
     if not np.all(np.isfinite(psi.view(float))):
@@ -163,13 +159,14 @@ def evolve(
 
     n0 = _invariant_norm(grid, psi)
     times = snapshot_dt * np.arange(frames + 1)
-    snapshots = [GridFunction(grid, psi.copy())]
+    snapshots = np.empty((frames + 1, grid.n_points), dtype=complex)
+    snapshots[0] = psi
     norms = [n0]
 
     t = 0.0
     history: list[np.ndarray] = []  # psi_{n-1}, psi_{n-2}, psi_{n-3}: the predictor's memory
     passes = max_passes = 0
-    for _ in range(frames):
+    for frame in range(1, frames + 1):
         for _ in range(steps_per_frame):
             if len(history) == 3:
                 psi_next = 4.0 * (psi + history[1]) - 6.0 * history[0] - history[2]
@@ -217,10 +214,11 @@ def evolve(
                 f"norm drift breach at t={t:.4f}: N={n_t!r} vs N(0)={n0!r} "
                 f"(relative {abs(n_t - n0) / max(n0, 1e-300):.3e} > {NORM_DRIFT_TOL})"
             )
-        snapshots.append(GridFunction(grid, psi.copy()))
+        snapshots[frame] = psi
         norms.append(n_t)
 
     return EvolutionRun(
+        grid=grid,
         times=times,
         snapshots=snapshots,
         norm_series=np.array(norms),
@@ -230,11 +228,12 @@ def evolve(
 
 
 def perturb_state(
+    grid: Grid,
     state: StationaryState,
     amplitude: float = 1e-3,
     rng: np.random.Generator | None = None,
     direction: np.ndarray | None = None,
-) -> GridFunction:
+) -> np.ndarray:
     """Stationary profile plus a kick of grid norm amplitude*||psi||.
 
     With `direction` (a BdG eigenvector, say) the kick lies along it; otherwise
@@ -243,7 +242,6 @@ def perturb_state(
     """
     if amplitude < 0.0:
         raise DynamicsError(f"perturbation amplitude must be >= 0, got {amplitude}")
-    grid = state.psi.grid
     if direction is not None:
         kick = np.asarray(direction, dtype=complex)
         if kick.shape != (grid.n_points,):
@@ -256,7 +254,7 @@ def perturb_state(
     if scale == 0.0:
         raise DynamicsError("perturbation direction has zero norm")
     kick = kick * (amplitude * math.sqrt(state.norm) / scale)
-    return GridFunction(grid, state.psi.values + kick)
+    return state.psi + kick
 
 
 def project_phase_plane(run: EvolutionRun, basis: LinearBasis) -> PhaseSeries:
@@ -267,15 +265,14 @@ def project_phase_plane(run: EvolutionRun, basis: LinearBasis) -> PhaseSeries:
     fraction 1 - N_proj/N(t) measures leakage out of the two-mode subspace.
     """
     grid = basis.grid
+    if run.snapshots.shape[1] != grid.n_points:
+        raise DynamicsError("run snapshots and basis live on different grids")
     m = len(run.snapshots)
     z = np.full(m, np.nan)
     theta = np.full(m, np.nan)
     residual = np.full(m, np.nan)
     defined = np.zeros(m, dtype=bool)
-    for k, snap in enumerate(run.snapshots):
-        if snap.grid.n_points != grid.n_points:
-            raise DynamicsError("run snapshots and basis live on different grids")
-        psi = snap.values
+    for k, psi in enumerate(run.snapshots):
         c_left = grid.inner(basis.phi_left, psi)
         c_right = grid.inner(basis.phi_right, psi)
         n_proj = abs(c_left) ** 2 + abs(c_right) ** 2
@@ -305,8 +302,7 @@ def density_imbalance(grid: Grid, values: np.ndarray) -> float:
 
 
 def imbalance_series(run: EvolutionRun) -> np.ndarray:
-    grid = run.snapshots[0].grid
-    return np.array([density_imbalance(grid, s.values) for s in run.snapshots])
+    return np.array([density_imbalance(run.grid, psi) for psi in run.snapshots])
 
 
 def onset_time(run: EvolutionRun, threshold: float = 0.5) -> float | None:
@@ -342,10 +338,12 @@ def growth_rate(
     return float(slope)
 
 
-def solve_screened_poisson(intensity_source, d: float, sigma0: float) -> GridFunction:
+def solve_screened_poisson(
+    grid: Grid, intensity: np.ndarray, d: float, sigma0: float
+) -> np.ndarray:
     """Saturable absorption profile m from m - d m_xx = sigma0 (I - I^2).
 
-    `intensity_source` is the beam intensity I = |u|^2 on the grid. The
+    `intensity` is the beam intensity I = |u|^2 on the grid. The
     tridiagonal stencil is exponentially fitted to the kernel range sqrt(d)
     and closed with decaying corner rows, so the result coincides with the
     quadrature convolution of the source against the unit-mass exponential
@@ -353,11 +351,9 @@ def solve_screened_poisson(intensity_source, d: float, sigma0: float) -> GridFun
     """
     if not d > 0.0:
         raise DynamicsError(f"screening length^2 must be positive, got d={d}")
-    if isinstance(intensity_source, GridFunction):
-        grid = intensity_source.grid
-        intensity = np.asarray(intensity_source.values, dtype=float)
-    else:
-        raise DynamicsError("intensity_source must be a GridFunction (grid context is needed)")
+    intensity = np.asarray(intensity, dtype=float)
+    if intensity.shape != (grid.n_points,):
+        raise DynamicsError(f"intensity has shape {intensity.shape}, expected ({grid.n_points},)")
     source = sigma0 * (intensity - intensity**2)
 
     ell = math.sqrt(d)
@@ -370,4 +366,4 @@ def solve_screened_poisson(intensity_source, d: float, sigma0: float) -> GridFun
     _, _, _, m, info = dgtsv(band, diag, band, rhs, overwrite_d=1, overwrite_b=1)
     if info != 0:
         raise DynamicsError(f"screened-Poisson tridiagonal solve failed (dgtsv info={info})")
-    return GridFunction(grid, m)
+    return m

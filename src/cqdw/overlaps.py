@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .discretization import DELTA, EXPONENTIAL, GAUSSIAN, ConvolutionPlan, Kernel
+from .discretization import EXPONENTIAL, GAUSSIAN, ConvolutionPlan, Kernel
 from .spectrum import LinearBasis
 
 CASE1 = "case1"
@@ -88,10 +88,6 @@ class OverlapSet:
     @property
     def sigma(self) -> float:
         return self.kernel.range_
-
-    @property
-    def kernel_family(self) -> str:
-        return self.kernel.family
 
 
 def _factor_pairs(basis: LinearBasis):
@@ -190,8 +186,6 @@ def recompute_thresholds(basis: LinearBasis, family: str) -> RegimeThresholds:
 
 def overlap_sweep(basis: LinearBasis, family: str, sigmas: np.ndarray) -> np.ndarray:
     """eta0..eta11 stacked over a sigma sweep; shape (len(sigmas), 12)."""
-    if family == DELTA:
-        raise ValueError("sweep needs a finite-range kernel family")
     out = np.empty((len(sigmas), 12))
     for i, s in enumerate(sigmas):
         out[i] = compute_overlaps(basis, Kernel(family, float(s))).values

@@ -158,10 +158,6 @@ class BdGSpectrum:
     unstable_count: int
     threshold: float
 
-    @property
-    def is_stable(self) -> bool:
-        return self.unstable_count == 0
-
 
 @dataclass(frozen=True)
 class UnstableMode:
@@ -189,13 +185,12 @@ def _polish(problem: StationaryProblem, state: StationaryState) -> StationarySta
     """
     if state.residual <= POLISH_RESIDUAL:
         return state
-    psi = np.asarray(state.psi.values, dtype=float)
     try:
-        polished = newton_solve(problem, psi, state.mu,
+        polished = newton_solve(problem, state.psi, state.mu,
                                 NewtonSettings(tol=POLISH_RESIDUAL, max_iter=6))
     except NewtonError:
         return state
-    moved = np.sqrt(problem.grid.norm_sq(polished.psi.values.real - psi))
+    moved = np.sqrt(problem.grid.norm_sq(polished.psi - state.psi))
     if moved > 1e-6 * (1.0 + state.norm):
         return state
     return polished
@@ -208,9 +203,8 @@ def build_bdg(problem: StationaryProblem, state: StationaryState) -> BdGOperator
             f"state is not converged: residual {state.residual:.3e} exceeds "
             f"{CONVERGED_RESIDUAL:.1e}")
     state = _polish(problem, state)
-    psi = np.asarray(state.psi.values, dtype=float)
-    l_minus, l_plus = problem.linearization(psi, state.mu)
-    return BdGOperator(grid=problem.grid, psi=psi, mu=state.mu,
+    l_minus, l_plus = problem.linearization(state.psi, state.mu)
+    return BdGOperator(grid=problem.grid, psi=state.psi, mu=state.mu,
                        l_minus=l_minus, l_plus=l_plus)
 
 

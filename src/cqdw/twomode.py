@@ -17,7 +17,7 @@ parent-branch chemical potentials, and phase-plane orbit integration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,9 +96,6 @@ class ModeParams:
         """f(N) = s eta_z N + delta eta4 N^2, the nonlinear imbalance force."""
         n = self.N if N is None else N
         return self.s * self.eta_z * n + self.delta * self.eta4 * n * n
-
-    def with_norm(self, N: float) -> "ModeParams":
-        return replace(self, N=N)
 
     @classmethod
     def from_overlaps(cls, overlaps, basis, s: int, delta: int, N: float) -> "ModeParams":

@@ -113,10 +113,10 @@ def breaking_runs(branch_suite):
     runs = {}
     for mu, t_end in ((0.19, 300.0), (0.25, 150.0)):
         nearest = min(entry["anti"].states, key=lambda s: abs(s.mu - mu))
-        state = newton_solve(problem, nearest.psi.values.real, mu)
+        state = newton_solve(problem, nearest.psi, mu)
         op = build_bdg(problem, state)
         mode = dominant_unstable_mode(op)
-        init = perturb_state(state, amplitude=1e-3, direction=mode.direction)
+        init = perturb_state(problem.grid, state, amplitude=1e-3, direction=mode.direction)
         runs[mu] = {
             "state": state,
             "rate": solve_bdg(op).max_real_part,

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cqdw.discretization import ConvolutionPlan, GridFunction, Kernel, kernel_eval
+from cqdw.discretization import ConvolutionPlan, Kernel, kernel_eval
 from cqdw.dynamics import growth_rate, onset_time, solve_screened_poisson
 from cqdw.overlaps import compute_overlaps, recompute_thresholds
 from cqdw.stability import build_bdg, solve_bdg
@@ -268,10 +268,10 @@ def test_criterion_11_oracle_equivalence(grid, basis):
 
     d, sigma0 = 0.25, 1.0
     intensity = 0.64 * np.exp(-2.0 * grid.points**2)
-    solved = solve_screened_poisson(GridFunction(grid, intensity), d, sigma0)
+    solved = solve_screened_poisson(grid, intensity, d, sigma0)
     ref = ConvolutionPlan(Kernel("exponential", math.sqrt(d)), grid).apply(
         sigma0 * (intensity - intensity**2))
-    sp_err = float(np.max(np.abs(solved.values - ref)))
+    sp_err = float(np.max(np.abs(solved - ref)))
     report(11, "independent-route oracles", [
         (conv_err <= 1e-8, f"fft vs quadrature={conv_err:.3g} vs 1e-8"),
         (eta_err <= 1e-8, f"eta vs double integral={eta_err:.3g} vs 1e-8"),

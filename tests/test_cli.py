@@ -156,6 +156,37 @@ def test_stability_reads_stored_states(tmp_path):
     assert manifest["quantities"]["max_re_lambda"] > 0.01
 
 
+def test_malformed_stored_states_name_the_file(tmp_path, capsys):
+    bad_json = tmp_path / "broken.json"
+    bad_json.write_text("{not json")
+    no_field = tmp_path / "nofield.json"
+    no_field.write_text(json.dumps({"mu": 0.2, "norm": 1.0, "family": "anti"}))
+    short = tmp_path / "short.json"
+    field = {"half_width": 20.0, "spacing": 0.1, "n_points": 401,
+             "values_re": [0.0] * 400, "values_im": [0.0] * 400}
+    short.write_text(json.dumps({"mu": 0.2, "field": field}))
+    for bad in (bad_json, no_field, short):
+        cfg = _write(tmp_path / "c.json", {"stability": {"states_path": str(bad)}})
+        code = main(["stability", "--config", cfg, "--out", str(tmp_path / "st")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CliError"
+        assert str(bad) in err["message"]
+
+
+def test_walk_into_the_vacuum_is_a_cli_error(tmp_path, capsys):
+    # with the default s = +1 the antisymmetric branch starts at
+    # omega1 = 0.1557 and mu rises with N, so mu = 0.14 lies in the vacuum
+    cfg = _write(
+        tmp_path / "c.json",
+        {"dynamics": {"mu_list": [0.14], "family": "anti", "t_end": 1.0}},
+    )
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "ev")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CliError"
+    assert "vacuum" in err["message"]
+
+
 def test_evolve_stable_run_layout(tmp_path):
     cfg = _write(tmp_path / "c.json", TINY_EVOLVE)
     out = tmp_path / "ev"
@@ -360,6 +391,17 @@ def test_regress_vacuous_preset_warns(tmp_path, monkeypatch, capsys):
 def test_regress_requires_preset(capsys):
     assert main(["regress"]) == 2
     assert "preset" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_regress_rejects_config(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", {})
+    code = main(
+        ["regress", "--preset", "thermal-check", "--config", cfg,
+         "--out", str(tmp_path / "r")]
+    )
+    assert code == 2
+    assert "not both" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "r").exists()
 
 
 def test_seed_override_lands_in_manifest(tmp_path):

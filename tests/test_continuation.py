@@ -26,7 +26,6 @@ from cqdw.continuation import (
     seed_from_mode,
 )
 from cqdw.discretization import (
-    DELTA,
     EXPONENTIAL,
     GAUSSIAN,
     Kernel,
@@ -105,18 +104,9 @@ def test_residual_matches_direct_quadrature(problem1):
     assert np.max(np.abs(problem1.residual(psi, mu) - direct)) <= 1e-10
 
 
-def test_delta_kernels_give_local_cubic_quintic(grid):
-    problem = StationaryProblem(grid, PotentialParams(), Kernel(DELTA), s=1, delta=-1)
-    x = grid.points
-    psi = np.exp(-(x**2))
-    expected = problem.operator.matvec(psi.copy()) - 0.2 * psi + (psi**2 - psi**4) * psi
-    assert np.max(np.abs(problem.residual(psi, 0.2) - expected)) <= 1e-14
-
-
-# The delta kernel is the case where the quadrature matrix K is the identity.
 @pytest.mark.parametrize(
     "kernel",
-    [Kernel(GAUSSIAN, 1.0), Kernel(EXPONENTIAL, 1.0), Kernel(DELTA)],
+    [Kernel(GAUSSIAN, 1.0), Kernel(EXPONENTIAL, 1.0)],
     ids=lambda k: k.family,
 )
 def test_jacobian_matches_finite_differences(grid, kernel):
@@ -158,16 +148,16 @@ def test_seed_default_norm_is_milli(problem1, basis):
 
 def test_converged_state_reconverges_immediately(problem1, branch_suite):
     state = branch_suite["sigma1"]["anti"].states[5]
-    again = newton_solve(problem1, state.psi.values.real, state.mu)
+    again = newton_solve(problem1, state.psi, state.mu)
     # Residual is already below tolerance, so no correction step is taken.
-    assert np.max(np.abs(again.psi.values.real - state.psi.values.real)) == 0.0
+    assert np.max(np.abs(again.psi - state.psi)) == 0.0
     assert again.newton_iterations == 0
 
 
 def test_newton_converges_quadratically(problem1, branch_suite):
     state = branch_suite["sigma1"]["anti"].states[12]
     x = problem1.grid.points
-    guess = state.psi.values.real + 0.05 * np.exp(-((x - 1.2) ** 2))
+    guess = state.psi + 0.05 * np.exp(-((x - 1.2) ** 2))
     solved = newton_solve(problem1, guess, state.mu)
     assert solved.residual <= 1e-10
     # Replay the iteration to inspect the residual sequence.
@@ -200,7 +190,7 @@ def test_newton_stops_once_it_diverges(branch_suite):
     # Above the sigma=1 symmetric pitchfork no daughter exists; a kicked
     # parent there must be given up within a few steps, not after max_iter.
     pf = branch_suite["sigma1"]["sym_pitchforks"][0]
-    guess = pf.state.psi.values.real + 1e-3 * math.sqrt(pf.state.norm) * pf.direction
+    guess = pf.state.psi + 1e-3 * math.sqrt(pf.state.norm) * pf.direction
     with pytest.raises(NewtonError, match="diverging") as info:
         newton_solve(branch_suite["sigma1"]["problem"], guess, pf.state.mu + 5e-3)
     assert not info.value.trivial
@@ -230,7 +220,7 @@ def test_daughter_seed_rejects_a_definite_parity_landing(branch_suite):
     fake = replace(
         entry["sym_pitchforks"][0],
         state=state,
-        direction=state.psi.values.real / math.sqrt(state.norm),
+        direction=state.psi / math.sqrt(state.norm),
     )
     with pytest.raises(ContinuationError, match="landed on a symmetric state"):
         seed_daughter(entry["problem"], fake)
@@ -257,10 +247,10 @@ def test_guess_shape_validated(problem1):
 def test_mirror_closure(ssb_daughter):
     entry, _, branch = ssb_daughter
     state = branch.states[len(branch.states) // 2]
-    mirrored = newton_solve(entry["problem"], reflect(state.psi.values.real), state.mu)
+    mirrored = newton_solve(entry["problem"], reflect(state.psi), state.mu)
     assert mirrored.symmetry == ASYMMETRIC
     assert mirrored.norm == pytest.approx(state.norm, abs=1e-10)
-    assert np.max(np.abs(mirrored.psi.values.real - reflect(state.psi.values.real))) <= 1e-8
+    assert np.max(np.abs(mirrored.psi - reflect(state.psi))) <= 1e-8
 
 
 # --- symmetry labels and plumbing ------------------------------------------------
@@ -275,9 +265,9 @@ def test_classify_symmetry_labels(grid, basis):
 def test_state_bookkeeping(branch_suite):
     state = branch_suite["sigma1"]["sym"].states[3]
     problem = branch_suite["sigma1"]["problem"]
-    assert state.norm == pytest.approx(problem.grid.norm_sq(state.psi.values.real), rel=1e-12)
+    assert state.norm == pytest.approx(problem.grid.norm_sq(state.psi), rel=1e-12)
     assert state.residual <= 1e-10
-    assert state.psi.grid == problem.grid
+    assert state.psi.shape == (problem.grid.n_points,)
 
 
 def test_event_kind_validated():
@@ -330,7 +320,7 @@ def test_norm_cap_terminates_parent_scans(branch_suite):
         for name in ("sym", "anti"):
             branch = branch_suite[key][name]
             assert branch.termination == "norm_cap"
-            assert branch.norms().max() > 6.0
+            assert max(s.norm for s in branch.states) > 6.0
             assert all(s.norm <= 6.0 for s in branch.states[:-1])
 
 
@@ -345,7 +335,7 @@ def test_two_mode_norm_agreement_at_small_norm(branch_suite, make_params):
                 if not (1e-3 < state.norm <= 0.5):
                     continue
                 n_reduced = brentq(
-                    lambda n: parent_mu(params.with_norm(n), family) - state.mu,
+                    lambda n: parent_mu(replace(params, N=n), family) - state.mu,
                     1e-9,
                     1.0,
                 )
@@ -393,7 +383,7 @@ def test_daughter_seed_is_solidly_asymmetric(ssb_daughter):
     assert seed.symmetry == ASYMMETRIC
     assert abs(seed.mu - pf.event.mu) <= 6e-3
     assert abs(seed.norm - pf.event.norm) <= 0.2
-    r_even, r_odd = parity_residuals(entry["problem"].grid, seed.psi.values.real)
+    r_even, r_odd = parity_residuals(entry["problem"].grid, seed.psi)
     assert min(r_even, r_odd) > 1e-3
 
 
@@ -415,9 +405,10 @@ def test_asymmetric_branch_closes_onto_parent(ssb_daughter):
 def test_asymmetric_branch_spans_the_window(ssb_daughter):
     entry, pf, branch = ssb_daughter
     restoring = entry["anti_pitchforks"][1]
-    assert branch.norms().max() > 5.0
-    assert branch.mu_values().min() >= pf.event.mu - 5e-3
-    assert branch.mu_values().max() <= entry["settings"].mu_max
+    norms = np.array([s.norm for s in branch.states])
+    mus = [s.mu for s in branch.states]
+    assert norms.max() > 5.0
+    assert min(mus) >= pf.event.mu - 5e-3
+    assert max(mus) <= entry["settings"].mu_max
     # Norm grows monotonically from birth to merge along the loop.
-    norms = branch.norms()
     assert norms[-1] == pytest.approx(restoring.event.norm, abs=5e-2)

@@ -5,18 +5,16 @@ import pytest
 from scipy.integrate import quad
 
 from cqdw.discretization import (
-    DELTA,
     EXPONENTIAL,
     GAUSSIAN,
     ConvolutionPlan,
     DiscretizationError,
     Grid,
-    GridFunction,
     Kernel,
     PotentialParams,
     build_grid,
-    grid_function_from_json,
-    grid_function_to_json,
+    field_from_payload,
+    field_payload,
     kernel_eval,
     kernel_matrix,
     kernel_samples,
@@ -88,8 +86,6 @@ def test_kernel_eval_values():
     x = np.linspace(-3, 3, 41)
     for k in (Kernel(GAUSSIAN, 0.7), Kernel(EXPONENTIAL, 1.3)):
         np.testing.assert_allclose(kernel_eval(k, x), kernel_eval(k, -x))
-    with pytest.raises(DiscretizationError):
-        kernel_eval(Kernel(DELTA), 0.0)
 
 
 def test_kernel_validation():
@@ -99,7 +95,6 @@ def test_kernel_validation():
         Kernel(GAUSSIAN, 0.0)
     with pytest.raises(DiscretizationError):
         Kernel("lorentzian", 1.0)
-    Kernel(DELTA)  # no range needed
 
 
 def test_kernel_unit_mass():
@@ -158,14 +153,6 @@ def test_convolution_complex_input():
     np.testing.assert_allclose(out.imag, plan.apply(f.imag), atol=1e-12)
 
 
-def test_delta_kernel_is_identity():
-    grid = build_grid(5.0, 0.1)
-    rng = np.random.default_rng(11)
-    f = rng.normal(size=grid.n_points)
-    np.testing.assert_allclose(ConvolutionPlan(Kernel(DELTA), grid).apply(f), f, atol=1e-14)
-    np.testing.assert_allclose(kernel_matrix(Kernel(DELTA), grid), np.eye(grid.n_points))
-
-
 def test_convolution_linearity_and_parity():
     grid = build_grid(10.0, 0.1)
     rng = np.random.default_rng(5)
@@ -211,7 +198,7 @@ def test_truncated_kernel_keeps_the_newton_step(branch_suite):
     # them must not move a Newton step taken with the dense Jacobian.
     problem = branch_suite["sigma1"]["problem"]
     state = branch_suite["sigma1"]["sym"].states[40]
-    psi, mu = state.psi.values.real, state.mu + 1e-3
+    psi, mu = state.psi, state.mu + 1e-3
     x = problem.grid.points
     full_k = kernel_eval(problem.kernel, x[:, None] - x[None, :]) * problem.grid.spacing
     local, jac = problem.linearization(psi, mu)
@@ -236,17 +223,11 @@ def test_parity_residuals():
     assert rm[0] > 1e-3 and rm[1] > 1e-3
 
 
-def test_grid_function_validation():
-    grid = build_grid(5.0, 0.1)
-    with pytest.raises(DiscretizationError):
-        GridFunction(grid, np.zeros(grid.n_points - 1))
-
-
 def test_json_roundtrip_is_lossless():
     grid = build_grid(3.0, 0.25)
     rng = np.random.default_rng(19)
-    gf = GridFunction(grid, rng.normal(size=grid.n_points))
-    text = grid_function_to_json(gf)
-    json.loads(text)  # valid JSON document
-    back = grid_function_from_json(text)
-    assert np.array_equal(back.values, gf.values)
+    values = rng.normal(size=grid.n_points)
+    text = json.dumps(field_payload(grid, values))
+    back_grid, back = field_from_payload(json.loads(text))
+    assert back_grid == grid
+    assert np.array_equal(back, values)

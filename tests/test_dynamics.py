@@ -8,6 +8,7 @@ two-mode residual share that roughly quadruples through the breaking.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ import pytest
 from cqdw import dynamics
 from cqdw.discretization import (
     ConvolutionPlan,
-    GridFunction,
     Kernel,
     reflect,
 )
@@ -40,11 +40,11 @@ def test_stable_state_is_an_equilibrium(branch_suite):
     """A converged stable profile must hold still to 1e-6 over t in [0, 100]."""
     entry = branch_suite["sigma1"]
     state = entry["anti"].states[2]
-    run = evolve(entry["problem"], state.psi.values.astype(complex), state.mu, 100.0)
+    run = evolve(entry["problem"], state.psi.astype(complex), state.mu, 100.0)
     grid = entry["problem"].grid
-    ref = run.snapshots[0].values
+    ref = run.snapshots[0]
     scale = math.sqrt(grid.norm_sq(ref))
-    dev = max(math.sqrt(grid.norm_sq(s.values - ref)) for s in run.snapshots)
+    dev = max(math.sqrt(grid.norm_sq(psi - ref)) for psi in run.snapshots)
     assert dev / scale <= 1e-6
     drift = np.max(np.abs(run.norm_series - run.norm_series[0])) / run.norm_series[0]
     assert drift <= 1e-8
@@ -56,7 +56,7 @@ def test_linear_mode_rotates_at_its_detuning(branch_suite, basis):
     grid = entry["problem"].grid
     eps, mu, t_end = 1e-6, 0.19, 10.0
     run = evolve(entry["problem"], (eps * basis.u0).astype(complex), mu, t_end)
-    got = grid.inner(basis.u0, run.snapshots[-1].values)
+    got = grid.inner(basis.u0, run.snapshots[-1])
     expected = eps * np.exp(-1j * (basis.omega0 - mu) * run.times[-1])
     assert abs(got - expected) / eps <= 1e-7
 
@@ -66,7 +66,7 @@ def test_vacuum_stays_vacuum(branch_suite):
     n = entry["problem"].grid.n_points
     run = evolve(entry["problem"], np.zeros(n, dtype=complex), 0.2, 3.0)
     assert np.all(run.norm_series == 0.0)
-    assert all(np.all(s.values == 0.0) for s in run.snapshots)
+    assert np.all(run.snapshots == 0.0)
     assert onset_time(run) is None
 
 
@@ -92,7 +92,9 @@ def test_onset_insensitive_to_halving_dt(breaking_runs):
     """Halving dt moves the breaking time by no more than 5%."""
     entry, runs = breaking_runs
     item = runs[0.25]
-    init = perturb_state(item["state"], amplitude=1e-3, direction=item["mode"].direction)
+    init = perturb_state(
+        entry["problem"].grid, item["state"], amplitude=1e-3, direction=item["mode"].direction
+    )
     fine = evolve(entry["problem"], init, 0.25, 150.0, dt=2.5e-3)
     t_ref = onset_time(item["run"], ONSET_THRESHOLD)
     t_fine = onset_time(fine, ONSET_THRESHOLD)
@@ -112,11 +114,13 @@ def test_mirror_equivariance(breaking_runs):
     """Evolving the reflected field equals reflecting the evolved field."""
     entry, runs = breaking_runs
     item = runs[0.19]
-    init = perturb_state(item["state"], amplitude=1e-3, direction=item["mode"].direction)
-    forward = evolve(entry["problem"], init.values, 0.19, 30.0)
-    mirrored = evolve(entry["problem"], reflect(init.values), 0.19, 30.0)
+    init = perturb_state(
+        entry["problem"].grid, item["state"], amplitude=1e-3, direction=item["mode"].direction
+    )
+    forward = evolve(entry["problem"], init, 0.19, 30.0)
+    mirrored = evolve(entry["problem"], reflect(init), 0.19, 30.0)
     gap = max(
-        np.max(np.abs(reflect(f.values) - m.values))
+        np.max(np.abs(reflect(f) - m))
         for f, m in zip(forward.snapshots, mirrored.snapshots)
     )
     assert gap <= 1e-8
@@ -126,7 +130,7 @@ def test_random_kick_breaks_later_than_eigen_kick(breaking_runs):
     """White noise spreads 1e-3 over ~800 directions, delaying the onset."""
     entry, runs = breaking_runs
     item = runs[0.25]
-    init = perturb_state(item["state"], rng=np.random.default_rng(0))
+    init = perturb_state(entry["problem"].grid, item["state"], rng=np.random.default_rng(0))
     run = evolve(entry["problem"], init, 0.25, 200.0)
     t_random = onset_time(run, ONSET_THRESHOLD)
     t_eigen = onset_time(item["run"], ONSET_THRESHOLD)
@@ -138,7 +142,7 @@ def test_projection_of_stationary_states(branch_suite, basis):
     entry = branch_suite["sigma1"]
     for family, theta_ref in (("sym", 0.0), ("anti", math.pi)):
         state = entry[family].states[0]
-        run = evolve(entry["problem"], state.psi.values.astype(complex), state.mu, 5.0)
+        run = evolve(entry["problem"], state.psi.astype(complex), state.mu, 5.0)
         series = project_phase_plane(run, basis)
         assert series.defined.all()
         assert np.max(np.abs(series.z)) <= 1e-9
@@ -172,6 +176,14 @@ def test_projection_flags_vanishing_coefficients(branch_suite, basis):
     assert np.all(np.isnan(series.theta))
 
 
+def test_projection_rejects_a_run_on_another_grid(breaking_runs, basis):
+    _, runs = breaking_runs
+    run = runs[0.25]["run"]
+    clipped = replace(run, snapshots=run.snapshots[:, :-1])
+    with pytest.raises(DynamicsError, match="different grids"):
+        project_phase_plane(clipped, basis)
+
+
 def test_snapshot_cadence(breaking_runs, branch_suite):
     _, runs = breaking_runs
     run = runs[0.25]["run"]
@@ -181,7 +193,7 @@ def test_snapshot_cadence(breaking_runs, branch_suite):
     entry = branch_suite["sigma1"]
     state = entry["anti"].states[0]
     fine = evolve(
-        entry["problem"], state.psi.values.astype(complex), state.mu, 2.0, snapshot_dt=0.2
+        entry["problem"], state.psi.astype(complex), state.mu, 2.0, snapshot_dt=0.2
     )
     assert np.allclose(np.diff(fine.times), 0.2)
     assert len(fine.snapshots) == 11
@@ -220,16 +232,18 @@ def test_extrapolated_start_matches_single_steps(breaking_runs):
     """
     entry, runs = breaking_runs
     item = runs[0.25]
-    init = perturb_state(item["state"], amplitude=1e-3, direction=item["mode"].direction)
+    init = perturb_state(
+        entry["problem"].grid, item["state"], amplitude=1e-3, direction=item["mode"].direction
+    )
     dt = DEFAULT_DT
     whole = evolve(entry["problem"], init, 0.25, 400 * dt, snapshot_dt=400 * dt)
-    psi = init.values
+    psi = init
     chained_passes = 0
     for _ in range(400):
         step = evolve(entry["problem"], psi, 0.25, dt, snapshot_dt=dt)
-        psi = step.snapshots[-1].values
+        psi = step.snapshots[-1]
         chained_passes += step.fixed_point_passes
-    assert np.max(np.abs(whole.snapshots[-1].values - psi)) <= 1e-11
+    assert np.max(np.abs(whole.snapshots[-1] - psi)) <= 1e-11
     assert whole.fixed_point_passes < chained_passes
 
 
@@ -239,13 +253,15 @@ def test_each_start_of_the_ramp_matches_single_steps(breaking_runs, steps):
     extrapolation; each must land on the fixed point of the one-step chain."""
     entry, runs = breaking_runs
     item = runs[0.25]
-    init = perturb_state(item["state"], amplitude=1e-3, direction=item["mode"].direction)
+    init = perturb_state(
+        entry["problem"].grid, item["state"], amplitude=1e-3, direction=item["mode"].direction
+    )
     dt = DEFAULT_DT
     whole = evolve(entry["problem"], init, 0.25, steps * dt, snapshot_dt=steps * dt)
-    psi = init.values
+    psi = init
     for _ in range(steps):
-        psi = evolve(entry["problem"], psi, 0.25, dt, snapshot_dt=dt).snapshots[-1].values
-    assert np.max(np.abs(whole.snapshots[-1].values - psi)) <= 1e-11
+        psi = evolve(entry["problem"], psi, 0.25, dt, snapshot_dt=dt).snapshots[-1]
+    assert np.max(np.abs(whole.snapshots[-1] - psi)) <= 1e-11
 
 
 def test_tridiagonal_failure_names_the_time(breaking_runs, monkeypatch):
@@ -257,7 +273,7 @@ def test_tridiagonal_failure_names_the_time(breaking_runs, monkeypatch):
 
     monkeypatch.setattr(dynamics, "zgtsv", singular)
     with pytest.raises(DynamicsError, match=r"t=0\.0050"):
-        evolve(entry["problem"], state.psi.values.astype(complex), 0.25, 1.0)
+        evolve(entry["problem"], state.psi.astype(complex), 0.25, 1.0)
 
 
 def test_non_finite_initial_field_aborts(branch_suite):
@@ -273,29 +289,31 @@ def test_runaway_amplitude_aborts(breaking_runs):
     entry, runs = breaking_runs
     state = runs[0.19]["state"]
     with pytest.raises(DynamicsError, match="stalled"):
-        evolve(entry["problem"], (1e6 * state.psi.values).astype(complex), 0.19, 1.0)
+        evolve(entry["problem"], (1e6 * state.psi).astype(complex), 0.19, 1.0)
 
 
 def test_perturbation_protocol(breaking_runs):
     """Kicks carry grid norm amplitude * ||psi|| in either protocol."""
-    _, runs = breaking_runs
+    entry, runs = breaking_runs
     state = runs[0.19]["state"]
-    grid = state.psi.grid
+    grid = entry["problem"].grid
     target = 1e-3 * math.sqrt(state.norm)
-    random_kick = perturb_state(state).values - state.psi.values
+    random_kick = perturb_state(grid, state) - state.psi
     assert abs(math.sqrt(grid.norm_sq(random_kick)) - target) <= 1e-12
     # unseeded calls are deterministic and repeatable
-    again = perturb_state(state).values - state.psi.values
+    again = perturb_state(grid, state) - state.psi
     assert np.array_equal(random_kick, again)
     mode = runs[0.19]["mode"]
-    eigen_kick = perturb_state(state, direction=mode.direction).values - state.psi.values
+    eigen_kick = perturb_state(grid, state, direction=mode.direction) - state.psi
     assert abs(math.sqrt(grid.norm_sq(eigen_kick)) - target) <= 1e-12
     overlap = abs(grid.inner(mode.direction, eigen_kick)) / math.sqrt(grid.norm_sq(eigen_kick))
     assert overlap >= 1.0 - 1e-12
     with pytest.raises(DynamicsError, match="amplitude"):
-        perturb_state(state, amplitude=-1.0)
+        perturb_state(grid, state, amplitude=-1.0)
     with pytest.raises(DynamicsError, match="zero norm"):
-        perturb_state(state, direction=np.zeros(grid.n_points))
+        perturb_state(grid, state, direction=np.zeros(grid.n_points))
+    with pytest.raises(DynamicsError, match="shape"):
+        perturb_state(grid, state, direction=np.zeros(grid.n_points - 1))
 
 
 def test_observable_validation(breaking_runs):
@@ -315,27 +333,25 @@ def test_screened_poisson_matches_kernel_convolution(grid):
         intensity = rng.uniform(0.0, 1.0, grid.n_points)
         d = float(rng.uniform(0.05, 2.0))
         sigma0 = float(rng.uniform(0.2, 3.0))
-        m = solve_screened_poisson(GridFunction(grid, intensity), d, sigma0)
+        m = solve_screened_poisson(grid, intensity, d, sigma0)
         plan = ConvolutionPlan(Kernel("exponential", math.sqrt(d)), grid)
         ref = plan.apply(sigma0 * (intensity - intensity**2))
-        worst = max(worst, float(np.max(np.abs(m.values - ref))))
+        worst = max(worst, float(np.max(np.abs(m - ref))))
     assert worst <= 1e-6
 
 
 def test_screened_poisson_edge_cases(grid):
-    zero = solve_screened_poisson(GridFunction(grid, np.zeros(grid.n_points)), 0.3, 2.0)
-    assert np.all(zero.values == 0.0)
+    zero = solve_screened_poisson(grid, np.zeros(grid.n_points), 0.3, 2.0)
+    assert np.all(zero == 0.0)
     # weak constant intensity: absorption plateaus at sigma0 * S to O(S^2)
     s_val = 1e-3
-    flat = solve_screened_poisson(
-        GridFunction(grid, np.full(grid.n_points, s_val)), 0.25, 1.0
-    )
+    flat = solve_screened_poisson(grid, np.full(grid.n_points, s_val), 0.25, 1.0)
     interior = np.abs(grid.points) <= 10.0
-    assert np.max(np.abs(flat.values[interior] / s_val - 1.0)) <= 5e-3
+    assert np.max(np.abs(flat[interior] / s_val - 1.0)) <= 5e-3
     with pytest.raises(DynamicsError, match="positive"):
-        solve_screened_poisson(GridFunction(grid, np.zeros(grid.n_points)), 0.0, 1.0)
-    with pytest.raises(DynamicsError, match="GridFunction"):
-        solve_screened_poisson(np.zeros(grid.n_points), 0.3, 1.0)
+        solve_screened_poisson(grid, np.zeros(grid.n_points), 0.0, 1.0)
+    with pytest.raises(DynamicsError, match="shape"):
+        solve_screened_poisson(grid, np.zeros(grid.n_points - 1), 0.3, 1.0)
 
 
 def test_density_imbalance_conventions(grid, basis):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from cqdw.discretization import (
-    DELTA,
     EXPONENTIAL,
     GAUSSIAN,
     Kernel,
@@ -82,16 +81,6 @@ def test_exponential_kernel_against_oracle(basis):
     assert overlaps.eta4 == pytest.approx(
         brute_force_eta(kernel, ll * ll, ll, grid), abs=1e-8
     )
-
-
-def test_delta_kernel_reduces_to_local_integrals(basis):
-    # contact limit: eta0 -> int phi_L^4, eta4 -> int phi_L^6
-    overlaps = compute_overlaps(basis, Kernel(DELTA))
-    grid = basis.grid
-    phi4 = float(grid.integrate(basis.phi_left**4))
-    phi6 = float(grid.integrate(basis.phi_left**6))
-    assert overlaps.eta0 == pytest.approx(phi4, abs=1e-12)
-    assert overlaps.eta4 == pytest.approx(phi6, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +209,6 @@ def test_recompute_thresholds_matches_table(basis):
 
 def test_overlap_set_accessors(overlaps_sigma1):
     assert overlaps_sigma1.sigma == pytest.approx(1.0)
-    assert overlaps_sigma1.kernel_family == GAUSSIAN
+    assert overlaps_sigma1.kernel.family == GAUSSIAN
     assert overlaps_sigma1[0] == overlaps_sigma1.eta0
     assert overlaps_sigma1[4] == overlaps_sigma1.eta4

@@ -1,6 +1,7 @@
 """Static checks on the package source that no runtime test would notice."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,12 @@ def referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def attribute_reads(tree: ast.AST) -> Counter:
+    """How often each attribute name is read (`obj.name` in a load context)."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
 def test_modules_found():
     assert {m.name for m in MODULES} >= {"cli.py", "continuation.py", "presets.py"}
 
@@ -79,3 +86,26 @@ def test_every_top_level_definition_is_reached():
         f"defined in src/cqdw but used by no module, criterion or BdG reference: "
         f"{sorted(unreached - set(UNREACHED_BY_DESIGN))}; exemptions now reached "
         f"or gone: {sorted(set(UNREACHED_BY_DESIGN) - unreached)}")
+
+
+def test_every_class_member_is_reached():
+    """Every method and property of a src/cqdw class (dunders exempt) is read
+    as an attribute in some reaching file. Matching is by name, whatever the
+    object; reads inside the member's own body do not reach it."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in REACHING}
+    unreached = set()
+    for path in MODULES:
+        elsewhere = set().union(*(attribute_reads(tree) for other, tree in trees.items()
+                                  if other != path))
+        here = attribute_reads(trees[path])
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("__"):
+                    continue
+                name = member.name
+                if name not in elsewhere and here[name] <= attribute_reads(member)[name]:
+                    unreached.add(f"{cls.name}.{name}")
+    assert not unreached, (
+        f"read by no module, criterion or BdG reference: {sorted(unreached)}")

@@ -7,6 +7,7 @@ stability eigenvalues, and a textbook RK4 for the orbit integrator.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ def test_mode_params_derived_quantities():
     assert p.omega1 == pytest.approx(0.15)
     assert p.coupling() == pytest.approx(1 * 0.25 * 2 - 0.04 * 4)
     assert p.coupling(1.0) == pytest.approx(0.25 - 0.04)
-    assert p.with_norm(3.0).N == 3.0
+    assert replace(p, N=3.0).N == 3.0
 
 
 def test_from_overlaps_regime_filter(basis, overlaps_sigma01, overlaps_sigma8):
@@ -345,11 +346,11 @@ def test_pitchfork_exchange_alignment(make_params):
         lambda n: 2 * p.omega * p.coupling(n) - 4 * p.omega ** 2,
         0.1, 0.2, xtol=1e-14)
     lo, hi = 0.1, 0.2
-    assert asymmetric_z(p.with_norm(lo)) == []
-    assert asymmetric_z(p.with_norm(hi)) != []
+    assert asymmetric_z(replace(p, N=lo)) == []
+    assert asymmetric_z(replace(p, N=hi)) != []
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if asymmetric_z(p.with_norm(mid)):
+        if asymmetric_z(replace(p, N=mid)):
             hi = mid
         else:
             lo = mid
@@ -361,7 +362,7 @@ def test_asymmetric_branch_is_neutral_to_elliptic(make_params):
     p = make_params(0.1, N=1.0)
     norms = critical_norms(p)
     for n in np.linspace(norms.n2 + 1e-4, norms.n3 - 1e-4, 40):
-        census = fixed_point_census(p.with_norm(float(n)))
+        census = fixed_point_census(replace(p, N=float(n)))
         asym = [fp for fp in census if fp.family == ASYMMETRIC]
         assert len(asym) == 2
         assert all(fp.lambda_sq < 0 for fp in asym)
