@@ -5,9 +5,10 @@ Every subcommand writes into its own output directory: the resolved config
 alongside the sha256 config hash, any headline quantities the run produced
 and the deterministic work counters of its solvers (`counters`; so far the
 midpoint fixed-point passes and mu-walk Newton iterations of `evolve`, and
-the arclength corrector iterations, rejected steps and pitchfork bisection
-steps of `continue`). Nothing written contains timestamps or machine state,
-so a repeated run with the same config and seed is byte-identical. Failures
+the seed's Newton iterations, arclength corrector iterations, rejected
+steps and pitchfork bisection steps of `continue`). Nothing written
+contains timestamps or machine state, so a repeated run with the same
+config and seed is byte-identical. Failures
 are reported as one JSON object on stderr (machine-readable) with a nonzero
 exit status; configuration problems arrive all at once in the `fields` list.
 """
@@ -156,16 +157,23 @@ def _family_mode(basis, family: str):
 
 
 def _state_at_mu(problem, basis, family: str, mu_target: float, delta_mu: float):
-    """Walk the parent branch from the linear limit to mu; also sum its Newton iterations."""
+    """Walk the parent branch from the linear limit to mu; also sum its Newton iterations.
+
+    Each solve after the first starts from the secant through the last two states.
+    """
     mode, omega = _family_mode(basis, family)
     state = seed_from_mode(problem, mode, omega, delta_mu=problem.s * delta_mu)
     iterations = state.newton_iterations
+    previous = None
     while abs(state.mu - mu_target) > 1e-12:
         step = math.copysign(
             min(delta_mu, abs(mu_target - state.mu)), mu_target - state.mu
         )
+        guess = state.psi
+        if previous is not None:
+            guess = state.psi + (step / (state.mu - previous.mu)) * (state.psi - previous.psi)
         try:
-            state = newton_solve(problem, state.psi, state.mu + step)
+            previous, state = state, newton_solve(problem, guess, state.mu + step)
         except NewtonError as exc:
             if not exc.trivial:
                 raise
@@ -370,6 +378,7 @@ def run_continue(config: RunConfig, out: Path, seed: int):
                 {"family": family, "kind": event.kind, "mu": event.mu, "norm": event.norm}
             )
         termination[family] = branch.termination
+        counters[f"newton_iterations_{family}"] = branch.states[0].newton_iterations
         counters[f"corrector_iterations_{family}"] = branch.corrector_iterations
         counters[f"rejected_steps_{family}"] = branch.rejected_steps
         counters[f"pitchfork_bisections_{family}"] = sum(pf.bisections for pf in pitchforks)

@@ -7,9 +7,15 @@ Newton's method with the exact dense Jacobian (including the nonlocal
 Frechet terms) converges quadratically from nearby guesses.
 Branches are traced in (psi, mu) with pseudo-arclength steps so folds are
 crossed without parameter switching. Pitchforks (a sign change of the
-Jacobian determinant restricted to the parity subspace the daughter breaks
-into) and merges are refined by one arclength-resolved bisection; daughters
-are seeded by branch switching along the critical direction.
+Jacobian determinant on the parity subspace the daughter breaks into) and
+merges are refined by one arclength-resolved bisection; daughters are
+seeded by branch switching along the critical direction.
+
+At an even or odd state every linear problem splits into an even and an
+odd reflection sector of about n/2 unknowns, and the Jacobian is assembled
+directly on one: Newton, the corrector and the tangent solve in the state's
+own sector, the pitchfork test in the other.  The state stays a grid array,
+exactly even or odd.
 """
 
 from __future__ import annotations
@@ -70,12 +76,86 @@ class NewtonError(ContinuationError):
         self.trivial = trivial
 
 
+@dataclass(frozen=True)
+class ReflectionSector:
+    """Even or odd reflection subspace of the symmetric grid.
+
+    Its orthonormal coordinate basis B pairs x_i with x_{n-1-i}, columns
+    (e_i +- e_{n-1-i}) / sqrt(2) for i < n // 2, plus the centre e_{n // 2}
+    in the even sector.  Restriction and lifting work by index, without
+    forming B.
+    """
+
+    parity: str
+    n: int
+
+    def fold(self, matrix: np.ndarray) -> np.ndarray:
+        """B.T @ matrix @ B.
+
+        Entry (i, j) with i, j < n // 2 is (M[i,j] +- M[i,n-1-j] +- M[n-1-i,j]
+        + M[n-1-i,n-1-j]) / 2; the even sector adds the centre row and column.
+        """
+        m = self.n // 2
+        sign = 1.0 if self.parity == "even" else -1.0
+        rows = matrix[:m] + sign * matrix[::-1][:m]
+        core = 0.5 * (rows[:, :m] + sign * rows[:, ::-1][:, :m])
+        if self.parity == "odd":
+            return core
+        inv = math.sqrt(0.5)
+        column = inv * rows[:, m:m + 1]
+        row = inv * (matrix[m:m + 1, :m] + matrix[m:m + 1, ::-1][:, :m])
+        return np.block([[core, column], [row, matrix[m:m + 1, m:m + 1]]])
+
+    def restrict(self, vector: np.ndarray) -> np.ndarray:
+        """B.T @ vector: grid values to sector coordinates, the transpose of lift."""
+        m = self.n // 2
+        sign = 1.0 if self.parity == "even" else -1.0
+        out = math.sqrt(0.5) * (vector[:m] + sign * vector[::-1][:m])
+        if self.parity == "even":
+            out = np.append(out, vector[m])
+        return out
+
+    def lift(self, vector: np.ndarray) -> np.ndarray:
+        """B @ vector: sector coordinates back to grid values, exact mirror images."""
+        m = self.n // 2
+        sign = 1.0 if self.parity == "even" else -1.0
+        half = math.sqrt(0.5) * vector[:m]
+        out = np.zeros(self.n, dtype=vector.dtype)
+        out[:m] = half
+        out[self.n - m:] = sign * half[::-1]
+        if self.parity == "even":
+            out[m] = vector[m]
+        return out
+
+    def project(self, vector: np.ndarray) -> np.ndarray:
+        """B @ B.T @ vector, the component of this parity; exact on a member."""
+        sign = 1.0 if self.parity == "even" else -1.0
+        return 0.5 * (vector + sign * reflect(vector))
+
+
+def reflection_sectors(
+    grid: Grid, symmetry: str
+) -> tuple[ReflectionSector, ReflectionSector]:
+    """(parent, breaking) sectors of an even or odd state.
+
+    The parent sector has the state's own parity; a pitchfork adds a
+    component of the other one.
+    """
+    n = grid.n_points
+    if symmetry == SYMMETRIC:
+        return ReflectionSector("even", n), ReflectionSector("odd", n)
+    if symmetry == ANTISYMMETRIC:
+        return ReflectionSector("odd", n), ReflectionSector("even", n)
+    raise ContinuationError(f"reflection sectors need an even or odd parent, got {symmetry}")
+
+
 class StationaryProblem:
     """Grid, potential, kernel and signs with cached dense operators.
 
-    The tridiagonal linear operator and the quadrature kernel matrix are
-    built once; residuals use the FFT convolution plan and Jacobians use the
-    dense matrix.
+    The quadrature kernel matrix and the dense linear operator are built
+    once and folded onto both reflection sectors; the whole-grid Jacobian
+    keeps the kernel matrix and rebuilds its linear part from the tridiagonal
+    form.  Residuals use the FFT convolution plan.
     """
 
     def __init__(self, grid: Grid, potential: PotentialParams, kernel: Kernel, s: int, delta: int):
@@ -87,9 +167,27 @@ class StationaryProblem:
         self.s = s
         self.delta = delta
         self.operator = discretize_operator(grid, potential)
-        self._dense_l = self.operator.to_dense()
         self._k = kernel_matrix(kernel, grid)
         self._plan = ConvolutionPlan(kernel, grid)
+        even, odd = ReflectionSector("even", grid.n_points), ReflectionSector("odd", grid.n_points)
+        m = grid.n_points // 2
+        dense_l = self.operator.to_dense()
+        # The folds of L and K onto both sectors, the odd ones in the leading
+        # m x m corner. One block, not four arrays: malloc gives a block this
+        # size its own mapping, while four 0.3 MiB arrays fragment the heap
+        # (2 MiB more peak memory over a mu-walk and an evolution).
+        folds = np.zeros((4, m + 1, m + 1))
+        folds[0] = even.fold(dense_l)
+        folds[1, :m, :m] = odd.fold(dense_l)
+        folds[2] = even.fold(self._k)
+        folds[3, :m, :m] = odd.fold(self._k)
+        self._sector_l = {"even": folds[0], "odd": folds[1, :m, :m]}
+        # The exchange term of a psi with parity maps sector S onto the sector
+        # of parity S * psi, so its fold takes K folded onto that image sector,
+        # keyed here by (S, parity of psi).  An odd psi vanishes at the centre,
+        # which only the even sector has: that row and column stay zero.
+        self._sector_k = {("even", "even"): folds[2], ("odd", "even"): folds[3, :m, :m],
+                          ("even", "odd"): folds[3], ("odd", "odd"): folds[2, :m, :m]}
 
     def nonlinear_potential(self, psi: np.ndarray) -> np.ndarray:
         """Pointwise R * (s psi^2 + delta psi^4) for a real profile."""
@@ -103,7 +201,9 @@ class StationaryProblem:
         psi = np.asarray(psi, dtype=float)
         return self.operator.matvec(psi.copy()) - mu * psi + self.nonlinear_potential(psi) * psi
 
-    def linearization(self, psi: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    def linearization(
+        self, psi: np.ndarray, mu: float, sector: ReflectionSector | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Local part Ld and dense Frechet derivative Lplus at a real state.
 
         Ld = L - mu + diag(R * (s psi^2 + delta psi^4)). Besides this local
@@ -111,19 +211,35 @@ class StationaryProblem:
         psi_i K[i,j] (2 s psi_j + 4 delta psi_j^3), which is not symmetric;
         downstream eigen/determinant logic must not assume symmetry. Newton
         uses Lplus, the linear stability analysis both.
+
+        Given a reflection sector, psi must be even or odd (its parity is the
+        sign of <psi, reflect(psi)>) and both blocks come in the sector's
+        coordinates, B.T Ld B and B.T Lplus B.  Every diagonal factor is even
+        or odd, so they are assembled from the folds made at construction and
+        the sector's half of the grid values, without an n x n matrix.
         """
         psi = np.asarray(psi, dtype=float)
-        local = self._dense_l.copy()
-        local.flat[:: self.grid.n_points + 1] += self.nonlinear_potential(psi) - mu
+        potential = self.nonlinear_potential(psi) - mu
         weight = 2.0 * self.s * psi + 4.0 * self.delta * psi**3
-        jac = self._k * weight
-        jac *= psi[:, None]
+        if sector is None:
+            local, kernel = self.operator.to_dense(), self._k
+        else:
+            m = self.grid.n_points // 2
+            parity = "odd" if psi[:m] @ reflect(psi)[:m] < 0 else "even"
+            local = self._sector_l[sector.parity].copy()
+            kernel = self._sector_k[sector.parity, parity]
+        size = len(local)
+        local.flat[:: size + 1] += potential[:size]
+        jac = kernel * weight[:size]
+        jac *= psi[:size, None]
         jac += local
         return local, jac
 
-    def jacobian(self, psi: np.ndarray, mu: float) -> np.ndarray:
+    def jacobian(
+        self, psi: np.ndarray, mu: float, sector: ReflectionSector | None = None
+    ) -> np.ndarray:
         """Lplus of `linearization`: the Newton matrix."""
-        return self.linearization(psi, mu)[1]
+        return self.linearization(psi, mu, sector)[1]
 
     def norm(self, psi: np.ndarray) -> float:
         return self.grid.norm_sq(np.asarray(psi))
@@ -153,7 +269,7 @@ class StationaryState:
     norm: float
     symmetry: str
     residual: float
-    newton_iterations: int = 0  # steps of the fixed-mu Newton solve behind it
+    newton_iterations: int = 0  # steps of the Newton or branch-switching solve behind it
 
 
 @dataclass(frozen=True)
@@ -251,6 +367,8 @@ def newton_solve(
     trivial=True when the iteration lands on the zero solution. The first
     step may raise the residual, since a guess can start off the solution
     manifold; a rise after any later step stops the solve as diverging.
+    An even or odd guess is solved in its own reflection sector (see
+    `_own_sector`), so the state comes out exactly even or odd.
     """
     settings = settings or NewtonSettings()
     psi = np.array(np.real(guess), dtype=float)
@@ -258,6 +376,7 @@ def newton_solve(
         raise ContinuationError(
             f"guess has shape {psi.shape}, expected ({problem.grid.n_points},)"
         )
+    sector, psi = _own_sector(problem.grid, psi)
     history: list[float] = []
     for _ in range(settings.max_iter + 1):
         r = problem.residual(psi, mu)
@@ -280,7 +399,8 @@ def newton_solve(
                 f"Newton diverging at mu={mu:.6g} (residuals {history[-2]:.3g} -> {rn:.3g})",
                 history,
             )
-        psi += np.linalg.solve(problem.jacobian(psi, mu), -r)
+        step = np.linalg.solve(problem.jacobian(psi, mu, sector), -_restrict(sector, r))
+        psi += _lift(sector, step)
     raise NewtonError(
         f"Newton did not reach {settings.tol:g} within {settings.max_iter} iterations "
         f"at mu={mu:.6g} (residuals {history[0]:.3g} -> {history[-1]:.3g})",
@@ -324,13 +444,36 @@ def _weighted_dot(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
     return float(grid.integrate(f * g))
 
 
+def _own_sector(grid: Grid, psi: np.ndarray) -> tuple[ReflectionSector | None, np.ndarray]:
+    """The reflection sector a solve from psi runs in, and psi projected onto it.
+
+    An even or odd psi (by `classify_symmetry`) keeps its parity, so each step
+    solves on that sector and is lifted back as exact mirror images; a psi
+    without parity gets None, the whole grid.
+    """
+    symmetry = classify_symmetry(grid, psi)
+    if symmetry == ASYMMETRIC:
+        return None, psi
+    sector = reflection_sectors(grid, symmetry)[0]
+    return sector, sector.project(psi)
+
+
+def _restrict(sector: ReflectionSector | None, vector: np.ndarray) -> np.ndarray:
+    return vector if sector is None else sector.restrict(vector)
+
+
+def _lift(sector: ReflectionSector | None, vector: np.ndarray) -> np.ndarray:
+    return vector if sector is None else sector.lift(vector)
+
+
 def _tangent_from_jacobian(
     problem: StationaryProblem, state: StationaryState, direction: int
 ) -> tuple[np.ndarray, float]:
     """Unit tangent (t_psi, t_mu) of the solution curve, oriented by dmu sign."""
-    psi = state.psi
+    sector, psi = _own_sector(problem.grid, state.psi)
     # dF/dmu = -psi, so the mu-derivative of the profile solves J dpsi = psi.
-    dpsi = np.linalg.solve(problem.jacobian(psi, state.mu), psi)
+    dpsi = _lift(sector, np.linalg.solve(problem.jacobian(psi, state.mu, sector),
+                                         _restrict(sector, psi)))
     scale = math.sqrt(problem.grid.norm_sq(dpsi) + 1.0)
     t_psi, t_mu = dpsi / scale, 1.0 / scale
     if direction * t_mu < 0:
@@ -350,11 +493,15 @@ def _corrector(
 
     The constraint <t_psi, psi - psi_pred> + t_mu (mu - mu_pred) = 0 is
     anchored at the predictor passed in via (psi, mu), so its initial value is
-    zero and stays in the hyperplane through the predictor.
+    zero and stays in the hyperplane through the predictor. Like
+    `newton_solve`, it runs in the reflection sector of an even or odd
+    predictor.
     """
     grid = problem.grid
-    n = grid.n_points
+    sector, psi = _own_sector(grid, psi)
     psi_pred, mu_pred = psi.copy(), mu
+    border = _restrict(sector, t_psi * grid.weights)
+    n = len(border)
     bordered = np.empty((n + 1, n + 1))
     rhs = np.empty(n + 1)
     for iteration in range(settings.max_iter + 1):
@@ -367,26 +514,18 @@ def _corrector(
             return psi, mu, iteration
         if iteration == settings.max_iter:
             break
-        bordered[:n, :n] = problem.jacobian(psi, mu)
-        bordered[:n, n] = -psi
-        bordered[n, :n] = t_psi * grid.weights
+        bordered[:n, :n] = problem.jacobian(psi, mu, sector)
+        bordered[:n, n] = -_restrict(sector, psi)
+        bordered[n, :n] = border
         bordered[n, n] = t_mu
-        rhs[:n] = -r
+        rhs[:n] = -_restrict(sector, r)
         rhs[n] = -g
         step = np.linalg.solve(bordered, rhs)
-        psi = psi + step[:n]
+        psi = psi + _lift(sector, step[:n])
         mu = mu + step[n]
     raise NewtonError(
         f"arclength corrector stalled at mu={mu:.6g} (last residual {rn:.3g})", []
     )
-
-
-def _asymmetry_part(psi: np.ndarray, parent_parity: str) -> np.ndarray:
-    """Component of psi with the parity the parent branch does not have."""
-    mirrored = reflect(psi)
-    if parent_parity == "even":
-        return 0.5 * (psi - mirrored)
-    return 0.5 * (psi + mirrored)
 
 
 class _MergeTracker:
@@ -401,13 +540,13 @@ class _MergeTracker:
     def __init__(self, grid: Grid, seed: StationaryState):
         r_even, r_odd = parity_residuals(grid, seed.psi)
         self.grid = grid
-        self.parent_parity = "even" if r_even < r_odd else "odd"
-        witness = _asymmetry_part(seed.psi, self.parent_parity)
+        self.breaking = ReflectionSector("odd" if r_even < r_odd else "even", grid.n_points)
+        witness = self.breaking.project(seed.psi)
         self.witness = witness / math.sqrt(grid.norm_sq(witness))
         self.last_sign = 1.0
 
     def projection(self, psi: np.ndarray) -> float:
-        return _weighted_dot(self.grid, _asymmetry_part(psi, self.parent_parity), self.witness)
+        return _weighted_dot(self.grid, self.breaking.project(psi), self.witness)
 
     def side(self, state: StationaryState) -> float:
         return math.copysign(1.0, self.projection(state.psi))
@@ -502,79 +641,10 @@ def continue_branch(
 # --- pitchfork detection --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReflectionSector:
-    """Even or odd reflection subspace of the symmetric grid.
-
-    Its orthonormal coordinate basis B pairs x_i with x_{n-1-i}, columns
-    (e_i +- e_{n-1-i}) / sqrt(2) for i < n // 2, plus the centre e_{n // 2}
-    in the even sector.  Restriction and lifting work by index, without
-    forming B.
-    """
-
-    parity: str
-    n: int
-
-    def fold(self, matrix: np.ndarray) -> np.ndarray:
-        """B.T @ matrix @ B.
-
-        Entry (i, j) with i, j < n // 2 is (M[i,j] +- M[i,n-1-j] +- M[n-1-i,j]
-        + M[n-1-i,n-1-j]) / 2; the even sector adds the centre row and column.
-        """
-        m = self.n // 2
-        sign = 1.0 if self.parity == "even" else -1.0
-        rows = matrix[:m] + sign * matrix[::-1][:m]
-        core = 0.5 * (rows[:, :m] + sign * rows[:, ::-1][:, :m])
-        if self.parity == "odd":
-            return core
-        inv = math.sqrt(0.5)
-        column = inv * rows[:, m:m + 1]
-        row = inv * (matrix[m:m + 1, :m] + matrix[m:m + 1, ::-1][:, :m])
-        return np.block([[core, column], [row, matrix[m:m + 1, m:m + 1]]])
-
-    def restrict(self, vector: np.ndarray) -> np.ndarray:
-        """B.T @ vector: grid values to sector coordinates, the transpose of lift."""
-        m = self.n // 2
-        sign = 1.0 if self.parity == "even" else -1.0
-        out = math.sqrt(0.5) * (vector[:m] + sign * vector[::-1][:m])
-        if self.parity == "even":
-            out = np.append(out, vector[m])
-        return out
-
-    def lift(self, vector: np.ndarray) -> np.ndarray:
-        """B @ vector: sector coordinates back to grid values."""
-        m = self.n // 2
-        sign = 1.0 if self.parity == "even" else -1.0
-        half = math.sqrt(0.5) * vector[:m]
-        out = np.zeros(self.n, dtype=vector.dtype)
-        out[:m] = half
-        out[self.n - m:] = sign * half[::-1]
-        if self.parity == "even":
-            out[m] = vector[m]
-        return out
-
-
-def reflection_sectors(
-    grid: Grid, symmetry: str
-) -> tuple[ReflectionSector, ReflectionSector]:
-    """(parent, breaking) sectors of an even or odd state.
-
-    The parent sector has the state's own parity; a pitchfork adds a
-    component of the other one.
-    """
-    n = grid.n_points
-    if symmetry == SYMMETRIC:
-        return ReflectionSector("even", n), ReflectionSector("odd", n)
-    if symmetry == ANTISYMMETRIC:
-        return ReflectionSector("odd", n), ReflectionSector("even", n)
-    raise ContinuationError(f"reflection sectors need an even or odd parent, got {symmetry}")
-
-
 def _restricted_detsign(
     problem: StationaryProblem, state: StationaryState, sector: ReflectionSector
 ) -> float:
-    jac = problem.jacobian(state.psi, state.mu)
-    sign, _ = np.linalg.slogdet(sector.fold(jac))
+    sign, _ = np.linalg.slogdet(problem.jacobian(state.psi, state.mu, sector))
     return sign
 
 
@@ -667,8 +737,7 @@ def detect_pitchfork(
         if sign_a == 0.0 or sign_a * sign_b >= 0:
             continue
         critical, steps = _bisect(problem, a, b, side, settings)
-        jac = problem.jacobian(critical.psi, critical.mu)
-        eigvals, eigvecs = np.linalg.eig(breaking.fold(jac))
+        eigvals, eigvecs = np.linalg.eig(problem.jacobian(critical.psi, critical.mu, breaking))
         idx = int(np.argmin(np.abs(eigvals)))
         direction = breaking.lift(np.real(eigvecs[:, idx]))
         direction /= math.sqrt(problem.grid.norm_sq(direction))
@@ -700,8 +769,8 @@ def seed_daughter(
     settings = settings or NewtonSettings()
     parent, phi = pitchfork.state, pitchfork.direction
     guess = parent.psi + _SWITCH_AMPLITUDE * math.sqrt(parent.norm) * phi
-    psi, mu, _ = _corrector(problem, guess, parent.mu, phi, 0.0, settings)
-    state = make_state(problem, psi, mu)
+    psi, mu, iterations = _corrector(problem, guess, parent.mu, phi, 0.0, settings)
+    state = replace(make_state(problem, psi, mu), newton_iterations=iterations)
     if state.symmetry != ASYMMETRIC:
         raise ContinuationError(
             f"branch switching at the pitchfork mu={parent.mu:.6g} landed on a "

@@ -85,10 +85,6 @@ class OverlapSet:
     def eta4(self) -> float:
         return float(self.values[4])
 
-    @property
-    def sigma(self) -> float:
-        return self.kernel.range_
-
 
 def _factor_pairs(basis: LinearBasis):
     """(f, g) integrand factors for eta0..eta11: eta = Int g * (R * f)."""

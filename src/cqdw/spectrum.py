@@ -17,7 +17,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .discretization import (
-    DiscretizationError,
     Grid,
     PotentialParams,
     potential_profile,
@@ -44,25 +43,18 @@ class TridiagonalOperator:
         return out
 
     def to_dense(self) -> np.ndarray:
-        return (
-            np.diag(self.diagonal)
-            + np.diag(self.off_diagonal, 1)
-            + np.diag(self.off_diagonal, -1)
-        )
+        n = len(self.diagonal)
+        out = np.zeros((n, n))
+        out.flat[:: n + 1] = self.diagonal
+        out.flat[1:: n + 1] = self.off_diagonal
+        out.flat[n:: n + 1] = self.off_diagonal
+        return out
 
 
-def discretize_operator(grid: Grid, potential) -> TridiagonalOperator:
-    """Build the tridiagonal operator from PotentialParams or sampled values."""
-    if isinstance(potential, PotentialParams):
-        v = potential_profile(grid, potential)
-    else:
-        v = np.asarray(potential, dtype=float)
-        if v.shape != (grid.n_points,):
-            raise DiscretizationError(
-                f"potential values have shape {v.shape}, expected ({grid.n_points},)"
-            )
+def discretize_operator(grid: Grid, potential: PotentialParams) -> TridiagonalOperator:
+    """Build the tridiagonal operator of the double-well potential on the grid."""
     dx2 = grid.spacing**2
-    diagonal = 1.0 / dx2 + v
+    diagonal = 1.0 / dx2 + potential_profile(grid, potential)
     off_diagonal = np.full(grid.n_points - 1, -0.5 / dx2)
     return TridiagonalOperator(grid=grid, diagonal=diagonal, off_diagonal=off_diagonal)
 

@@ -43,13 +43,15 @@ Exactly one l^2 = 0 goes as long as <psi0, Lplus^-1 psi0>, proportional to
 dN/dmu, is nonzero: away from a fold.
 
 When psi0 is even or odd, each matrix splits into an even and an odd
-reflection sector, restricted by an index fold.  psi0 lives in the parent
-sector, of its own parity, which is deflated.  The breaking sector carries
-every pitchfork instability and, away from a pitchfork, no zero mode, so it
-is not deflated; right at a pitchfork its critical root carries noise of
-about sqrt(eps) ||L||.  A state without parity is deflated on the whole grid,
-and the vacuum, which has no phase mode, nowhere.  `solve_bdg` and
-`dominant_unstable_mode` share this one route.
+reflection sector, and `StationaryProblem.linearization` assembles Ld and
+Lplus directly in each sector's coordinates, the blocks Newton uses.
+psi0 lives in the parent sector, of its own parity, which is deflated.  The
+breaking sector carries every pitchfork instability and, away from a
+pitchfork, no zero mode, so it is not deflated; right at a pitchfork its
+critical root carries noise of about sqrt(eps) ||L||.  A state without
+parity is deflated on the whole grid, and the vacuum, which has no phase
+mode, nowhere.  `solve_bdg` and `dominant_unstable_mode` share this one
+route.
 """
 
 from __future__ import annotations
@@ -76,19 +78,21 @@ class StabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class BdGOperator:
-    """Dense real blocks Ld and Lplus of the linearization around one state."""
+    """Dense real blocks Ld and Lplus of the linearization around one state.
 
-    grid: Grid
+    `blocks` holds (sector, Ld, Lplus) in that sector's coordinates: for an
+    even or odd state the parent sector first, then the breaking one; for a
+    state without parity one entry on the whole grid, with sector None.
+    """
+
+    problem: StationaryProblem
     psi: np.ndarray
     mu: float
-    l_minus: np.ndarray
-    l_plus: np.ndarray
+    blocks: tuple[tuple[ReflectionSector | None, np.ndarray, np.ndarray], ...]
 
-    def restricted(self, sector: ReflectionSector | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(Ld, Lplus), folded onto a reflection sector when one is given."""
-        if sector is None:
-            return self.l_minus, self.l_plus
-        return sector.fold(self.l_minus), sector.fold(self.l_plus)
+    @property
+    def grid(self) -> Grid:
+        return self.problem.grid
 
 
 @dataclass(frozen=True)
@@ -102,26 +106,34 @@ class _ProductForm:
 
     sector: ReflectionSector | None
     matrix: np.ndarray
+    l_plus: np.ndarray
     reflector: np.ndarray | None = None
     zero_sq: float | None = None
 
-    def lift(self, vector: np.ndarray) -> np.ndarray:
-        """Eigenvector of matrix back to grid values, through Q and the sector."""
+    def eigenpair(self, vector: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+        """(p, q) on the grid from an eigenvector of matrix with root l.
+
+        p comes back through Q, q = -Lplus p / l is formed on the sector, and
+        both are lifted through the sector.
+        """
         if self.reflector is not None:
             v = self.reflector
             vector = np.concatenate([[0.0], vector])
             vector = vector - (2.0 * (v @ vector) / (v @ v)) * v
-        return vector if self.sector is None else self.sector.lift(vector)
+        q = -(self.l_plus @ vector) / lam
+        if self.sector is None:
+            return vector, q
+        return self.sector.lift(vector), self.sector.lift(q)
 
 
 def _product_form(
-    operator: BdGOperator, sector: ReflectionSector | None, psi: np.ndarray | None
+    sector: ReflectionSector | None, ld: np.ndarray, l_plus: np.ndarray,
+    psi: np.ndarray | None,
 ) -> _ProductForm:
     """Ld Lplus of one sector, deflated of psi (its sector coordinates) if given."""
-    ld, l_plus = operator.restricted(sector)
     matrix = ld @ l_plus
     if psi is None or not psi.any():
-        return _ProductForm(sector, matrix)
+        return _ProductForm(sector, matrix, l_plus)
     norm_sq = float(psi @ psi)
     zero_sq = -float((ld @ psi) @ (l_plus @ psi)) / norm_sq
     # Q's first column is -+psi / |psi|; the sign avoids cancellation in v.
@@ -130,23 +142,21 @@ def _product_form(
     tau = 2.0 / float(v @ v)
     matrix -= tau * np.outer(v, v @ matrix)
     matrix -= tau * np.outer(matrix @ v, v)
-    return _ProductForm(sector, matrix[1:, 1:], v, zero_sq)
+    return _ProductForm(sector, matrix[1:, 1:], l_plus, v, zero_sq)
 
 
 def _product_forms(operator: BdGOperator) -> list[_ProductForm]:
-    """The product form of both reflection sectors, or of the whole grid.
+    """The product form of each block: both reflection sectors, or the whole grid.
 
     Reflection commutes with Ld and Lplus exactly when psi0 is even or odd (a
     zero profile counts as even), and the spectrum is then the union of the
-    two sectors.  psi0 is deflated where it lives: in the parent sector, or
-    on the whole grid when it has no parity.
+    two sectors.  psi0 is deflated where it lives: in the parent sector, the
+    first block, or on the whole grid when it has no parity.
     """
-    symmetry = classify_symmetry(operator.grid, operator.psi)
-    if symmetry == ASYMMETRIC:
-        return [_product_form(operator, None, operator.psi)]
-    parent, breaking = reflection_sectors(operator.grid, symmetry)
-    return [_product_form(operator, parent, parent.restrict(operator.psi)),
-            _product_form(operator, breaking, None)]
+    (sector, ld, l_plus), *breaking = operator.blocks
+    psi = operator.psi if sector is None else sector.restrict(operator.psi)
+    return [_product_form(sector, ld, l_plus, psi),
+            *(_product_form(*block, None) for block in breaking)]
 
 
 @dataclass(frozen=True)
@@ -203,9 +213,11 @@ def build_bdg(problem: StationaryProblem, state: StationaryState) -> BdGOperator
             f"state is not converged: residual {state.residual:.3e} exceeds "
             f"{CONVERGED_RESIDUAL:.1e}")
     state = _polish(problem, state)
-    l_minus, l_plus = problem.linearization(state.psi, state.mu)
-    return BdGOperator(grid=problem.grid, psi=state.psi, mu=state.mu,
-                       l_minus=l_minus, l_plus=l_plus)
+    symmetry = classify_symmetry(problem.grid, state.psi)
+    sectors = (None,) if symmetry == ASYMMETRIC else reflection_sectors(problem.grid, symmetry)
+    blocks = tuple((sector, *problem.linearization(state.psi, state.mu, sector))
+                   for sector in sectors)
+    return BdGOperator(problem=problem, psi=state.psi, mu=state.mu, blocks=blocks)
 
 
 def solve_bdg(
@@ -243,7 +255,7 @@ def _dominant_eigenpair(
     l p = Ld q and l q = -Lplus p.  The winner comes from the same product
     forms as `solve_bdg`; the deflated phase zero pair is no growing mode and
     takes no part.  p comes from inverse iteration on the winner's matrix,
-    lifted through Q and its sector, and q = -Lplus p / l.
+    and `_ProductForm.eigenpair` forms q = -Lplus p / l and lifts both.
     """
     best = None
     for form in _product_forms(operator):
@@ -266,8 +278,8 @@ def _dominant_eigenpair(
     for _ in range(2):
         vector = np.linalg.solve(shifted, vector)
         vector /= np.linalg.norm(vector)
-    p = form.lift(vector)
-    return complex(lam), p, -(operator.l_plus @ p) / lam
+    p, q = form.eigenpair(vector, lam)
+    return complex(lam), p, q
 
 
 def dominant_unstable_mode(

@@ -3,7 +3,9 @@
 M = [[L1, L2], [-L2, -L1]] with L1 = Ld + X, L2 = X and X = (Lplus - Ld) / 2
 has spectrum i l.  Diagonalized directly it takes no square root and inserts
 no zero pair, so it checks the deflated product form of `cqdw.stability`
-from outside.
+from outside.  Its blocks are assembled on the whole grid, and folded onto
+a reflection sector only on request, so they also check the sector assembly
+that `cqdw.stability` solves on.
 """
 
 import numpy as np
@@ -12,14 +14,22 @@ from cqdw.continuation import classify_symmetry, reflection_sectors
 from cqdw.twomode import ASYMMETRIC
 
 
+def full_blocks(op) -> tuple[np.ndarray, np.ndarray]:
+    """(Ld, Lplus) of the operator's state, assembled on the whole grid."""
+    return op.problem.linearization(op.psi, op.mu)
+
+
 def exchange_block(op) -> np.ndarray:
     """X, the nonlocal exchange block."""
-    return 0.5 * (op.l_plus - op.l_minus)
+    ld, l_plus = full_blocks(op)
+    return 0.5 * (l_plus - ld)
 
 
 def block(op, sector=None) -> np.ndarray:
     """M on the whole grid, or folded onto one reflection sector."""
-    ld, l_plus = op.restricted(sector)
+    ld, l_plus = full_blocks(op)
+    if sector is not None:
+        ld, l_plus = sector.fold(ld), sector.fold(l_plus)
     x = 0.5 * (l_plus - ld)
     l1 = ld + x
     return np.block([[l1, x], [-x, -l1]])

@@ -122,8 +122,17 @@ def test_continue_finds_pitchfork_and_daughter(tmp_path):
     assert families == {"anti", "asym-anti"}
     manifest = json.loads((out / "manifest.json").read_text())
     assert abs(manifest["quantities"]["anti_ssb_mu"] - 0.168565) < 1e-4
-    assert manifest["counters"]["pitchfork_bisections_anti"] >= 1
-    assert manifest["counters"]["pitchfork_bisections_asym-anti"] == 0
+    counters = manifest["counters"]
+    assert set(counters) == {
+        f"{name}_{family}"
+        for name in ("newton_iterations", "corrector_iterations", "rejected_steps",
+                     "pitchfork_bisections")
+        for family in ("anti", "asym-anti")
+    }
+    assert counters["newton_iterations_anti"] >= 1  # the seed solve
+    assert counters["newton_iterations_asym-anti"] >= 1  # the branch switch
+    assert counters["pitchfork_bisections_anti"] >= 1
+    assert counters["pitchfork_bisections_asym-anti"] == 0
     # past the pitchfork the parent is unstable, the daughter is not
     unstable = [r for r in rows[1:] if r[2] == "anti" and float(r[0]) > 0.175]
     assert unstable and all(int(r[3]) >= 1 for r in unstable)

@@ -17,6 +17,7 @@ from cqdw.continuation import (
     ContinuationSettings,
     NewtonError,
     NewtonSettings,
+    ReflectionSector,
     StationaryProblem,
     classify_symmetry,
     continue_branch,
@@ -123,6 +124,20 @@ def test_jacobian_matches_finite_differences(grid, kernel):
         assert np.max(np.abs(jac @ direction - fd)) <= 1e-6
 
 
+@pytest.mark.parametrize("family", ["sym", "anti"])
+def test_sector_linearization_matches_fold(branch_suite, family):
+    # Assembled from the folds made at construction, each sector block must
+    # equal the fold of the whole-grid blocks, for either parity of psi.
+    problem = branch_suite["sigma1"]["problem"]
+    state = min(branch_suite["sigma1"][family].states, key=lambda s: abs(s.norm - 2.0))
+    l_minus, l_plus = problem.linearization(state.psi, state.mu)
+    for parity in ("even", "odd"):
+        sector = ReflectionSector(parity, problem.grid.n_points)
+        ld, lp = problem.linearization(state.psi, state.mu, sector)
+        assert np.abs(ld - sector.fold(l_minus)).max() <= 1e-12
+        assert np.abs(lp - sector.fold(l_plus)).max() <= 1e-12
+
+
 def test_sign_arguments_validated(grid):
     kernel = Kernel(GAUSSIAN, 1.0)
     with pytest.raises(ContinuationError, match="signs"):
@@ -202,14 +217,35 @@ def test_daughter_seed_jacobian_budget(branch_suite, monkeypatch):
     calls = []
     jacobian = StationaryProblem.jacobian
 
-    def counted(self, psi, mu):
+    def counted(self, psi, mu, sector=None):
         calls.append(mu)
-        return jacobian(self, psi, mu)
+        return jacobian(self, psi, mu, sector)
 
     monkeypatch.setattr(StationaryProblem, "jacobian", counted)
     state = seed_daughter(entry["problem"], entry["sym_pitchforks"][0])
     assert state.symmetry == ASYMMETRIC
     assert len(calls) <= 5
+
+
+def test_parent_trace_assembles_no_whole_grid_jacobian(branch_suite, basis, monkeypatch):
+    # Seed, arclength steps, tangent, pitchfork test and its bisection all
+    # solve an even parent in its reflection sectors.
+    entry = branch_suite["sigma1"]
+    problem = entry["problem"]
+    sizes = []
+    jacobian = StationaryProblem.jacobian
+
+    def recorded(self, psi, mu, sector=None):
+        jac = jacobian(self, psi, mu, sector)
+        sizes.append(len(jac))
+        return jac
+
+    monkeypatch.setattr(StationaryProblem, "jacobian", recorded)
+    seed = seed_from_mode(problem, basis.u0, basis.omega0, delta_mu=0.005)
+    branch = continue_branch(problem, seed, entry["settings"])
+    assert len(detect_pitchfork(problem, branch)) == 1
+    assert len(sizes) > len(branch.states)
+    assert max(sizes) <= problem.grid.n_points // 2 + 1
 
 
 def test_daughter_seed_rejects_a_definite_parity_landing(branch_suite):
@@ -293,6 +329,14 @@ def test_every_branch_state_is_converged(branch_suite):
             branch = branch_suite[key][name]
             assert all(s.residual <= 1e-10 for s in branch.states)
             assert all(s.symmetry == branch.states[0].symmetry for s in branch.states)
+
+
+def test_parent_states_are_exactly_even_or_odd(branch_suite):
+    # The sector solves lift every step as exact mirror images.
+    for entry in branch_suite.values():
+        for name, sign in (("sym", 1.0), ("anti", -1.0)):
+            states = entry[name].states + [pf.state for pf in entry[f"{name}_pitchforks"]]
+            assert all(np.array_equal(s.psi, sign * s.psi[::-1]) for s in states)
 
 
 def test_antisymmetric_branch_bends_rightward_at_small_norm(branch_suite):

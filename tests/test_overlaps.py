@@ -208,7 +208,6 @@ def test_recompute_thresholds_matches_table(basis):
 
 
 def test_overlap_set_accessors(overlaps_sigma1):
-    assert overlaps_sigma1.sigma == pytest.approx(1.0)
     assert overlaps_sigma1.kernel.family == GAUSSIAN
     assert overlaps_sigma1[0] == overlaps_sigma1.eta0
     assert overlaps_sigma1[4] == overlaps_sigma1.eta4

@@ -1,4 +1,9 @@
-"""Static checks on the package source that no runtime test would notice."""
+"""Static checks on the package source that no runtime test would notice.
+
+The member check matches attributes by name only, whatever the object: a
+method or property counts as reached when any reaching file reads an
+attribute of that name, even on an unrelated object.
+"""
 
 import ast
 from collections import Counter

@@ -14,7 +14,7 @@ from cqdw.stability import (
 )
 from cqdw.twomode import ANTISYMMETRIC, ModeParams, TwoModeState, critical_norms, fixed_point_stability
 
-from bdg_reference import block, block_spectrum, exchange_block, quartet_defect
+from bdg_reference import block, block_spectrum, exchange_block, full_blocks, quartet_defect
 
 # Event locations frozen from the continuation suite (sigma = 0.1 scan):
 # the antisymmetric parent breaks symmetry at N = 0.1398, restores it at
@@ -75,6 +75,7 @@ def test_entries_match_direct_quadrature(bdg_mid):
     x, dx = grid.points, grid.spacing
     psi = op.psi
     x_block = exchange_block(op)
+    l_minus, _ = full_blocks(op)
     dense_l = problem.operator.to_dense()
     for i in range(0, grid.n_points, 37):
         row = kernel_eval(problem.kernel, x[i] - x) * dx
@@ -83,16 +84,19 @@ def test_entries_match_direct_quadrature(bdg_mid):
         assert np.abs(x_block[i] - exchange).max() <= 1e-10
         local = dense_l[i].copy()
         local[i] += -op.mu + problem.s * row @ psi**2 + problem.delta * row @ psi**4
-        assert np.abs(op.l_minus[i] - local).max() <= 1e-10
-        assert np.abs(op.l_minus[i] + x_block[i] - (local + exchange)).max() <= 1e-10
+        assert np.abs(l_minus[i] - local).max() <= 1e-10
+        assert np.abs(l_minus[i] + x_block[i] - (local + exchange)).max() <= 1e-10
 
 
 def test_sum_block_equals_newton_jacobian(bdg_mid):
-    # The u-equation operator Ld + 2X must coincide with the continuation
-    # Jacobian; the two matrices are assembled by independent code paths.
+    # The u-equation operator Ld + 2X of each sector block must coincide with
+    # the fold of the whole-grid continuation Jacobian; the sector blocks are
+    # assembled from pre-folded matrices, not by folding.
     problem, state, op = bdg_mid
     jac = problem.jacobian(op.psi, op.mu)
-    assert np.abs(op.l_plus - jac).max() <= 1e-12
+    assert [sector.parity for sector, _, _ in op.blocks] == ["odd", "even"]
+    for sector, _, l_plus in op.blocks:
+        assert np.abs(l_plus - sector.fold(jac)).max() <= 1e-12
 
 
 def test_exchange_block_is_not_symmetric(bdg_mid):
@@ -466,8 +470,9 @@ def test_dominant_mode_is_an_eigenvector(entry01, ssb_daughter, bdg_mid, unstabl
         op = build_bdg(entry01["problem"], nearest_state(ssb_daughter[2], 4.33))
     lam, p, q = _dominant_eigenpair(op, 1e-6)
     assert (abs(lam.imag) > 0.1) == (name == "quartet")
-    assert np.linalg.norm(lam * p - op.l_minus @ q) <= 1e-8 * np.linalg.norm(lam * p)
-    assert np.linalg.norm(lam * q + op.l_plus @ p) <= 1e-8 * np.linalg.norm(lam * q)
+    l_minus, l_plus = full_blocks(op)
+    assert np.linalg.norm(lam * p - l_minus @ q) <= 1e-8 * np.linalg.norm(lam * p)
+    assert np.linalg.norm(lam * q + l_plus @ p) <= 1e-8 * np.linalg.norm(lam * q)
 
 
 def test_sweep_is_aligned(entry01, parent_sweeps):
