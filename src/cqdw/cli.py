@@ -32,6 +32,7 @@ from .config import (
     config_to_json,
     file_tag,
     load_config,
+    validate_config,
 )
 from .continuation import (
     ContinuationSettings,
@@ -72,7 +73,7 @@ from .overlaps import (
 )
 from .presets import PresetError, get_preset
 from .spectrum import default_basis
-from .stability import build_bdg, dominant_unstable_mode, solve_bdg, sweep_branch
+from .stability import build_bdg, dominant_unstable_mode, sweep_branch
 from .twomode import (
     ModeParams,
     TwoModeState,
@@ -445,8 +446,7 @@ def run_stability(config: RunConfig, out: Path, seed: int):
             states.extend(branch.states)
     rows = []
     spectra_payload = []
-    for state in states:
-        spectrum = solve_bdg(build_bdg(problem, state))
+    for state, spectrum in zip(states, sweep_branch(problem, states)):
         rows.append([state.mu, state.norm, spectrum.max_real_part, spectrum.unstable_count])
         if config.stability.full_spectra:
             spectra_payload.append(
@@ -599,9 +599,7 @@ RUNNERS = {
 
 def run_regress(preset_name: str, out: Path, seed_override):
     preset = get_preset(preset_name)
-    config = preset.config
-    if seed_override is not None:
-        config = replace(config, seed=seed_override)
+    config = _with_seed(preset.config, seed_override)
     artifacts_dir = out / "artifacts"
     artifacts_dir.mkdir(parents=True, exist_ok=True)
 
@@ -720,8 +718,17 @@ def _resolve_config(args) -> RunConfig:
         config = load_config(args.config)
     else:
         config = RunConfig()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    return _with_seed(config, args.seed)
+
+
+def _with_seed(config: RunConfig, seed) -> RunConfig:
+    """The config with a --seed override, validated as a config file is."""
+    if seed is None:
+        return config
+    config = replace(config, seed=seed)
+    problems = validate_config(config)
+    if problems:
+        raise ConfigError(problems)
     return config
 
 

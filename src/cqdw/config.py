@@ -237,6 +237,12 @@ def _tag_clashes(field: str, prefix: str, values) -> list[str]:
     return out
 
 
+def _whole_multiple(value: float, unit: float) -> bool:
+    """value = k * unit for a whole k >= 1, to within 1e-9."""
+    k = round(value / unit)
+    return k >= 1 and abs(k * unit - value) <= 1e-9
+
+
 def validate_config(config: RunConfig) -> list[str]:
     """All violated fields, empty when the configuration is sound."""
     p: list[str] = []
@@ -245,7 +251,7 @@ def validate_config(config: RunConfig) -> list[str]:
         p.append(f"grid.half_width: must be positive, got {g.half_width}")
     if not g.spacing > 0:
         p.append(f"grid.spacing: must be positive, got {g.spacing}")
-    elif g.half_width > 0 and abs(round(g.half_width / g.spacing) * g.spacing - g.half_width) > 1e-9:
+    elif g.half_width > 0 and not _whole_multiple(g.half_width, g.spacing):
         p.append("grid.half_width: must be a whole multiple of grid.spacing")
     if not config.potential.barrier_width > 0:
         p.append(f"potential.barrier_width: must be positive, got {config.potential.barrier_width}")
@@ -308,6 +314,10 @@ def validate_config(config: RunConfig) -> list[str]:
         p.append(f"dynamics.snapshot_dt: must be positive, got {dy.snapshot_dt}")
     if not dy.phase_dt > 0:
         p.append(f"dynamics.phase_dt: must be positive, got {dy.phase_dt}")
+    elif dy.dt > 0 and not _whole_multiple(dy.phase_dt, dy.dt):
+        p.append("dynamics.phase_dt: must be a whole multiple of dynamics.dt")
+    if dy.snapshot_dt > 0 and dy.phase_dt > 0 and not _whole_multiple(dy.snapshot_dt, dy.phase_dt):
+        p.append("dynamics.snapshot_dt: must be a whole multiple of dynamics.phase_dt")
     if dy.perturbation not in PERTURBATION_CHOICES:
         p.append(
             f"dynamics.perturbation: expected one of {PERTURBATION_CHOICES}, got {dy.perturbation!r}"

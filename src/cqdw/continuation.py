@@ -11,10 +11,16 @@ Jacobian determinant on the parity subspace the daughter breaks into) and
 merges are refined by one arclength-resolved bisection; daughters are
 seeded by branch switching along the critical direction.
 
+Every state comes out of one Newton loop, `_newton`. With t_psi=None it
+holds mu fixed and solves with the Jacobian alone (seeds, mu-walks, the BdG
+polish); otherwise it keeps (psi, mu) on a pseudo-arclength hyperplane and
+solves the Jacobian bordered by the hyperplane's normal (tracing,
+bisection, branch switching; Keller 1977).
+
 At an even or odd state every linear problem splits into an even and an
 odd reflection sector of about n/2 unknowns, and the Jacobian is assembled
-directly on one: Newton, the corrector and the tangent solve in the state's
-own sector, the pitchfork test in the other.  The state stays a grid array,
+directly on one: Newton and the tangent solve in the state's own
+sector, the pitchfork test in the other.  The state stays a grid array,
 exactly even or odd.
 """
 
@@ -48,7 +54,13 @@ RESIDUAL_TOL = 1e-10
 PARENT_PARITY_TOL = 1e-6
 # Newton iterates whose norm falls below this are the trivial solution.
 TRIVIAL_NORM = 1e-8
+MAX_NEWTON_ITER = 40
 
+# Arclength step bounds and step budget of continue_branch.
+_DS_MIN = 1e-3
+_DS_INIT = 1e-2
+_DS_MAX = 5e-2
+_MAX_STEPS = 3000
 _GROW = 1.4
 _SHRINK = 0.5
 _FAST_ITERS = 4
@@ -305,42 +317,21 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class NewtonSettings:
-    tol: float = RESIDUAL_TOL
-    max_iter: int = 40
-    trivial_norm: float = TRIVIAL_NORM
-
-    def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ContinuationError("Newton tolerance and iteration cap must be positive")
-
-
-@dataclass(frozen=True)
 class ContinuationSettings:
-    """Trace window and arclength bounds for continue_branch."""
+    """Trace window, norm cap and mu direction for continue_branch."""
 
     mu_min: float
     mu_max: float
     norm_cap: float = 12.0
-    ds_min: float = 1e-3
-    ds_max: float = 5e-2
-    ds_init: float = 1e-2
-    max_steps: int = 3000
     direction: int = 1
-    newton: NewtonSettings = field(default_factory=NewtonSettings)
 
     def __post_init__(self):
         if not (self.mu_min < self.mu_max):
             raise ContinuationError(f"empty mu range [{self.mu_min}, {self.mu_max}]")
-        if not (0 < self.ds_min <= self.ds_init <= self.ds_max):
-            raise ContinuationError(
-                f"need 0 < ds_min <= ds_init <= ds_max, got "
-                f"({self.ds_min}, {self.ds_init}, {self.ds_max})"
-            )
         if self.direction not in (-1, 1):
             raise ContinuationError(f"direction must be +-1, got {self.direction}")
-        if self.norm_cap <= 0 or self.max_steps < 1:
-            raise ContinuationError("norm cap and step cap must be positive")
+        if self.norm_cap <= 0:
+            raise ContinuationError("norm cap must be positive")
 
 
 def make_state(problem: StationaryProblem, psi: np.ndarray, mu: float) -> StationaryState:
@@ -359,77 +350,38 @@ def newton_solve(
     problem: StationaryProblem,
     guess: np.ndarray,
     mu: float,
-    settings: NewtonSettings | None = None,
+    tol: float = RESIDUAL_TOL,
+    max_iter: int = MAX_NEWTON_ITER,
 ) -> StationaryState:
-    """Solve the stationary equation at fixed mu by damped-free Newton.
+    """Solve the stationary equation at fixed mu: `_newton` with t_psi=None.
 
-    Raises NewtonError with the residual history on non-convergence, and with
-    trivial=True when the iteration lands on the zero solution. The first
-    step may raise the residual, since a guess can start off the solution
-    manifold; a rise after any later step stops the solve as diverging.
-    An even or odd guess is solved in its own reflection sector (see
-    `_own_sector`), so the state comes out exactly even or odd.
+    Raises NewtonError as `_newton` does. An even or odd guess is solved in
+    its own reflection sector, so the state comes out exactly even or odd,
+    and its mu is the mu passed in.
     """
-    settings = settings or NewtonSettings()
     psi = np.array(np.real(guess), dtype=float)
     if psi.shape != (problem.grid.n_points,):
         raise ContinuationError(
             f"guess has shape {psi.shape}, expected ({problem.grid.n_points},)"
         )
-    sector, psi = _own_sector(problem.grid, psi)
-    history: list[float] = []
-    for _ in range(settings.max_iter + 1):
-        r = problem.residual(psi, mu)
-        rn = float(np.max(np.abs(r)))
-        history.append(rn)
-        if not math.isfinite(rn):
-            raise NewtonError("Newton residual is not finite", history)
-        if rn <= settings.tol:
-            if problem.norm(psi) < settings.trivial_norm:
-                raise NewtonError(
-                    f"Newton converged to the trivial zero state at mu={mu:.6g}",
-                    history,
-                    trivial=True,
-                )
-            return replace(make_state(problem, psi, mu), newton_iterations=len(history) - 1)
-        if len(history) > settings.max_iter:
-            break
-        if len(history) > 2 and rn > history[-2]:
-            raise NewtonError(
-                f"Newton diverging at mu={mu:.6g} (residuals {history[-2]:.3g} -> {rn:.3g})",
-                history,
-            )
-        step = np.linalg.solve(problem.jacobian(psi, mu, sector), -_restrict(sector, r))
-        psi += _lift(sector, step)
-    raise NewtonError(
-        f"Newton did not reach {settings.tol:g} within {settings.max_iter} iterations "
-        f"at mu={mu:.6g} (residuals {history[0]:.3g} -> {history[-1]:.3g})",
-        history,
-    )
+    psi, mu, iterations = _newton(problem, psi, mu, None, 0.0, tol, max_iter)
+    return replace(make_state(problem, psi, mu), newton_iterations=iterations)
 
 
 def seed_from_mode(
-    problem: StationaryProblem,
-    mode: np.ndarray,
-    omega_k: float,
-    delta_mu: float | None = None,
-    seed_norm: float = 1e-3,
-    settings: NewtonSettings | None = None,
+    problem: StationaryProblem, mode: np.ndarray, omega_k: float, delta_mu: float
 ) -> StationaryState:
     """Converge the small-amplitude state branching from a linear mode.
 
     Near the linear limit mu = omega_k + s c N with c the self-overlap of the
-    mode density through the kernel, so the guess amplitude is matched
-    to the requested mu offset (or, when delta_mu is omitted, to a norm of
-    about seed_norm). A mismatched side lands in the trivial basin, hence the
-    sign check.
+    mode density through the kernel, so the guess amplitude is matched to
+    the requested mu offset. A mismatched side lands in the trivial basin,
+    hence the sign check.
     """
     mode = np.asarray(mode, dtype=float)
     density = mode**2
     c = float(problem.grid.integrate(density * problem._plan.apply(density)))
     c /= problem.norm(mode) ** 2
-    if delta_mu is None:
-        delta_mu = problem.s * c * seed_norm
     if problem.s * delta_mu <= 0:
         raise ContinuationError(
             f"mu offset {delta_mu:.3g} is on the trivial side of the linear "
@@ -437,7 +389,7 @@ def seed_from_mode(
         )
     amp_sq = delta_mu / (problem.s * c) / problem.norm(mode)
     guess = math.sqrt(amp_sq) * mode
-    return newton_solve(problem, guess, omega_k + delta_mu, settings)
+    return newton_solve(problem, guess, omega_k + delta_mu)
 
 
 def _weighted_dot(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
@@ -481,50 +433,73 @@ def _tangent_from_jacobian(
     return t_psi, t_mu
 
 
-def _corrector(
+def _newton(
     problem: StationaryProblem,
     psi: np.ndarray,
     mu: float,
-    t_psi: np.ndarray,
+    t_psi: np.ndarray | None,
     t_mu: float,
-    settings: NewtonSettings,
+    tol: float = RESIDUAL_TOL,
+    max_iter: int = MAX_NEWTON_ITER,
 ) -> tuple[np.ndarray, float, int]:
-    """Newton on the bordered system: residual plus the tangent hyperplane.
+    """Newton on F(psi, mu) = 0; returns (psi, mu, iterations).
 
-    The constraint <t_psi, psi - psi_pred> + t_mu (mu - mu_pred) = 0 is
-    anchored at the predictor passed in via (psi, mu), so its initial value is
-    zero and stays in the hyperplane through the predictor. Like
-    `newton_solve`, it runs in the reflection sector of an even or odd
-    predictor.
+    t_psi=None holds mu and each step solves with the Jacobian J alone.
+    Otherwise the step also keeps the arclength constraint
+    <t_psi, psi - psi_pred> + t_mu (mu - mu_pred) = 0 and solves the bordered
+    system; the constraint is anchored at the predictor passed in as
+    (psi, mu), so it starts at zero.  An even or odd start is solved in its
+    own reflection sector (see `_own_sector`).
+
+    Raises NewtonError with the residual history when the residual is not
+    finite, when it rises after any step but the first (a guess can start off
+    the solution manifold, so the first step may raise it), when max_iter
+    steps do not reach tol, and, with trivial=True, when the iteration lands
+    on the zero solution.
     """
     grid = problem.grid
     sector, psi = _own_sector(grid, psi)
-    psi_pred, mu_pred = psi.copy(), mu
-    border = _restrict(sector, t_psi * grid.weights)
-    n = len(border)
-    bordered = np.empty((n + 1, n + 1))
-    rhs = np.empty(n + 1)
-    for iteration in range(settings.max_iter + 1):
+    psi_pred, mu_pred = psi, mu
+    if t_psi is not None:
+        border = _restrict(sector, t_psi * grid.weights)
+    history: list[float] = []
+    for _ in range(max_iter + 1):
         r = problem.residual(psi, mu)
-        g = _weighted_dot(grid, t_psi, psi - psi_pred) + t_mu * (mu - mu_pred)
         rn = float(np.max(np.abs(r)))
+        history.append(rn)
+        g = 0.0
+        if t_psi is not None:
+            g = _weighted_dot(grid, t_psi, psi - psi_pred) + t_mu * (mu - mu_pred)
         if not math.isfinite(rn):
-            raise NewtonError("corrector residual is not finite", [])
-        if rn <= settings.tol and abs(g) <= settings.tol:
-            return psi, mu, iteration
-        if iteration == settings.max_iter:
+            raise NewtonError("Newton residual is not finite", history)
+        if rn <= tol and abs(g) <= tol:
+            if problem.norm(psi) < TRIVIAL_NORM:
+                raise NewtonError(
+                    f"Newton converged to the trivial zero state at mu={mu:.6g}",
+                    history,
+                    trivial=True,
+                )
+            return psi, mu, len(history) - 1
+        if len(history) > max_iter:
             break
-        bordered[:n, :n] = problem.jacobian(psi, mu, sector)
-        bordered[:n, n] = -_restrict(sector, psi)
-        bordered[n, :n] = border
-        bordered[n, n] = t_mu
-        rhs[:n] = -_restrict(sector, r)
-        rhs[n] = -g
-        step = np.linalg.solve(bordered, rhs)
+        if len(history) > 2 and rn > history[-2]:
+            raise NewtonError(
+                f"Newton diverging at mu={mu:.6g} (residuals {history[-2]:.3g} -> {rn:.3g})",
+                history,
+            )
+        jac, rhs = problem.jacobian(psi, mu, sector), -_restrict(sector, r)
+        n = len(rhs)
+        if t_psi is not None:
+            jac = np.block([[jac, -_restrict(sector, psi)[:, None]], [border, t_mu]])
+            rhs = np.append(rhs, -g)
+        step = np.linalg.solve(jac, rhs)
         psi = psi + _lift(sector, step[:n])
-        mu = mu + step[n]
+        if t_psi is not None:
+            mu = mu + step[n]
     raise NewtonError(
-        f"arclength corrector stalled at mu={mu:.6g} (last residual {rn:.3g})", []
+        f"Newton did not reach {tol:g} within {max_iter} iterations "
+        f"at mu={mu:.6g} (residuals {history[0]:.3g} -> {history[-1]:.3g})",
+        history,
     )
 
 
@@ -566,8 +541,8 @@ def continue_branch(
 ) -> Branch:
     """Trace the branch through folds by pseudo-arclength continuation.
 
-    Steps adapt inside [ds_min, ds_max]: fast Newton convergence grows the
-    step, failure shrinks and retries, and shrinking below ds_min aborts with
+    Steps adapt inside [_DS_MIN, _DS_MAX]: fast Newton convergence grows the
+    step, failure shrinks and retries, and shrinking below _DS_MIN aborts with
     the partial branch. Tracing stops at the mu window, the norm cap, a merge
     back onto a parent-parity branch, or the step budget. Fold events are
     recorded where the mu direction reverses; pitchfork events are found
@@ -576,27 +551,21 @@ def continue_branch(
     branch = Branch(states=[seed])
     merges = _MergeTracker(problem.grid, seed) if seed.symmetry == ASYMMETRIC else None
     t_psi, t_mu = _tangent_from_jacobian(problem, seed, settings.direction)
-    ds = settings.ds_init
+    ds = _DS_INIT
     mu_dir = 0
-    while len(branch.states) <= settings.max_steps:
+    while len(branch.states) <= _MAX_STEPS:
         last = branch.states[-1]
         psi_last = last.psi
-        stepped = None
         while True:
             try:
-                stepped = _corrector(
-                    problem,
-                    psi_last + ds * t_psi,
-                    last.mu + ds * t_mu,
-                    t_psi,
-                    t_mu,
-                    settings.newton,
+                stepped = _newton(
+                    problem, psi_last + ds * t_psi, last.mu + ds * t_mu, t_psi, t_mu
                 )
                 break
             except NewtonError:
                 branch.rejected_steps += 1
                 ds *= _SHRINK
-                if ds < settings.ds_min:
+                if ds < _DS_MIN:
                     branch.termination = "newton_failure"
                     return branch
         psi_new, mu_new, iters = stepped
@@ -615,7 +584,7 @@ def continue_branch(
             # not a separate fold.
             if folded:
                 branch.events.pop()
-            merged, _ = _bisect(problem, last, state, merges.side, settings.newton)
+            merged, _ = _bisect(problem, last, state, merges.side)
             branch.states[-1] = merged
             branch.events.append(BranchEvent(MERGE, merged.mu, merged.norm))
             branch.termination = "merge"
@@ -633,19 +602,12 @@ def continue_branch(
         scale = math.sqrt(problem.grid.norm_sq(d_psi) + d_mu**2)
         t_psi, t_mu = d_psi / scale, d_mu / scale
         if iters <= _FAST_ITERS:
-            ds = min(ds * _GROW, settings.ds_max)
+            ds = min(ds * _GROW, _DS_MAX)
     branch.termination = "max_steps"
     return branch
 
 
 # --- pitchfork detection --------------------------------------------------------
-
-
-def _restricted_detsign(
-    problem: StationaryProblem, state: StationaryState, sector: ReflectionSector
-) -> float:
-    sign, _ = np.linalg.slogdet(problem.jacobian(state.psi, state.mu, sector))
-    return sign
 
 
 @dataclass(frozen=True)
@@ -659,11 +621,7 @@ class PitchforkEvent:
 
 
 def _segment_state(
-    problem: StationaryProblem,
-    a: StationaryState,
-    b: StationaryState,
-    t: float,
-    settings: NewtonSettings,
+    problem: StationaryProblem, a: StationaryState, b: StationaryState, t: float
 ) -> StationaryState:
     """On-branch state near the convex combination of two neighbours.
 
@@ -673,13 +631,12 @@ def _segment_state(
     pa, pb = a.psi, b.psi
     d_psi, d_mu = pb - pa, b.mu - a.mu
     scale = math.sqrt(problem.grid.norm_sq(d_psi) + d_mu**2)
-    psi, mu, _ = _corrector(
+    psi, mu, _ = _newton(
         problem,
         (1 - t) * pa + t * pb,
         (1 - t) * a.mu + t * b.mu,
         d_psi / scale,
         d_mu / scale,
-        settings,
     )
     return make_state(problem, psi, mu)
 
@@ -689,7 +646,6 @@ def _bisect(
     a: StationaryState,
     b: StationaryState,
     side: Callable[[StationaryState], float],
-    settings: NewtonSettings,
 ) -> tuple[StationaryState, int]:
     """Bisect the branch segment [a, b] down to the sign change of `side`.
 
@@ -702,17 +658,13 @@ def _bisect(
     for steps in range(60):
         gap = math.sqrt(problem.grid.norm_sq(b.psi - a.psi) + (b.mu - a.mu) ** 2)
         if gap <= 1e-4 * (1.0 + math.sqrt(max(a.norm, b.norm))):
-            return _segment_state(problem, a, b, 0.5, settings), steps
-        mid = _segment_state(problem, a, b, 0.5, settings)
+            return _segment_state(problem, a, b, 0.5), steps
+        mid = _segment_state(problem, a, b, 0.5)
         a, b = (mid, b) if side(mid) == side_a else (a, mid)
     raise ContinuationError(f"bisection near mu={a.mu:.6g} did not close in 60 steps")
 
 
-def detect_pitchfork(
-    problem: StationaryProblem,
-    branch: Branch,
-    settings: NewtonSettings | None = None,
-) -> list[PitchforkEvent]:
+def detect_pitchfork(problem: StationaryProblem, branch: Branch) -> list[PitchforkEvent]:
     """Locate parity-breaking bifurcations along an even or odd branch.
 
     The indicator is the determinant sign of the Jacobian restricted to the
@@ -723,20 +675,19 @@ def detect_pitchfork(
     to a fold is not cut short, and the critical eigenvector is returned as
     the daughter seeding direction.
     """
-    settings = settings or NewtonSettings()
     if len(branch.states) < 2:
         return []
     _, breaking = reflection_sectors(problem.grid, branch.symmetry())
 
     def side(state: StationaryState) -> float:
-        return _restricted_detsign(problem, state, breaking)
+        return np.linalg.slogdet(problem.jacobian(state.psi, state.mu, breaking))[0]
 
     signs = [side(s) for s in branch.states]
     found: list[PitchforkEvent] = []
     for a, b, sign_a, sign_b in zip(branch.states, branch.states[1:], signs, signs[1:]):
         if sign_a == 0.0 or sign_a * sign_b >= 0:
             continue
-        critical, steps = _bisect(problem, a, b, side, settings)
+        critical, steps = _bisect(problem, a, b, side)
         eigvals, eigvecs = np.linalg.eig(problem.jacobian(critical.psi, critical.mu, breaking))
         idx = int(np.argmin(np.abs(eigvals)))
         direction = breaking.lift(np.real(eigvecs[:, idx]))
@@ -752,11 +703,7 @@ def detect_pitchfork(
     return found
 
 
-def seed_daughter(
-    problem: StationaryProblem,
-    pitchfork: PitchforkEvent,
-    settings: NewtonSettings | None = None,
-) -> StationaryState:
+def seed_daughter(problem: StationaryProblem, pitchfork: PitchforkEvent) -> StationaryState:
     """Converge an asymmetric state just off a pitchfork by branch switching.
 
     The predictor steps from the critical state along the critical
@@ -766,10 +713,9 @@ def seed_daughter(
     hyperplane, so one solve gives the daughter; a state of definite parity
     raises ContinuationError and a failed solve raises NewtonError.
     """
-    settings = settings or NewtonSettings()
     parent, phi = pitchfork.state, pitchfork.direction
     guess = parent.psi + _SWITCH_AMPLITUDE * math.sqrt(parent.norm) * phi
-    psi, mu, iterations = _corrector(problem, guess, parent.mu, phi, 0.0, settings)
+    psi, mu, iterations = _newton(problem, guess, parent.mu, phi, 0.0)
     state = replace(make_state(problem, psi, mu), newton_iterations=iterations)
     if state.symmetry != ASYMMETRIC:
         raise ContinuationError(

@@ -60,9 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import (NewtonError, NewtonSettings, ReflectionSector,
-                           StationaryProblem, StationaryState, classify_symmetry,
-                           newton_solve, reflection_sectors)
+from .continuation import (NewtonError, ReflectionSector, StationaryProblem,
+                           StationaryState, classify_symmetry, newton_solve,
+                           reflection_sectors)
 from .discretization import Grid
 from .twomode import ASYMMETRIC
 
@@ -196,8 +196,7 @@ def _polish(problem: StationaryProblem, state: StationaryState) -> StationarySta
     if state.residual <= POLISH_RESIDUAL:
         return state
     try:
-        polished = newton_solve(problem, state.psi, state.mu,
-                                NewtonSettings(tol=POLISH_RESIDUAL, max_iter=6))
+        polished = newton_solve(problem, state.psi, state.mu, tol=POLISH_RESIDUAL, max_iter=6)
     except NewtonError:
         return state
     moved = np.sqrt(problem.grid.norm_sq(polished.psi - state.psi))
@@ -303,15 +302,10 @@ def dominant_unstable_mode(
                         direction=direction / norm)
 
 
-def sweep_branch(
-    problem: StationaryProblem,
-    states: list[StationaryState],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> list[BdGSpectrum]:
+def sweep_branch(problem: StationaryProblem, states: list[StationaryState]) -> list[BdGSpectrum]:
     """`solve_bdg` spectrum per state, aligned with the input list.
 
     The phase zero pair is measured at the level of the stationary residual,
     so the default threshold separates stable from unstable states.
     """
-    return [solve_bdg(build_bdg(problem, state), threshold=threshold)
-            for state in states]
+    return [solve_bdg(build_bdg(problem, state)) for state in states]

@@ -283,6 +283,20 @@ def test_portrait_norm_tag_collision_is_rejected(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_cadence_must_divide(tmp_path, capsys):
+    # 0.5 / 0.2 would be rounded to density rows every 0.4; 0.0123 / 5e-3
+    # would only fail inside evolve, after the mu-walk and the BdG solve
+    for cadence, field in (({"snapshot_dt": 0.5, "phase_dt": 0.2}, "dynamics.snapshot_dt"),
+                           ({"phase_dt": 0.0123}, "dynamics.phase_dt")):
+        cfg = _write(tmp_path / "c.json", {"dynamics": {**TINY_EVOLVE["dynamics"], **cadence}})
+        out = tmp_path / field
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert any(f.startswith(f"{field}: must be a whole multiple") for f in payload["fields"])
+        assert not out.exists()
+
+
 def test_missing_config_reports_path(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["spectrum", "--config", missing, "--out", str(tmp_path / "x")]) == 2
@@ -420,6 +434,16 @@ def test_seed_override_lands_in_manifest(tmp_path):
     assert manifest["seed"] == 7
     config = json.loads((out / "config.json").read_text())
     assert config["seed"] == 7
+
+
+def test_seed_override_is_validated(tmp_path, capsys):
+    for argv in (["spectrum"], ["regress", "--preset", "thermal-check"]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert payload["fields"] == ["seed: must be a non-negative integer, got -1"]
+        assert not (out / "config.json").exists()
 
 
 def test_every_subcommand_is_wired():

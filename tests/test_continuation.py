@@ -16,9 +16,9 @@ from cqdw.continuation import (
     ContinuationError,
     ContinuationSettings,
     NewtonError,
-    NewtonSettings,
     ReflectionSector,
     StationaryProblem,
+    _newton,
     classify_symmetry,
     continue_branch,
     detect_pitchfork,
@@ -156,11 +156,6 @@ def test_seed_converges_to_small_norm_symmetric_state(branch_suite, basis):
     assert state.residual <= 1e-10
 
 
-def test_seed_default_norm_is_milli(problem1, basis):
-    state = seed_from_mode(problem1, basis.u0, basis.omega0)
-    assert state.norm == pytest.approx(1e-3, rel=0.05)
-
-
 def test_converged_state_reconverges_immediately(problem1, branch_suite):
     state = branch_suite["sigma1"]["anti"].states[5]
     again = newton_solve(problem1, state.psi, state.mu)
@@ -175,6 +170,7 @@ def test_newton_converges_quadratically(problem1, branch_suite):
     guess = state.psi + 0.05 * np.exp(-((x - 1.2) ** 2))
     solved = newton_solve(problem1, guess, state.mu)
     assert solved.residual <= 1e-10
+    assert solved.mu == state.mu  # held exactly, not solved for
     # Replay the iteration to inspect the residual sequence.
     psi = guess.copy()
     history = []
@@ -195,10 +191,23 @@ def test_newton_failure_reports_residual_history(problem1):
     x = problem1.grid.points
     guess = 4.0 * np.cos(0.7 * x) * np.exp(-(x**2) / 40.0)
     with pytest.raises(NewtonError, match="iterations") as info:
-        newton_solve(problem1, guess, 0.2, NewtonSettings(max_iter=3))
+        newton_solve(problem1, guess, 0.2, max_iter=3)
     assert not info.value.trivial
     assert len(info.value.residual_history) == 4
     assert all(math.isfinite(r) for r in info.value.residual_history)
+
+
+def test_arclength_failure_reports_residual_history(problem1):
+    # The same guess as above, held on the arclength hyperplane through it.
+    x = problem1.grid.points
+    guess = 4.0 * np.cos(0.7 * x) * np.exp(-(x**2) / 40.0)
+    t_psi = guess / math.sqrt(problem1.norm(guess))
+    with pytest.raises(NewtonError) as info:
+        _newton(problem1, guess, 0.2, t_psi, 0.0, max_iter=3)
+    history = info.value.residual_history
+    assert not info.value.trivial
+    assert 2 <= len(history) <= 4
+    assert all(math.isfinite(r) for r in history)
 
 
 def test_newton_stops_once_it_diverges(branch_suite):
@@ -314,8 +323,6 @@ def test_event_kind_validated():
 def test_settings_validated():
     with pytest.raises(ContinuationError, match="mu range"):
         ContinuationSettings(mu_min=0.3, mu_max=0.2)
-    with pytest.raises(ContinuationError, match="ds"):
-        ContinuationSettings(mu_min=0.1, mu_max=0.4, ds_min=0.1, ds_max=0.05)
     with pytest.raises(ContinuationError, match="direction"):
         ContinuationSettings(mu_min=0.1, mu_max=0.4, direction=2)
 

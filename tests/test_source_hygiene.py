@@ -60,6 +60,12 @@ def attribute_reads(tree: ast.AST) -> Counter:
                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
 
 
+def keyword_names(tree: ast.AST) -> set[str]:
+    """Names passed as keyword arguments in any call (`f(name=...)`)."""
+    return {kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+            for kw in node.keywords if kw.arg is not None}
+
+
 def test_modules_found():
     assert {m.name for m in MODULES} >= {"cli.py", "continuation.py", "presets.py"}
 
@@ -114,3 +120,19 @@ def test_every_class_member_is_reached():
                     unreached.add(f"{cls.name}.{name}")
     assert not unreached, (
         f"read by no module, criterion or BdG reference: {sorted(unreached)}")
+
+
+def test_every_settings_field_is_set():
+    """Every field of a src/cqdw class named *Settings is passed by keyword
+    in some reaching file, so a solver knob that no caller sets does not
+    stay. Matching is by name, whatever the call, as for members."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in REACHING}
+    passed = set().union(*(keyword_names(tree) for tree in trees.values()))
+    fields = [f"{cls.name}.{stmt.target.id}"
+              for path in MODULES for cls in trees[path].body
+              if isinstance(cls, ast.ClassDef) and cls.name.endswith("Settings")
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    assert fields, "no *Settings class found in src/cqdw"
+    unset = [name for name in fields if name.split(".")[1] not in passed]
+    assert not unset, f"set by no module, criterion or BdG reference: {unset}"
