@@ -176,11 +176,15 @@ def _state_at_mu(problem, basis, family: str, mu_target: float, delta_mu: float)
         try:
             previous, state = state, newton_solve(problem, guess, state.mu + step)
         except NewtonError as exc:
-            if not exc.trivial:
-                raise
+            if exc.trivial:
+                raise CliError(
+                    f"{family} branch ran into the vacuum before mu={mu_target}; "
+                    "the state does not exist there"
+                ) from exc
             raise CliError(
-                f"{family} branch ran into the vacuum before mu={mu_target}; "
-                "the state does not exist there"
+                f"{family} branch: Newton failed stepping on from mu={state.mu:.6g} "
+                f"(N={state.norm:.6g}) toward mu={mu_target}; the branch folds "
+                f"before it or cannot be followed there ({exc})"
             ) from exc
         iterations += state.newton_iterations
     return state, iterations
@@ -597,9 +601,7 @@ RUNNERS = {
 # --- regression ----------------------------------------------------------------
 
 
-def run_regress(preset_name: str, out: Path, seed_override):
-    preset = get_preset(preset_name)
-    config = _with_seed(preset.config, seed_override)
+def run_regress(preset, config: RunConfig, out: Path):
     artifacts_dir = out / "artifacts"
     artifacts_dir.mkdir(parents=True, exist_ok=True)
 
@@ -707,9 +709,11 @@ def _finish_run(out, subcommand, config, seed, artifacts, quantities, counters, 
 
 
 def _resolve_config(args) -> RunConfig:
+    """The preset's, the file's or the default config, with any --seed
+    override, passed through `validate_config` whatever its source."""
     if args.preset:
         preset = get_preset(args.preset)
-        if preset.subcommand != args.subcommand:
+        if args.subcommand not in ("regress", preset.subcommand):
             raise CliError(
                 f"preset {preset.name!r} belongs to subcommand {preset.subcommand!r}"
             )
@@ -718,14 +722,8 @@ def _resolve_config(args) -> RunConfig:
         config = load_config(args.config)
     else:
         config = RunConfig()
-    return _with_seed(config, args.seed)
-
-
-def _with_seed(config: RunConfig, seed) -> RunConfig:
-    """The config with a --seed override, validated as a config file is."""
-    if seed is None:
-        return config
-    config = replace(config, seed=seed)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     problems = validate_config(config)
     if problems:
         raise ConfigError(problems)
@@ -752,13 +750,13 @@ def main(argv=None) -> int:
     try:
         if args.config and args.preset:
             raise CliError("pass either --config or --preset, not both")
+        if args.subcommand == "regress" and not args.preset:
+            raise CliError("regress requires --preset")
+        config = _resolve_config(args)
         if args.subcommand == "regress":
-            if not args.preset:
-                raise CliError("regress requires --preset")
             out = Path(args.out or f"runs/regress-{args.preset}")
             out.mkdir(parents=True, exist_ok=True)
-            return run_regress(args.preset, out, args.seed)
-        config = _resolve_config(args)
+            return run_regress(get_preset(args.preset), config, out)
         out = Path(args.out or f"runs/{args.subcommand}")
         out.mkdir(parents=True, exist_ok=True)
         artifacts, quantities, counters = RUNNERS[args.subcommand](config, out, config.seed)

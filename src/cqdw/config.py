@@ -7,17 +7,31 @@ dx = 0.1) and the documented protocol choices (dt = 5e-3, kick amplitude
 *every* violated field before raising, so a bad file is reported once, in
 full, rather than one field at a time. A sha256 over the canonical JSON form
 identifies the resolved configuration in run manifests.
+
+`validate_config` is the one gate for input rules: each rule on a config
+field is stated there once, and every run passes through it. The library's
+constructors and solvers assume validated values; they check only solver
+state, stored files and values they compute themselves.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
+
+from .discretization import whole_multiple
 
 KERNEL_CHOICES = ("gaussian", "exponential")
 FAMILY_CHOICES = ("sym", "anti")
 PERTURBATION_CHOICES = ("eigenvector", "random", "none")
+
+# Hard cap on dt * (max V + 1/dx^2), the largest diagonal entry of the
+# discrete Hamiltonian. The accuracy guideline is 0.5 (the default dt sits
+# right at it); beyond twice that the midpoint rule of `evolve` is stable but
+# no longer resolves the fastest retained mode, so the config is rejected.
+DT_SCALE_LIMIT = 1.0
 
 
 class ConfigError(ValueError):
@@ -136,6 +150,17 @@ def _declared(field_obj) -> str:
     return t if isinstance(t, str) else getattr(t, "__name__", str(t))
 
 
+def _finite_number(raw) -> bool:
+    """A JSON number with a finite float value; JSON's NaN and Infinity, and
+    integers too large for a float, are not."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return False
+    try:
+        return math.isfinite(raw)
+    except OverflowError:
+        return False
+
+
 def _build_section(cls, data, prefix, problems):
     """Dataclass from a dict, collecting every fault instead of raising."""
     known = {f.name: f for f in fields(cls)}
@@ -156,15 +181,13 @@ def _build_section(cls, data, prefix, problems):
                 continue
             if "str" in declared and not all(isinstance(v, str) for v in raw):
                 problems.append(f"{prefix}{key}: expected a list of strings")
-            elif "float" in declared and not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-            ):
-                problems.append(f"{prefix}{key}: expected a list of numbers")
+            elif "float" in declared and not all(_finite_number(v) for v in raw):
+                problems.append(f"{prefix}{key}: expected a list of finite numbers")
             else:
                 kwargs[key] = tuple(float(v) if "float" in declared else v for v in raw)
         elif declared == "float":
-            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                problems.append(f"{prefix}{key}: expected a number, got {raw!r}")
+            if not _finite_number(raw):
+                problems.append(f"{prefix}{key}: expected a finite number, got {raw!r}")
             else:
                 kwargs[key] = float(raw)
         elif declared == "int":
@@ -237,10 +260,18 @@ def _tag_clashes(field: str, prefix: str, values) -> list[str]:
     return out
 
 
-def _whole_multiple(value: float, unit: float) -> bool:
-    """value = k * unit for a whole k >= 1, to within 1e-9."""
-    k = round(value / unit)
-    return k >= 1 and abs(k * unit - value) <= 1e-9
+def _peak_potential(grid: GridConfig, potential: PotentialConfig) -> float:
+    """max V over the grid points, for heights >= 0.
+
+    On x > 0 such a V has one critical point at most, the well minimum, so
+    its maximum over the grid is at x = 0 or at the box edge.
+    """
+    edge = grid.spacing * round(grid.half_width / grid.spacing)
+    decay = math.exp(-2.0 * edge / potential.barrier_width)
+    sech_sq = 4.0 * decay / (1.0 + decay) ** 2  # sech^2(edge / width), overflow-free
+    reach = potential.trap_frequency * edge  # squared by a product, which cannot raise
+    trap = 0.5 * reach * reach
+    return max(potential.barrier_height, trap + potential.barrier_height * sech_sq)
 
 
 def validate_config(config: RunConfig) -> list[str]:
@@ -251,12 +282,16 @@ def validate_config(config: RunConfig) -> list[str]:
         p.append(f"grid.half_width: must be positive, got {g.half_width}")
     if not g.spacing > 0:
         p.append(f"grid.spacing: must be positive, got {g.spacing}")
-    elif g.half_width > 0 and not _whole_multiple(g.half_width, g.spacing):
+    elif g.half_width > 0 and not whole_multiple(g.half_width, g.spacing):
         p.append("grid.half_width: must be a whole multiple of grid.spacing")
-    if not config.potential.barrier_width > 0:
-        p.append(f"potential.barrier_width: must be positive, got {config.potential.barrier_width}")
-    if config.potential.trap_frequency < 0:
-        p.append(f"potential.trap_frequency: must be >= 0, got {config.potential.trap_frequency}")
+    v = config.potential
+    if not v.barrier_width > 0:
+        p.append(f"potential.barrier_width: must be positive, got {v.barrier_width}")
+    if v.trap_frequency < 0:
+        p.append(f"potential.trap_frequency: must be >= 0, got {v.trap_frequency}")
+    if v.barrier_height < 0:
+        p.append(f"potential.barrier_height: must be >= 0, got {v.barrier_height}")
+    box_sound = not p  # the dt rule below reads the grid and the potential
     i = config.interaction
     if i.family not in KERNEL_CHOICES:
         p.append(f"interaction.family: expected one of {KERNEL_CHOICES}, got {i.family!r}")
@@ -310,13 +345,21 @@ def validate_config(config: RunConfig) -> list[str]:
         p.append(f"dynamics.t_end: must be positive, got {dy.t_end}")
     if not dy.dt > 0:
         p.append(f"dynamics.dt: must be positive, got {dy.dt}")
+    elif box_sound:
+        inverse_dx = 1.0 / g.spacing
+        scale = dy.dt * (_peak_potential(g, v) + inverse_dx * inverse_dx)
+        if scale > DT_SCALE_LIMIT:
+            p.append(
+                f"dynamics.dt: too coarse, dt*(max V + 1/dx^2) = {scale:.3f} exceeds "
+                f"{DT_SCALE_LIMIT} (guideline 0.5)"
+            )
     if not dy.snapshot_dt > 0:
         p.append(f"dynamics.snapshot_dt: must be positive, got {dy.snapshot_dt}")
     if not dy.phase_dt > 0:
         p.append(f"dynamics.phase_dt: must be positive, got {dy.phase_dt}")
-    elif dy.dt > 0 and not _whole_multiple(dy.phase_dt, dy.dt):
+    elif dy.dt > 0 and not whole_multiple(dy.phase_dt, dy.dt):
         p.append("dynamics.phase_dt: must be a whole multiple of dynamics.dt")
-    if dy.snapshot_dt > 0 and dy.phase_dt > 0 and not _whole_multiple(dy.snapshot_dt, dy.phase_dt):
+    if dy.snapshot_dt > 0 and dy.phase_dt > 0 and not whole_multiple(dy.snapshot_dt, dy.phase_dt):
         p.append("dynamics.snapshot_dt: must be a whole multiple of dynamics.phase_dt")
     if dy.perturbation not in PERTURBATION_CHOICES:
         p.append(

@@ -171,8 +171,6 @@ class StationaryProblem:
     """
 
     def __init__(self, grid: Grid, potential: PotentialParams, kernel: Kernel, s: int, delta: int):
-        if s not in (-1, 1) or delta not in (-1, 1):
-            raise ContinuationError(f"signs must be +-1, got s={s}, delta={delta}")
         self.grid = grid
         self.potential = potential
         self.kernel = kernel
@@ -324,14 +322,6 @@ class ContinuationSettings:
     mu_max: float
     norm_cap: float = 12.0
     direction: int = 1
-
-    def __post_init__(self):
-        if not (self.mu_min < self.mu_max):
-            raise ContinuationError(f"empty mu range [{self.mu_min}, {self.mu_max}]")
-        if self.direction not in (-1, 1):
-            raise ContinuationError(f"direction must be +-1, got {self.direction}")
-        if self.norm_cap <= 0:
-            raise ContinuationError("norm cap must be positive")
 
 
 def make_state(problem: StationaryProblem, psi: np.ndarray, mu: float) -> StationaryState:

@@ -26,7 +26,7 @@ KERNEL_FAMILIES = (GAUSSIAN, EXPONENTIAL)
 
 
 class DiscretizationError(ValueError):
-    """Raised for invalid grid, potential, or kernel parameters."""
+    """Raised for an invalid grid, kernel family or stored field."""
 
 
 @dataclass(frozen=True)
@@ -67,25 +67,35 @@ class Grid:
         return float(np.real(self.integrate(np.abs(f) ** 2)))
 
 
+def whole_multiple(value: float, unit: float) -> bool:
+    """value = k * unit for a whole k >= 1, to within 1e-9 of value / unit.
+
+    The one test of a grid against its spacing and of a time cadence against
+    its step, shared by `build_grid` and `config.validate_config`.
+    """
+    ratio = value / unit
+    if not math.isfinite(ratio):
+        return False
+    k = round(ratio)
+    return k >= 1 and abs(ratio - k) <= 1e-9 * ratio
+
+
 def build_grid(half_width: float, spacing: float) -> Grid:
     """Validate and build the symmetric uniform grid.
 
     half_width must be a whole multiple of spacing so that x = 0 is a grid
-    point (the parity machinery relies on it).
+    point (the parity machinery relies on it); the grid then has at least
+    3 points. Stored state files are read through here.
     """
     if not (half_width > 0.0) or not (spacing > 0.0):
         raise DiscretizationError(
             f"half_width and spacing must be positive, got {half_width}, {spacing}"
         )
-    ratio = half_width / spacing
-    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+    if not whole_multiple(half_width, spacing):
         raise DiscretizationError(
             f"half_width {half_width} is not a whole multiple of spacing {spacing}"
         )
-    grid = Grid(half_width=float(half_width), spacing=float(spacing))
-    if grid.n_points < 3:
-        raise DiscretizationError(f"grid needs at least 3 points, got {grid.n_points}")
-    return grid
+    return Grid(half_width=float(half_width), spacing=float(spacing))
 
 
 # --- potential ---------------------------------------------------------------
@@ -100,24 +110,9 @@ class PotentialParams:
     barrier_height: float = 1.0
     barrier_width: float = 0.5
 
-    def validate(self) -> None:
-        if self.barrier_width <= 0.0:
-            raise DiscretizationError(
-                f"barrier_width must be positive, got {self.barrier_width}"
-            )
-        if self.trap_frequency < 0.0:
-            raise DiscretizationError(
-                f"trap_frequency must be non-negative, got {self.trap_frequency}"
-            )
-        if self.barrier_height < 0.0:
-            raise DiscretizationError(
-                f"barrier_height must be non-negative, got {self.barrier_height}"
-            )
-
 
 def potential_profile(grid: Grid, params: PotentialParams) -> np.ndarray:
     """V(x) = (1/2) trap_frequency^2 x^2 + barrier_height sech^2(x / barrier_width)."""
-    params.validate()
     x = grid.points
     barrier = params.barrier_height / np.cosh(x / params.barrier_width) ** 2
     return 0.5 * params.trap_frequency**2 * x**2 + barrier
@@ -131,7 +126,8 @@ class Kernel:
     """Unit-mass even interaction kernel.
 
     family is one of "gaussian", "exponential"; `range_` is the width
-    parameter sigma.
+    parameter sigma > 0. The family is checked here because `kernel_eval`
+    would read any other name as exponential.
     """
 
     family: str
@@ -141,10 +137,6 @@ class Kernel:
         if self.family not in KERNEL_FAMILIES:
             raise DiscretizationError(
                 f"unknown kernel family {self.family!r}, expected one of {KERNEL_FAMILIES}"
-            )
-        if not (self.range_ > 0.0):
-            raise DiscretizationError(
-                f"kernel range must be positive for family {self.family!r}, got {self.range_}"
             )
 
 

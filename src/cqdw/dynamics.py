@@ -67,11 +67,6 @@ MAX_FIXED_POINT = 12
 THETA_FLOOR = 1e-12
 DEFAULT_SEED = 0
 
-# Hard cap on dt * (max V + 1/dx^2). The accuracy guideline is 0.5 (the
-# default dt sits right at it); beyond twice that the midpoint rule is stable
-# but no longer resolves the fastest retained mode, so the call is rejected.
-DT_SCALE_LIMIT = 1.0
-
 
 class DynamicsError(RuntimeError):
     """Propagation aborted or a dynamics contract was violated."""
@@ -128,23 +123,15 @@ def evolve(
 ) -> EvolutionRun:
     """Propagate `initial` under the flow at chemical potential mu.
 
-    Snapshots (with N(t)) are recorded every `snapshot_dt`, which must be a
-    whole multiple of dt; t_end is truncated to the last full snapshot. A
-    relative norm drift beyond 1e-8, a non-finite field, or a stalled midpoint
-    iteration aborts with diagnostics instead of returning a polluted run.
+    Snapshots (with N(t)) are recorded every `snapshot_dt`, a whole multiple
+    of dt; t_end is truncated to the last full snapshot. dt, snapshot_dt and
+    t_end are the config's, whose rules (including the step-size cap
+    config.DT_SCALE_LIMIT) `validate_config` checks. A relative norm drift
+    beyond 1e-8, a non-finite field, or a stalled midpoint iteration aborts
+    with diagnostics instead of returning a polluted run.
     """
-    if dt <= 0.0 or t_end < 0.0:
-        raise DynamicsError(f"need dt > 0 and t_end >= 0, got dt={dt}, t_end={t_end}")
     grid = problem.grid
-    scale = float(np.max(problem.operator.diagonal))  # max V + 1/dx^2
-    if dt * scale > DT_SCALE_LIMIT:
-        raise DynamicsError(
-            f"dt={dt} is too coarse: dt*(max V + 1/dx^2) = {dt * scale:.3f} "
-            f"exceeds {DT_SCALE_LIMIT} (guideline 0.5)"
-        )
     steps_per_frame = int(round(snapshot_dt / dt))
-    if steps_per_frame < 1 or abs(steps_per_frame * dt - snapshot_dt) > 1e-9 * snapshot_dt:
-        raise DynamicsError(f"snapshot_dt={snapshot_dt} is not a multiple of dt={dt}")
     frames = int(math.floor(t_end / snapshot_dt + 1e-9))
 
     psi = np.array(initial, dtype=complex)
@@ -240,8 +227,6 @@ def perturb_state(
     it is complex white noise from `rng` (a fixed default seed keeps unseeded
     calls deterministic). The direction is re-normalized defensively.
     """
-    if amplitude < 0.0:
-        raise DynamicsError(f"perturbation amplitude must be >= 0, got {amplitude}")
     if direction is not None:
         kick = np.asarray(direction, dtype=complex)
         if kick.shape != (grid.n_points,):
@@ -349,8 +334,6 @@ def solve_screened_poisson(
     quadrature convolution of the source against the unit-mass exponential
     kernel (the Green's function of the continuum operator) to rounding.
     """
-    if not d > 0.0:
-        raise DynamicsError(f"screening length^2 must be positive, got d={d}")
     intensity = np.asarray(intensity, dtype=float)
     if intensity.shape != (grid.n_points,):
         raise DynamicsError(f"intensity has shape {intensity.shape}, expected ({grid.n_points},)")

@@ -138,8 +138,6 @@ def eta_rel(overlaps: OverlapSet, which: str) -> float:
 
 
 def classify_regime(sigma: float, thresholds: RegimeThresholds) -> str:
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
     if sigma < thresholds.sigma_b:
         return CASE1
     if sigma < thresholds.sigma_c:

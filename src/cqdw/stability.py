@@ -166,7 +166,6 @@ class BdGSpectrum:
     eigenvalues: np.ndarray
     max_real_part: float
     unstable_count: int
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -219,18 +218,14 @@ def build_bdg(problem: StationaryProblem, state: StationaryState) -> BdGOperator
     return BdGOperator(problem=problem, psi=state.psi, mu=state.mu, blocks=blocks)
 
 
-def solve_bdg(
-    operator: BdGOperator,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> BdGSpectrum:
+def solve_bdg(operator: BdGOperator) -> BdGSpectrum:
     """Full eigenvalue spectrum (all 2n values) of one linearization.
 
     l = +-sqrt(-eig) of the product form on each reflection sector, or on the
     whole grid for a state without parity, with the phase zero pair measured
-    by the deflation rather than diagonalized.
+    by the deflation rather than diagonalized. A real part above
+    DEFAULT_THRESHOLD counts as unstable.
     """
-    if threshold <= 0:
-        raise StabilityError(f"threshold must be positive, got {threshold}")
     lam_sq = []
     for form in _product_forms(operator):
         lam_sq.append(-np.linalg.eigvals(form.matrix))
@@ -239,16 +234,13 @@ def solve_bdg(
     roots = np.sqrt(np.concatenate(lam_sq).astype(complex))
     eigenvalues = np.concatenate([roots, -roots])
     eigenvalues = eigenvalues[np.lexsort((-eigenvalues.imag, -eigenvalues.real))]
-    unstable = int(np.count_nonzero(eigenvalues.real > threshold))
+    unstable = int(np.count_nonzero(eigenvalues.real > DEFAULT_THRESHOLD))
     return BdGSpectrum(eigenvalues=eigenvalues,
                        max_real_part=float(eigenvalues.real.max()),
-                       unstable_count=unstable,
-                       threshold=threshold)
+                       unstable_count=unstable)
 
 
-def _dominant_eigenpair(
-    operator: BdGOperator, threshold: float
-) -> tuple[complex, np.ndarray, np.ndarray]:
+def _dominant_eigenpair(operator: BdGOperator) -> tuple[complex, np.ndarray, np.ndarray]:
     """Fastest-growing l with its eigenvector (p, q) on the grid.
 
     l p = Ld q and l q = -Lplus p.  The winner comes from the same product
@@ -264,7 +256,7 @@ def _dominant_eigenpair(
         if best is None or roots[k].real > best[0].real:
             best = (complex(roots[k]), nus[k], form)
     lam, nu, form = best
-    if lam.real <= threshold:
+    if lam.real <= DEFAULT_THRESHOLD:
         raise StabilityError(
             f"state has no growth above threshold: max rate {lam.real:.3e}")
     # Two steps of inverse iteration at the computed eigenvalue give its
@@ -281,17 +273,14 @@ def _dominant_eigenpair(
     return complex(lam), p, q
 
 
-def dominant_unstable_mode(
-    operator: BdGOperator,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> UnstableMode:
+def dominant_unstable_mode(operator: BdGOperator) -> UnstableMode:
     """Eigenvalue and initial perturbation profile of the fastest instability.
 
     The eigenvector (p, q) of the winning eigenvalue gives the perturbation
     Re p + i Re q at t = 0, which is a + conj(b) for the matching block
     eigenvector (a, b); a real pair comes out with frequency exactly 0.
     """
-    lam, p, q = _dominant_eigenpair(operator, threshold)
+    lam, p, q = _dominant_eigenpair(operator)
     # Eigenvectors come with an arbitrary complex phase; rotate p to be real
     # and positive at its largest component.
     pivot = p[int(np.argmax(np.abs(p)))]

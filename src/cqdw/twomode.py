@@ -67,10 +67,6 @@ class ModeParams:
     Omega: float
 
     def __post_init__(self):
-        if self.s not in (-1, 1) or self.delta not in (-1, 1):
-            raise TwoModeError(f"signs must be +-1, got s={self.s}, delta={self.delta}")
-        if not self.N > 0:
-            raise TwoModeError(f"norm must be positive, got {self.N}")
         if not self.omega > 0:
             raise TwoModeError(f"omega must be positive, got {self.omega}")
 
@@ -345,8 +341,6 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
     """
     if abs(initial.z) >= 1:
         raise TwoModeError("orbit must start with |z| < 1")
-    if dt <= 0 or t_end <= 0:
-        raise TwoModeError("dt and t_end must be positive")
     omega, f = p.omega, p.coupling()
     z0, theta0 = float(initial.z), float(initial.theta)
     h_ref = _energy(z0, theta0, omega, f)

@@ -11,8 +11,10 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from cqdw.cli import RUNNERS, SUBCOMMANDS, main
-from cqdw.config import RunConfig, config_hash
+from cqdw.config import RunConfig, ThermalConfig, config_hash, validate_config
 from cqdw.dynamics import MAX_FIXED_POINT
 from cqdw.presets import PRESETS, RegressionTarget, ScenarioPreset, get_preset
 
@@ -185,15 +187,19 @@ def test_malformed_stored_states_name_the_file(tmp_path, capsys):
 
 def test_walk_into_the_vacuum_is_a_cli_error(tmp_path, capsys):
     # with the default s = +1 the antisymmetric branch starts at
-    # omega1 = 0.1557 and mu rises with N, so mu = 0.14 lies in the vacuum
-    cfg = _write(
-        tmp_path / "c.json",
-        {"dynamics": {"mu_list": [0.14], "family": "anti", "t_end": 1.0}},
-    )
-    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "ev")]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "CliError"
-    assert "vacuum" in err["message"]
+    # omega1 = 0.1557 and mu rises with N, so mu = 0.14 lies in the vacuum;
+    # it folds at mu = 0.374, so a walk to mu = 0.40 steps past the fold
+    for mu, named in ((0.14, ["vacuum"]),
+                      (0.40, ["anti branch", "mu=0.370695", "N=4.79159", "mu=0.4;"])):
+        cfg = _write(
+            tmp_path / "c.json",
+            {"dynamics": {"mu_list": [mu], "family": "anti", "t_end": 1.0}},
+        )
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "ev")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CliError"
+        for text in named:
+            assert text in err["message"]
 
 
 def test_evolve_stable_run_layout(tmp_path):
@@ -252,6 +258,49 @@ def test_config_errors_are_collected(tmp_path, capsys):
     assert "grid.spacing" in fields
     assert "interaction.family" in fields
     assert "interaction.sigma" in fields
+
+
+# One config per rule that validate_config alone states: the first four once
+# passed the gate and failed inside the library with exit 1; each other one
+# stands for a library guard that the gate makes redundant.
+FIELD_RULES = [
+    ("spectrum", {"potential": {"barrier_height": -1.0}}, "potential.barrier_height"),
+    ("evolve", {"dynamics": {**TINY_EVOLVE["dynamics"], "dt": 0.05}}, "dynamics.dt"),
+    ("evolve", {"dynamics": {**TINY_EVOLVE["dynamics"], "phase_dt": 0.2000000005,
+                             "snapshot_dt": 0.2000000005}}, "dynamics.phase_dt"),
+    ("spectrum", {"grid": {"half_width": 0.1000000005, "spacing": 0.001}}, "grid.half_width"),
+    ("spectrum", {"grid": {"half_width": 0.05, "spacing": 0.1}}, "grid.half_width"),
+    ("spectrum", {"potential": {"trap_frequency": -0.1}}, "potential.trap_frequency"),
+    ("spectrum", {"potential": {"barrier_width": 0.0}}, "potential.barrier_width"),
+    ("continue", {"scan": {"mu_min": 0.3, "mu_max": 0.2}}, "scan.mu_min"),
+    ("continue", {"scan": {"direction": 2}}, "scan.direction"),
+    ("continue", {"scan": {"norm_cap": 0.0}}, "scan.norm_cap"),
+    ("continue", {"interaction": {"s": 0}}, "interaction.s"),
+    ("twomode", {"interaction": {"delta": 2}}, "interaction.delta"),
+    ("continue", {"interaction": {"sigma": -1.0}}, "interaction.sigma"),
+    ("twomode", {"twomode": {"n_min": 0.0}}, "twomode.n_min"),
+    ("twomode", {"twomode": {"portrait_norms": [-1.0]}}, "twomode.portrait_norms"),
+    ("twomode", {"twomode": {"portrait_t_end": 0.0}}, "twomode.portrait_t_end"),
+    ("twomode", {"twomode": {"sigma_min": 0.0}}, "twomode.sigma_min"),
+    ("overlaps", {"overlaps": {"sigma_min": 0.0}}, "overlaps.sigma_min"),
+    ("evolve", {"dynamics": {**TINY_EVOLVE["dynamics"], "dt": 0.0}}, "dynamics.dt"),
+    ("evolve", {"dynamics": {**TINY_EVOLVE["dynamics"], "t_end": -1.0}}, "dynamics.t_end"),
+    ("evolve", {"dynamics": {**TINY_EVOLVE["dynamics"], "amplitude": -1.0}}, "dynamics.amplitude"),
+    ("evolve", {"dynamics": {"t_end": float("inf")}}, "dynamics.t_end"),
+    ("thermal", {"thermal": {"d": 0.0}}, "thermal.d"),
+]
+
+
+@pytest.mark.parametrize("subcommand, payload, field", FIELD_RULES,
+                         ids=[f"{rule[2]}-{k}" for k, rule in enumerate(FIELD_RULES)])
+def test_field_rule_is_a_config_error(tmp_path, capsys, subcommand, payload, field):
+    cfg = _write(tmp_path / "c.json", payload)
+    out = tmp_path / "x"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert any(f.startswith(f"{field}:") for f in err["fields"]), err["fields"]
+    assert not out.exists()
 
 
 def test_mu_list_tag_collision_is_rejected(tmp_path, capsys):
@@ -340,6 +389,7 @@ def test_preset_catalogue_covers_every_figure():
     for preset in PRESETS.values():
         assert preset.subcommand in RUNNERS
         assert get_preset(preset.name) is preset
+        assert validate_config(preset.config) == []
         for target in preset.expected:
             assert target.provenance
             assert target.tolerance > 0
@@ -444,6 +494,21 @@ def test_seed_override_is_validated(tmp_path, capsys):
         assert payload["error"] == "ConfigError"
         assert payload["fields"] == ["seed: must be a non-negative integer, got -1"]
         assert not (out / "config.json").exists()
+
+
+def test_preset_config_is_validated(tmp_path, monkeypatch, capsys):
+    # a preset never passes through the file parser, so the CLI's one
+    # validate_config call is what checks it, with or without --seed
+    bad = ScenarioPreset(name="tiny-bad", subcommand="thermal",
+                         config=replace(RunConfig(), thermal=ThermalConfig(d=0.0)))
+    monkeypatch.setitem(PRESETS, "tiny-bad", bad)
+    for subcommand in ("thermal", "regress"):
+        out = tmp_path / subcommand
+        assert main([subcommand, "--preset", "tiny-bad", "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert payload["fields"] == ["thermal.d: must be positive, got 0.0"]
+        assert not out.exists()
 
 
 def test_every_subcommand_is_wired():

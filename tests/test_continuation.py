@@ -14,7 +14,6 @@ from cqdw.continuation import (
     PITCHFORK,
     BranchEvent,
     ContinuationError,
-    ContinuationSettings,
     NewtonError,
     ReflectionSector,
     StationaryProblem,
@@ -136,12 +135,6 @@ def test_sector_linearization_matches_fold(branch_suite, family):
         ld, lp = problem.linearization(state.psi, state.mu, sector)
         assert np.abs(ld - sector.fold(l_minus)).max() <= 1e-12
         assert np.abs(lp - sector.fold(l_plus)).max() <= 1e-12
-
-
-def test_sign_arguments_validated(grid):
-    kernel = Kernel(GAUSSIAN, 1.0)
-    with pytest.raises(ContinuationError, match="signs"):
-        StationaryProblem(grid, PotentialParams(), kernel, s=0, delta=-1)
 
 
 # --- Newton ---------------------------------------------------------------------
@@ -318,13 +311,6 @@ def test_state_bookkeeping(branch_suite):
 def test_event_kind_validated():
     with pytest.raises(ContinuationError, match="event"):
         BranchEvent("cusp", 0.2, 1.0)
-
-
-def test_settings_validated():
-    with pytest.raises(ContinuationError, match="mu range"):
-        ContinuationSettings(mu_min=0.3, mu_max=0.2)
-    with pytest.raises(ContinuationError, match="direction"):
-        ContinuationSettings(mu_min=0.1, mu_max=0.4, direction=2)
 
 
 # --- branch tracing -------------------------------------------------------------

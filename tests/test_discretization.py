@@ -71,13 +71,6 @@ def test_potential_profile_shape():
     assert v.min() < v[c]
 
 
-def test_potential_params_validation():
-    with pytest.raises(DiscretizationError):
-        PotentialParams(trap_frequency=-0.1).validate()
-    with pytest.raises(DiscretizationError):
-        PotentialParams(barrier_width=0.0).validate()
-
-
 def test_kernel_eval_values():
     assert kernel_eval(Kernel(GAUSSIAN, 1.0), 0.0) == pytest.approx(
         1.0 / np.sqrt(np.pi), rel=1e-12
@@ -89,10 +82,6 @@ def test_kernel_eval_values():
 
 
 def test_kernel_validation():
-    with pytest.raises(DiscretizationError):
-        Kernel(GAUSSIAN, -1.0)
-    with pytest.raises(DiscretizationError):
-        Kernel(GAUSSIAN, 0.0)
     with pytest.raises(DiscretizationError):
         Kernel("lorentzian", 1.0)
 

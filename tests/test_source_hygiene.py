@@ -7,9 +7,12 @@ attribute of that name, even on an unrelated object.
 
 import ast
 from collections import Counter
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
+
+from cqdw.config import RunConfig
 
 TESTS = Path(__file__).resolve().parent
 SOURCE = TESTS.parent / "src" / "cqdw"
@@ -136,3 +139,37 @@ def test_every_settings_field_is_set():
     assert fields, "no *Settings class found in src/cqdw"
     unset = [name for name in fields if name.split(".")[1] not in passed]
     assert not unset, f"set by no module, criterion or BdG reference: {unset}"
+
+
+def is_config_field(path: str) -> bool:
+    """`section.field` or `seed`: a path to a leaf field of RunConfig."""
+    node = RunConfig()
+    for part in path.split("."):
+        if not is_dataclass(node) or part not in {f.name for f in fields(node)}:
+            return False
+        node = getattr(node, part)
+    return not is_dataclass(node)
+
+
+def test_every_config_message_names_its_field():
+    """Each message that validate_config appends, directly or through
+    `_tag_clashes(path, ...)`, starts with `<path>:` for a real field of
+    RunConfig, so a rule that moves into the gate always points at its field."""
+    tree = ast.parse((SOURCE / "config.py").read_text(encoding="utf-8"))
+    gate = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "validate_config")
+    paths = []
+    for node in ast.walk(gate):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("append", "extend")):
+            continue
+        message = node.args[0]
+        if node.func.attr == "extend":  # p.extend(_tag_clashes("section.field", ...))
+            message = message.args[0]
+        head = message.values[0] if isinstance(message, ast.JoinedStr) else message
+        assert isinstance(head, ast.Constant) and isinstance(head.value, str), ast.unparse(node)
+        text = head.value if node.func.attr == "append" else head.value + ":"
+        path, colon, _ = text.partition(":")
+        assert colon and is_config_field(path), f"{ast.unparse(node)} names no RunConfig field"
+        paths.append(path)
+    assert paths, "found no message in validate_config"

@@ -5,6 +5,7 @@ import sympy as sp
 from cqdw.continuation import make_state
 from cqdw.discretization import kernel_eval, parity_residuals
 from cqdw.stability import (
+    DEFAULT_THRESHOLD,
     StabilityError,
     _dominant_eigenpair,
     build_bdg,
@@ -232,8 +233,8 @@ def test_parity_split_matches_whole_block(parity_states, name):
     for ref, other in ((whole, split.eigenvalues), (split.eigenvalues, whole)):
         for lam in ref[np.abs(ref) > 1e-3]:
             assert np.abs(other - lam).min() <= 1e-8
-    assert split.unstable_count == np.count_nonzero(whole.real > split.threshold)
-    if split.max_real_part > split.threshold:
+    assert split.unstable_count == np.count_nonzero(whole.real > DEFAULT_THRESHOLD)
+    if split.max_real_part > DEFAULT_THRESHOLD:
         assert abs(split.max_real_part - whole.real.max()) <= 1e-8
     if np.any(op.psi):
         # the phase zero pair, which rounding splits on the block, is bounded
@@ -247,12 +248,6 @@ def test_asymmetric_state_keeps_whole_spectrum(entry01, ssb_daughter):
     op = build_bdg(entry01["problem"], nearest_state(daughter, 3.0))
     assert min(parity_residuals(op.grid, op.psi)) > 1e-3
     assert len(solve_bdg(op).eigenvalues) == 2 * op.grid.n_points
-
-
-def test_solver_input_validation(bdg_mid):
-    _, _, op = bdg_mid
-    with pytest.raises(StabilityError, match="threshold"):
-        solve_bdg(op, threshold=0.0)
 
 
 def test_spectrum_is_sorted_by_real_part(bdg_mid):
@@ -362,7 +357,7 @@ def test_growth_rate_matches_reduction_at_low_norm(entry01, overlaps_sigma01, ba
         lam_sq = antisym_lambda_sq(overlaps_sigma01, basis, state.norm)
         # both sides unstable, and the PDE rate within 20% of sqrt(lambda^2)
         assert lam_sq > 0
-        assert spectrum.max_real_part > spectrum.threshold
+        assert spectrum.max_real_part > DEFAULT_THRESHOLD
         reduced_rate = np.sqrt(lam_sq)
         assert abs(spectrum.max_real_part - reduced_rate) / reduced_rate <= 0.20
 
@@ -375,7 +370,7 @@ def test_stable_side_binary_agreement(entry01, overlaps_sigma01, basis):
         lam_sq = antisym_lambda_sq(overlaps_sigma01, basis, state.norm)
         # both sides stable: no reduced rate and no PDE growth
         assert lam_sq <= 0
-        assert spectrum.max_real_part <= spectrum.threshold
+        assert spectrum.max_real_part <= DEFAULT_THRESHOLD
         assert spectrum.max_real_part <= 1e-6
 
 
@@ -468,7 +463,7 @@ def test_dominant_mode_is_an_eigenvector(entry01, ssb_daughter, bdg_mid, unstabl
         op = unstable_daughter
     else:
         op = build_bdg(entry01["problem"], nearest_state(ssb_daughter[2], 4.33))
-    lam, p, q = _dominant_eigenpair(op, 1e-6)
+    lam, p, q = _dominant_eigenpair(op)
     assert (abs(lam.imag) > 0.1) == (name == "quartet")
     l_minus, l_plus = full_blocks(op)
     assert np.linalg.norm(lam * p - l_minus @ q) <= 1e-8 * np.linalg.norm(lam * p)
@@ -479,5 +474,7 @@ def test_sweep_is_aligned(entry01, parent_sweeps):
     branch = entry01["anti"]
     spectra = parent_sweeps["sigma01"]["anti"]
     assert len(spectra) == len(branch.states)
+    assert DEFAULT_THRESHOLD == 1e-6
     for spectrum in spectra:
-        assert spectrum.threshold == 1e-6
+        assert spectrum.unstable_count == np.count_nonzero(
+            spectrum.eigenvalues.real > DEFAULT_THRESHOLD)

@@ -74,13 +74,6 @@ def lobe_orbit(lobe_params):
 def test_mode_params_validation():
     good = dict(N=1.0, eta0=0.1, eta1=0.0, eta4=0.02, omega=0.01, Omega=0.14)
     ModeParams(s=1, delta=-1, **good)
-    with pytest.raises(TwoModeError):
-        ModeParams(s=0, delta=-1, **good)
-    with pytest.raises(TwoModeError):
-        ModeParams(s=1, delta=2, **good)
-    for bad_n in (0.0, -3.0):
-        with pytest.raises(TwoModeError):
-            ModeParams(s=1, delta=-1, **{**good, "N": bad_n})
     for bad_omega in (0.0, -1.0):
         with pytest.raises(TwoModeError):
             ModeParams(s=1, delta=-1, **{**good, "omega": bad_omega})
@@ -549,7 +542,3 @@ def test_orbit_singularity_inside_a_step_is_diagnosed():
 def test_orbit_argument_validation(lobe_params):
     with pytest.raises(TwoModeError):
         integrate_orbit(TwoModeState(1.0, 0.0), lobe_params, t_end=1.0, dt=0.01)
-    with pytest.raises(TwoModeError):
-        integrate_orbit(TwoModeState(0.1, 0.0), lobe_params, t_end=1.0, dt=0.0)
-    with pytest.raises(TwoModeError):
-        integrate_orbit(TwoModeState(0.1, 0.0), lobe_params, t_end=-1.0, dt=0.01)
