@@ -4,9 +4,13 @@ Every subcommand writes into its own output directory: the resolved config
 (config.json), the declared artifacts, and a manifest.json naming each file
 alongside the sha256 config hash, any headline quantities the run produced
 and the deterministic work counters of its solvers (`counters`; so far the
-midpoint fixed-point passes and mu-walk Newton iterations of `evolve`, and
-the seed's Newton iterations, arclength corrector iterations, rejected
-steps and pitchfork bisection steps of `continue`). Nothing written
+midpoint fixed-point passes of `evolve` and the Newton iterations of its
+walk to each mu, and the seed's Newton iterations, arclength corrector
+iterations, rejected steps and pitchfork bisection steps of `continue`).
+Every stationary state comes from `continue_branch`; `evolve` traces from
+the seed to each mu and ends with one fixed-mu solve there, and its
+`newton_iterations_mu<tag>` adds the seed's, corrector's and that solve's
+iterations. Nothing written
 contains timestamps or machine state, so a repeated run with the same
 config and seed is byte-identical. Failures
 are reported as one JSON object on stderr (machine-readable) with a nonzero
@@ -35,6 +39,7 @@ from .config import (
     validate_config,
 )
 from .continuation import (
+    FOLD,
     ContinuationSettings,
     NewtonError,
     StationaryProblem,
@@ -157,37 +162,46 @@ def _family_mode(basis, family: str):
     return basis.u1, basis.omega1
 
 
-def _state_at_mu(problem, basis, family: str, mu_target: float, delta_mu: float):
-    """Walk the parent branch from the linear limit to mu; also sum its Newton iterations.
+def _seed(problem, basis, family: str, delta_mu: float):
+    return seed_from_mode(problem, *_family_mode(basis, family), delta_mu)
 
-    Each solve after the first starts from the secant through the last two states.
+
+def _state_at_mu(problem, basis, config: RunConfig, family: str, mu_target: float):
+    """The parent state at mu_target, and the seed's, corrector's and final Newton iterations.
+
+    `continue_branch` traces the seed over the mu window up to mu_target; one
+    fixed-mu solve there starts from the mu-linear interpolant of the last two
+    states, which bracket it. A target in the vacuum, a fold, a trace that
+    stops short of the target and a failed final solve are CliErrors.
     """
-    mode, omega = _family_mode(basis, family)
-    state = seed_from_mode(problem, mode, omega, delta_mu=problem.s * delta_mu)
-    iterations = state.newton_iterations
-    previous = None
-    while abs(state.mu - mu_target) > 1e-12:
-        step = math.copysign(
-            min(delta_mu, abs(mu_target - state.mu)), mu_target - state.mu
-        )
-        guess = state.psi
-        if previous is not None:
-            guess = state.psi + (step / (state.mu - previous.mu)) * (state.psi - previous.psi)
-        try:
-            previous, state = state, newton_solve(problem, guess, state.mu + step)
-        except NewtonError as exc:
-            if exc.trivial:
-                raise CliError(
-                    f"{family} branch ran into the vacuum before mu={mu_target}; "
-                    "the state does not exist there"
-                ) from exc
-            raise CliError(
-                f"{family} branch: Newton failed stepping on from mu={state.mu:.6g} "
-                f"(N={state.norm:.6g}) toward mu={mu_target}; the branch folds "
-                f"before it or cannot be followed there ({exc})"
-            ) from exc
-        iterations += state.newton_iterations
-    return state, iterations
+    omega = _family_mode(basis, family)[1]
+    if problem.s * (mu_target - omega) <= 0:
+        raise CliError(f"{family} branch: mu={mu_target} lies in the vacuum, on the trivial "
+                       f"side of the linear eigenvalue {omega:.6g} for s={problem.s}")
+    seed = _seed(problem, basis, family, config.scan.seed_delta_mu)
+    lo, hi = sorted((seed.mu, mu_target))
+    settings = ContinuationSettings(
+        mu_min=lo, mu_max=hi, norm_cap=config.scan.norm_cap,
+        direction=1 if mu_target > seed.mu else -1,
+    )
+    branch = continue_branch(problem, seed, settings)
+    folds = [event for event in branch.events if event.kind == FOLD]
+    if folds:
+        raise CliError(f"{family} branch folds at mu={folds[0].mu:.6g} "
+                       f"(N={folds[0].norm:.6g}) before reaching mu={mu_target}")
+    last = branch.states[-1]
+    if branch.termination != "mu_range":
+        raise CliError(f"{family} branch: the trace toward mu={mu_target} ended by "
+                       f"{branch.termination} at mu={last.mu:.6g} (N={last.norm:.6g}, "
+                       f"scan.norm_cap={config.scan.norm_cap})")
+    before = branch.states[-2]
+    t = (mu_target - before.mu) / (last.mu - before.mu)
+    try:
+        state = newton_solve(problem, before.psi + t * (last.psi - before.psi), mu_target)
+    except NewtonError as exc:
+        raise CliError(f"{family} branch: the solve at mu={mu_target} between the traced "
+                       f"mu={before.mu:.6g} and {last.mu:.6g} failed ({exc})") from exc
+    return state, seed.newton_iterations + branch.corrector_iterations + state.newton_iterations
 
 
 def _trace_branches(problem, basis, config: RunConfig):
@@ -198,10 +212,7 @@ def _trace_branches(problem, basis, config: RunConfig):
     )
     traced = []
     for family in sc.families:
-        mode, omega = _family_mode(basis, family)
-        seed = seed_from_mode(
-            problem, mode, omega, delta_mu=problem.s * sc.seed_delta_mu
-        )
+        seed = _seed(problem, basis, family, sc.seed_delta_mu)
         branch = continue_branch(problem, seed, settings)
         pitchforks = detect_pitchfork(problem, branch)
         traced.append((family, branch, pitchforks))
@@ -481,7 +492,7 @@ def run_evolve(config: RunConfig, out: Path, seed: int):
     density_stride = max(1, int(round(dy.snapshot_dt / dy.phase_dt)))
 
     def one_run(index: int, mu: float):
-        state, iterations = _state_at_mu(problem, basis, dy.family, mu, config.scan.seed_delta_mu)
+        state, iterations = _state_at_mu(problem, basis, config, dy.family, mu)
         if dy.perturbation == "eigenvector":
             mode = dominant_unstable_mode(build_bdg(problem, state))
             initial = perturb_state(problem.grid, state, dy.amplitude, direction=mode.direction)

@@ -12,10 +12,10 @@ merges are refined by one arclength-resolved bisection; daughters are
 seeded by branch switching along the critical direction.
 
 Every state comes out of one Newton loop, `_newton`. With t_psi=None it
-holds mu fixed and solves with the Jacobian alone (seeds, mu-walks, the BdG
-polish); otherwise it keeps (psi, mu) on a pseudo-arclength hyperplane and
-solves the Jacobian bordered by the hyperplane's normal (tracing,
-bisection, branch switching; Keller 1977).
+holds mu fixed and solves with the Jacobian alone (seeds, the last solve of a
+walk to a given mu, the BdG polish); otherwise it keeps (psi, mu) on a
+pseudo-arclength hyperplane and solves the Jacobian bordered by the
+hyperplane's normal (tracing, bisection, branch switching; Keller 1977).
 
 At an even or odd state every linear problem splits into an even and an
 odd reflection sector of about n/2 unknowns, and the Jacobian is assembled
@@ -75,17 +75,11 @@ class ContinuationError(RuntimeError):
 
 
 class NewtonError(ContinuationError):
-    """Newton failure diagnostic carrying the residual history.
+    """Newton failure diagnostic carrying the residual history."""
 
-    `trivial` marks divergence to the zero solution rather than
-    non-convergence; callers seeding from linear modes use it to distinguish
-    a bad amplitude guess from a genuinely stuck iteration.
-    """
-
-    def __init__(self, message: str, residual_history: list[float], trivial: bool = False):
+    def __init__(self, message: str, residual_history: list[float]):
         super().__init__(message)
         self.residual_history = residual_history
-        self.trivial = trivial
 
 
 @dataclass(frozen=True)
@@ -364,22 +358,17 @@ def seed_from_mode(
     """Converge the small-amplitude state branching from a linear mode.
 
     Near the linear limit mu = omega_k + s c N with c the self-overlap of the
-    mode density through the kernel, so the guess amplitude is matched to
-    the requested mu offset. A mismatched side lands in the trivial basin,
-    hence the sign check.
+    mode density through the kernel, so the state sits at mu = omega_k +
+    s delta_mu, on the nontrivial side for delta_mu > 0, and the guess
+    amplitude is matched to that offset.
     """
     mode = np.asarray(mode, dtype=float)
     density = mode**2
     c = float(problem.grid.integrate(density * problem._plan.apply(density)))
     c /= problem.norm(mode) ** 2
-    if problem.s * delta_mu <= 0:
-        raise ContinuationError(
-            f"mu offset {delta_mu:.3g} is on the trivial side of the linear "
-            f"eigenvalue for s={problem.s}"
-        )
-    amp_sq = delta_mu / (problem.s * c) / problem.norm(mode)
+    amp_sq = delta_mu / c / problem.norm(mode)
     guess = math.sqrt(amp_sq) * mode
-    return newton_solve(problem, guess, omega_k + delta_mu)
+    return newton_solve(problem, guess, omega_k + problem.s * delta_mu)
 
 
 def _weighted_dot(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
@@ -444,8 +433,8 @@ def _newton(
     Raises NewtonError with the residual history when the residual is not
     finite, when it rises after any step but the first (a guess can start off
     the solution manifold, so the first step may raise it), when max_iter
-    steps do not reach tol, and, with trivial=True, when the iteration lands
-    on the zero solution.
+    steps do not reach tol, and when the iteration lands on the zero
+    solution.
     """
     grid = problem.grid
     sector, psi = _own_sector(grid, psi)
@@ -465,9 +454,7 @@ def _newton(
         if rn <= tol and abs(g) <= tol:
             if problem.norm(psi) < TRIVIAL_NORM:
                 raise NewtonError(
-                    f"Newton converged to the trivial zero state at mu={mu:.6g}",
-                    history,
-                    trivial=True,
+                    f"Newton converged to the trivial zero state at mu={mu:.6g}", history
                 )
             return psi, mu, len(history) - 1
         if len(history) > max_iter:

@@ -290,27 +290,22 @@ def imbalance_series(run: EvolutionRun) -> np.ndarray:
     return np.array([density_imbalance(run.grid, psi) for psi in run.snapshots])
 
 
-def onset_time(run: EvolutionRun, threshold: float = 0.5) -> float | None:
-    """First sample time with |z_density| >= threshold, None if never reached."""
-    if not 0.0 < threshold <= 1.0:
-        raise DynamicsError(f"threshold must lie in (0, 1], got {threshold}")
-    hits = np.flatnonzero(np.abs(imbalance_series(run)) >= threshold)
+def onset_time(run: EvolutionRun) -> float | None:
+    """First sample time with |z_density| >= 0.5, None if never reached."""
+    hits = np.flatnonzero(np.abs(imbalance_series(run)) >= 0.5)
     if hits.size == 0:
         return None
     return float(run.times[hits[0]])
 
 
-def growth_rate(
-    run: EvolutionRun,
-    floor: float = 1e-3,
-    ceiling: float = 0.05,
-) -> float:
+def growth_rate(run: EvolutionRun) -> float:
     """Exponential rate of the density imbalance over its linear window.
 
-    Fits log|z_density(t)| on the samples between floor and ceiling, cut at the
-    first ceiling crossing so saturated data never enters the fit. At least
-    three samples are required.
+    Fits log|z_density(t)| on the samples between floor 1e-3 and ceiling 0.05,
+    cut at the first ceiling crossing so saturated data never enters the fit.
+    At least three samples are required.
     """
+    floor, ceiling = 1e-3, 0.05
     a = np.abs(imbalance_series(run))
     above = np.flatnonzero(a >= ceiling)
     stop = above[0] if above.size else a.size

@@ -145,28 +145,22 @@ def classify_regime(sigma: float, thresholds: RegimeThresholds) -> str:
     return CASE3
 
 
-def find_threshold(
-    basis: LinearBasis,
-    family: str,
-    which: str,
-    bracket: tuple[float, float] = (0.05, 25.0),
-    cutoff: float = RELEVANCE_CUTOFF,
-) -> float:
-    """Kernel range where eta_rel(which) crosses the cutoff, by bisection.
+def find_threshold(basis: LinearBasis, family: str, which: str) -> float:
+    """Kernel range in [0.05, 25] where eta_rel(which) crosses RELEVANCE_CUTOFF, by bisection.
 
     eta1's measure increases with sigma (crossing gives sigma_b); eta4's
     decreases (crossing gives sigma_c).
     """
 
     def g(sigma: float) -> float:
-        return eta_rel(compute_overlaps(basis, Kernel(family, sigma)), which) - cutoff
+        return eta_rel(compute_overlaps(basis, Kernel(family, sigma)), which) - RELEVANCE_CUTOFF
 
-    lo, hi = bracket
+    lo, hi = 0.05, 25.0
     glo, ghi = g(lo), g(hi)
     if glo * ghi > 0:
         raise ValueError(
-            f"eta_rel({which}) - {cutoff} does not change sign on {bracket}: "
-            f"{glo:.3e}, {ghi:.3e}"
+            f"eta_rel({which}) - {RELEVANCE_CUTOFF} does not change sign on "
+            f"[{lo}, {hi}]: {glo:.3e}, {ghi:.3e}"
         )
     return float(brentq(g, lo, hi, xtol=1e-6))
 

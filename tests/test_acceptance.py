@@ -21,7 +21,6 @@ so the discrepancies stay auditable:
 import math
 
 import numpy as np
-import pytest
 from scipy.optimize import brentq
 
 from cqdw.discretization import ConvolutionPlan, Kernel, kernel_eval

@@ -188,18 +188,29 @@ def test_malformed_stored_states_name_the_file(tmp_path, capsys):
 def test_walk_into_the_vacuum_is_a_cli_error(tmp_path, capsys):
     # with the default s = +1 the antisymmetric branch starts at
     # omega1 = 0.1557 and mu rises with N, so mu = 0.14 lies in the vacuum;
-    # it folds at mu = 0.374, so a walk to mu = 0.40 steps past the fold
-    for mu, named in ((0.14, ["vacuum"]),
-                      (0.40, ["anti branch", "mu=0.370695", "N=4.79159", "mu=0.4;"])):
-        cfg = _write(
-            tmp_path / "c.json",
-            {"dynamics": {"mu_list": [mu], "family": "anti", "t_end": 1.0}},
-        )
+    # it folds at mu = 0.374, so a walk to mu = 0.40 meets the fold; a norm
+    # cap of 0.3 stops the symmetric trace short of mu = 0.2
+    anti = {"family": "anti", "t_end": 1.0}
+    for payload, named in (
+        ({"dynamics": {"mu_list": [0.14], **anti}}, ["anti branch", "vacuum"]),
+        ({"dynamics": {"mu_list": [0.40], **anti}},
+         ["anti branch folds", "mu=0.374042", "N=5.38", "mu=0.4"]),
+        ({"scan": {"norm_cap": 0.3},
+          "dynamics": {"mu_list": [0.2], "family": "sym", "t_end": 1.0}},
+         ["sym branch", "norm_cap", "scan.norm_cap=0.3"]),
+    ):
+        cfg = _write(tmp_path / "c.json", payload)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "ev")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CliError"
         for text in named:
             assert text in err["message"]
+    # mu = 0.158 lies between omega1 and the seed at omega1 + 0.005: the walk
+    # traces down from the seed to it
+    cfg = _write(tmp_path / "c.json",
+                 {"dynamics": {"mu_list": [0.158], "perturbation": "none", **anti}})
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    assert (tmp_path / "ok" / "phase_mu0.158.csv").exists()
 
 
 def test_evolve_stable_run_layout(tmp_path):

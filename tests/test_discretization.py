@@ -9,7 +9,6 @@ from cqdw.discretization import (
     GAUSSIAN,
     ConvolutionPlan,
     DiscretizationError,
-    Grid,
     Kernel,
     PotentialParams,
     build_grid,

@@ -33,8 +33,6 @@ from cqdw.dynamics import (
     solve_screened_poisson,
 )
 
-ONSET_THRESHOLD = 0.5
-
 
 def test_stable_state_is_an_equilibrium(branch_suite):
     """A converged stable profile must hold still to 1e-6 over t in [0, 100]."""
@@ -81,8 +79,8 @@ def test_norm_conservation_on_breaking_runs(breaking_runs):
 def test_symmetry_breaking_onset_windows(breaking_runs):
     """Order-unity imbalance develops at t ~ 200 (mu=0.19) and ~ 100 (mu=0.25)."""
     _, runs = breaking_runs
-    onset19 = onset_time(runs[0.19]["run"], ONSET_THRESHOLD)
-    onset25 = onset_time(runs[0.25]["run"], ONSET_THRESHOLD)
+    onset19 = onset_time(runs[0.19]["run"])
+    onset25 = onset_time(runs[0.25]["run"])
     assert onset19 is not None and 150.0 <= onset19 <= 300.0
     assert onset25 is not None and 70.0 <= onset25 <= 150.0
     assert onset25 < onset19
@@ -96,8 +94,8 @@ def test_onset_insensitive_to_halving_dt(breaking_runs):
         entry["problem"].grid, item["state"], amplitude=1e-3, direction=item["mode"].direction
     )
     fine = evolve(entry["problem"], init, 0.25, 150.0, dt=2.5e-3)
-    t_ref = onset_time(item["run"], ONSET_THRESHOLD)
-    t_fine = onset_time(fine, ONSET_THRESHOLD)
+    t_ref = onset_time(item["run"])
+    t_fine = onset_time(fine)
     assert abs(t_fine - t_ref) / t_ref <= 0.05
 
 
@@ -132,8 +130,8 @@ def test_random_kick_breaks_later_than_eigen_kick(breaking_runs):
     item = runs[0.25]
     init = perturb_state(entry["problem"].grid, item["state"], rng=np.random.default_rng(0))
     run = evolve(entry["problem"], init, 0.25, 200.0)
-    t_random = onset_time(run, ONSET_THRESHOLD)
-    t_eigen = onset_time(item["run"], ONSET_THRESHOLD)
+    t_random = onset_time(run)
+    t_eigen = onset_time(item["run"])
     assert t_random is not None and t_random > t_eigen
 
 
@@ -308,13 +306,13 @@ def test_perturbation_protocol(breaking_runs):
         perturb_state(grid, state, direction=np.zeros(grid.n_points - 1))
 
 
-def test_observable_validation(breaking_runs):
-    _, runs = breaking_runs
-    run = runs[0.19]["run"]
-    with pytest.raises(DynamicsError, match="threshold"):
-        onset_time(run, threshold=0.0)
+def test_observable_validation(branch_suite):
+    """A run that never leaves its stationary state has no linear window to fit."""
+    entry = branch_suite["sigma1"]
+    state = entry["anti"].states[2]
+    run = evolve(entry["problem"], state.psi.astype(complex), state.mu, 3.0)
     with pytest.raises(DynamicsError, match="linear window"):
-        growth_rate(run, floor=0.99, ceiling=1.0)
+        growth_rate(run)
 
 
 def test_screened_poisson_matches_kernel_convolution(grid):

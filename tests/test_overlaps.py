@@ -12,7 +12,6 @@ from cqdw.discretization import (
     EXPONENTIAL,
     GAUSSIAN,
     Kernel,
-    build_grid,
     kernel_eval,
 )
 from cqdw.overlaps import (
@@ -29,7 +28,6 @@ from cqdw.overlaps import (
     overlap_sweep,
     recompute_thresholds,
 )
-from cqdw.spectrum import default_basis
 
 
 def brute_force_eta(kernel, f, g, grid):

@@ -73,7 +73,7 @@ def test_modules_found():
     assert {m.name for m in MODULES} >= {"cli.py", "continuation.py", "presets.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = used_names(tree)

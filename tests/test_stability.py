@@ -13,7 +13,7 @@ from cqdw.stability import (
     solve_bdg,
     sweep_branch,
 )
-from cqdw.twomode import ANTISYMMETRIC, ModeParams, TwoModeState, critical_norms, fixed_point_stability
+from cqdw.twomode import ModeParams, TwoModeState, critical_norms, fixed_point_stability
 
 from bdg_reference import block, block_spectrum, exchange_block, full_blocks, quartet_defect
 
