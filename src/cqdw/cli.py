@@ -8,9 +8,10 @@ midpoint fixed-point passes of `evolve` and the Newton iterations of its
 walk to each mu, and the seed's Newton iterations, arclength corrector
 iterations, rejected steps and pitchfork bisection steps of `continue`).
 Every stationary state comes from `continue_branch`; `evolve` traces from
-the seed to each mu and ends with one fixed-mu solve there, and its
-`newton_iterations_mu<tag>` adds the seed's, corrector's and that solve's
-iterations. Nothing written
+the seed once per direction, out to its farthest mu, and ends with one
+fixed-mu solve at each mu. Its `newton_iterations_mu<tag>` counts the
+iterations first spent for that mu, so the counters of a run add up to its
+Newton work. Nothing written
 contains timestamps or machine state, so a repeated run with the same
 config and seed is byte-identical. Failures
 are reported as one JSON object on stderr (machine-readable) with a nonzero
@@ -67,15 +68,7 @@ from .dynamics import (
     project_phase_plane,
     solve_screened_poisson,
 )
-from .overlaps import (
-    REFERENCE_THRESHOLDS,
-    ETA_LABELS,
-    RegimeThresholds,
-    classify_regime,
-    compute_overlaps,
-    overlap_sweep,
-    recompute_thresholds,
-)
+from .overlaps import ETA_LABELS, compute_overlaps, recompute_thresholds
 from .presets import PresetError, get_preset
 from .spectrum import default_basis
 from .stability import build_bdg, dominant_unstable_mode, sweep_branch
@@ -162,46 +155,61 @@ def _family_mode(basis, family: str):
     return basis.u1, basis.omega1
 
 
-def _seed(problem, basis, family: str, delta_mu: float):
-    return seed_from_mode(problem, *_family_mode(basis, family), delta_mu)
+def _seed(problem, basis, family: str):
+    return seed_from_mode(problem, *_family_mode(basis, family))
 
 
-def _state_at_mu(problem, basis, config: RunConfig, family: str, mu_target: float):
-    """The parent state at mu_target, and the seed's, corrector's and final Newton iterations.
+def _states_at_mu(problem, basis, config: RunConfig, family: str, targets):
+    """Yield the parent state at each mu of targets, in order, with its Newton iterations.
 
-    `continue_branch` traces the seed over the mu window up to mu_target; one
-    fixed-mu solve there starts from the mu-linear interpolant of the last two
-    states, which bracket it. A target in the vacuum, a fold, a trace that
-    stops short of the target and a failed final solve are CliErrors.
+    `continue_branch` traces the seed once in each direction that holds
+    targets, out to the farthest of them. Each target is then solved at fixed
+    mu from the mu-linear interpolant of the first two traced states that
+    bracket it. Its iterations are those first spent for it: the seed's (first
+    target only), the corrector's up to its bracket, and its own solve. A
+    target in the vacuum, one past a fold or past where the trace stopped,
+    and a failed solve are CliErrors, raised when that target's turn comes.
     """
     omega = _family_mode(basis, family)[1]
-    if problem.s * (mu_target - omega) <= 0:
-        raise CliError(f"{family} branch: mu={mu_target} lies in the vacuum, on the trivial "
-                       f"side of the linear eigenvalue {omega:.6g} for s={problem.s}")
-    seed = _seed(problem, basis, family, config.scan.seed_delta_mu)
-    lo, hi = sorted((seed.mu, mu_target))
-    settings = ContinuationSettings(
-        mu_min=lo, mu_max=hi, norm_cap=config.scan.norm_cap,
-        direction=1 if mu_target > seed.mu else -1,
-    )
-    branch = continue_branch(problem, seed, settings)
-    folds = [event for event in branch.events if event.kind == FOLD]
-    if folds:
-        raise CliError(f"{family} branch folds at mu={folds[0].mu:.6g} "
-                       f"(N={folds[0].norm:.6g}) before reaching mu={mu_target}")
-    last = branch.states[-1]
-    if branch.termination != "mu_range":
-        raise CliError(f"{family} branch: the trace toward mu={mu_target} ended by "
-                       f"{branch.termination} at mu={last.mu:.6g} (N={last.norm:.6g}, "
-                       f"scan.norm_cap={config.scan.norm_cap})")
-    before = branch.states[-2]
-    t = (mu_target - before.mu) / (last.mu - before.mu)
-    try:
-        state = newton_solve(problem, before.psi + t * (last.psi - before.psi), mu_target)
-    except NewtonError as exc:
-        raise CliError(f"{family} branch: the solve at mu={mu_target} between the traced "
-                       f"mu={before.mu:.6g} and {last.mu:.6g} failed ({exc})") from exc
-    return state, seed.newton_iterations + branch.corrector_iterations + state.newton_iterations
+    for mu_target in targets:
+        if problem.s * (mu_target - omega) <= 0:
+            raise CliError(f"{family} branch: mu={mu_target} lies in the vacuum, on the trivial "
+                           f"side of the linear eigenvalue {omega:.6g} for s={problem.s}")
+    seed = _seed(problem, basis, family)
+    traced, charged = {}, {}
+    spent = seed.newton_iterations
+    for mu_target in targets:
+        direction = 1 if mu_target > seed.mu else -1
+        if direction not in traced:
+            lo, hi = sorted((seed.mu, direction * max(direction * mu for mu in targets)))
+            settings = ContinuationSettings(
+                mu_min=lo, mu_max=hi, norm_cap=config.scan.norm_cap, direction=direction
+            )
+            traced[direction] = continue_branch(problem, seed, settings)
+            charged[direction] = 1
+        branch = traced[direction]
+        folds = [event for event in branch.events if event.kind == FOLD]
+        if folds and direction * (folds[0].mu - mu_target) <= 0:
+            raise CliError(f"{family} branch folds at mu={folds[0].mu:.6g} "
+                           f"(N={folds[0].norm:.6g}) before reaching mu={mu_target}")
+        k = next((k for k, state in enumerate(branch.states)
+                  if direction * (state.mu - mu_target) > 0), None)
+        if k is None:
+            last = branch.states[-1]
+            raise CliError(f"{family} branch: the trace toward mu={mu_target} ended by "
+                           f"{branch.termination} at mu={last.mu:.6g} (N={last.norm:.6g}, "
+                           f"scan.norm_cap={config.scan.norm_cap})")
+        before, after = branch.states[k - 1], branch.states[k]
+        t = (mu_target - before.mu) / (after.mu - before.mu)
+        try:
+            state = newton_solve(problem, before.psi + t * (after.psi - before.psi), mu_target)
+        except NewtonError as exc:
+            raise CliError(f"{family} branch: the solve at mu={mu_target} between the traced "
+                           f"mu={before.mu:.6g} and {after.mu:.6g} failed ({exc})") from exc
+        spent += sum(s.newton_iterations for s in branch.states[charged[direction]:k + 1])
+        charged[direction] = max(charged[direction], k + 1)
+        yield state, spent + state.newton_iterations
+        spent = 0
 
 
 def _trace_branches(problem, basis, config: RunConfig):
@@ -212,7 +220,7 @@ def _trace_branches(problem, basis, config: RunConfig):
     )
     traced = []
     for family in sc.families:
-        seed = _seed(problem, basis, family, sc.seed_delta_mu)
+        seed = _seed(problem, basis, family)
         branch = continue_branch(problem, seed, settings)
         pitchforks = detect_pitchfork(problem, branch)
         traced.append((family, branch, pitchforks))
@@ -235,7 +243,7 @@ def _state_payload(grid, state, family: str) -> dict:
 # --- subcommand runners --------------------------------------------------------
 
 
-def run_spectrum(config: RunConfig, out: Path, seed: int):
+def run_spectrum(config: RunConfig, out: Path):
     grid = _build_grid(config)
     basis = _build_basis(grid, _build_potential(config))
     _write_json(
@@ -258,33 +266,23 @@ def run_spectrum(config: RunConfig, out: Path, seed: int):
     }, {}
 
 
-def run_overlaps(config: RunConfig, out: Path, seed: int):
+def run_overlaps(config: RunConfig, out: Path):
     grid = _build_grid(config)
     basis = _build_basis(grid, _build_potential(config))
     ov = config.overlaps
     family = config.interaction.family
-    if ov.log_spaced:
-        sigmas = np.geomspace(ov.sigma_min, ov.sigma_max, ov.count)
-    else:
-        sigmas = np.linspace(ov.sigma_min, ov.sigma_max, ov.count)
-    table = overlap_sweep(basis, family, sigmas)
-    if ov.recompute_thresholds:
-        thresholds = recompute_thresholds(basis, family)
-    else:
-        ref_b, ref_c = REFERENCE_THRESHOLDS[family]
-        thresholds = RegimeThresholds(kernel_family=family, sigma_b=ref_b, sigma_c=ref_c)
-    rows = [
-        [sigma, *values, classify_regime(float(sigma), thresholds)]
-        for sigma, values in zip(sigmas, table)
-    ]
+    rows = []
+    for sigma in np.geomspace(ov.sigma_min, ov.sigma_max, ov.count):
+        overlaps = compute_overlaps(basis, Kernel(family, float(sigma)))
+        rows.append([sigma, *overlaps.values, overlaps.regime])
     _write_csv(out / "overlaps.csv", ["sigma", *ETA_LABELS, "regime"], rows)
+    thresholds = recompute_thresholds(basis, family)
     _write_json(
         out / "thresholds.json",
         {
             "kernel_family": family,
             "sigma_b": thresholds.sigma_b,
             "sigma_c": thresholds.sigma_c,
-            "recomputed": ov.recompute_thresholds,
         },
     )
     return ["overlaps.csv", "thresholds.json"], {
@@ -293,7 +291,7 @@ def run_overlaps(config: RunConfig, out: Path, seed: int):
     }, {}
 
 
-def run_twomode(config: RunConfig, out: Path, seed: int):
+def run_twomode(config: RunConfig, out: Path):
     grid = _build_grid(config)
     basis = _build_basis(grid, _build_potential(config))
     inter = config.interaction
@@ -373,7 +371,7 @@ def run_twomode(config: RunConfig, out: Path, seed: int):
     return artifacts, quantities, {}
 
 
-def run_continue(config: RunConfig, out: Path, seed: int):
+def run_continue(config: RunConfig, out: Path):
     problem = _build_problem(config)
     basis = _build_basis(problem.grid, _build_potential(config))
     traced = _trace_branches(problem, basis, config)
@@ -450,7 +448,7 @@ def _load_states(path: Path, problem):
     return states
 
 
-def run_stability(config: RunConfig, out: Path, seed: int):
+def run_stability(config: RunConfig, out: Path):
     problem = _build_problem(config)
     if config.stability.states_path:
         states = _load_states(Path(config.stability.states_path), problem)
@@ -460,45 +458,30 @@ def run_stability(config: RunConfig, out: Path, seed: int):
         for _, branch, _ in _trace_branches(problem, basis, config):
             states.extend(branch.states)
     rows = []
-    spectra_payload = []
     for state, spectrum in zip(states, sweep_branch(problem, states)):
         rows.append([state.mu, state.norm, spectrum.max_real_part, spectrum.unstable_count])
-        if config.stability.full_spectra:
-            spectra_payload.append(
-                {
-                    "mu": state.mu,
-                    "norm": state.norm,
-                    "eigenvalues_re": list(np.real(spectrum.eigenvalues)),
-                    "eigenvalues_im": list(np.imag(spectrum.eigenvalues)),
-                }
-            )
     _write_csv(
         out / "stability.csv", ["mu", "N", "max_re_lambda", "unstable_count"], rows
     )
-    artifacts = ["stability.csv"]
-    if config.stability.full_spectra:
-        _write_json(out / "spectra.json", spectra_payload)
-        artifacts.append("spectra.json")
     quantities = {}
     if rows:
         quantities["max_re_lambda"] = max(row[2] for row in rows)
-    return artifacts, quantities, {}
+    return ["stability.csv"], quantities, {}
 
 
-def run_evolve(config: RunConfig, out: Path, seed: int):
+def run_evolve(config: RunConfig, out: Path):
     problem = _build_problem(config)
     basis = _build_basis(problem.grid, _build_potential(config))
     dy = config.dynamics
     density_stride = max(1, int(round(dy.snapshot_dt / dy.phase_dt)))
 
-    def one_run(index: int, mu: float):
-        state, iterations = _state_at_mu(problem, basis, config, dy.family, mu)
+    def one_run(index: int, mu: float, state, iterations: int):
         if dy.perturbation == "eigenvector":
             mode = dominant_unstable_mode(build_bdg(problem, state))
             initial = perturb_state(problem.grid, state, dy.amplitude, direction=mode.direction)
         elif dy.perturbation == "random":
             initial = perturb_state(
-                problem.grid, state, dy.amplitude, rng=np.random.default_rng(seed + index)
+                problem.grid, state, dy.amplitude, rng=np.random.default_rng(config.seed + index)
             )
         else:
             initial = state.psi
@@ -548,8 +531,9 @@ def run_evolve(config: RunConfig, out: Path, seed: int):
     artifacts = []
     quantities = {}
     counters = {}
-    for index, mu in enumerate(dy.mu_list):
-        names, q, drift, c = one_run(index, mu)
+    walk = _states_at_mu(problem, basis, config, dy.family, dy.mu_list)
+    for index, (mu, (state, iterations)) in enumerate(zip(dy.mu_list, walk)):
+        names, q, drift, c = one_run(index, mu, state, iterations)
         artifacts.extend(names)
         quantities.update(q)
         quantities["max_norm_drift"] = max(quantities.get("max_norm_drift", 0.0), drift)
@@ -557,20 +541,23 @@ def run_evolve(config: RunConfig, out: Path, seed: int):
     return artifacts, quantities, counters
 
 
-def run_thermal(config: RunConfig, out: Path, seed: int):
+def run_thermal(config: RunConfig, out: Path):
+    """Check the screened-Poisson response against the exponential-kernel
+    convolution, on a Gaussian beam 0.8 exp(-x^2) and on five uniform
+    random sources drawn from the config seed."""
     grid = _build_grid(config)
     th = config.thermal
     x = grid.points
-    beam = th.beam_amplitude * np.exp(-((x / th.beam_width) ** 2))
+    beam = 0.8 * np.exp(-(x**2))
     intensity = beam**2
     solved = solve_screened_poisson(grid, intensity, th.d, th.sigma0)
     plan = ConvolutionPlan(Kernel("exponential", math.sqrt(th.d)), grid)
     convolved = plan.apply(th.sigma0 * (intensity - intensity**2))
     beam_diff = float(np.max(np.abs(solved - convolved)))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     random_diff = 0.0
-    for _ in range(th.random_sources):
+    for _ in range(5):
         source = rng.uniform(0.0, 1.0, grid.n_points)
         m = solve_screened_poisson(grid, source, th.d, th.sigma0)
         ref = plan.apply(th.sigma0 * (source - source**2))
@@ -621,9 +608,7 @@ def run_regress(preset, config: RunConfig, out: Path):
     counters = {}
     sub_artifacts = []
     try:
-        sub_artifacts, quantities, counters = RUNNERS[preset.subcommand](
-            config, artifacts_dir, config.seed
-        )
+        sub_artifacts, quantities, counters = RUNNERS[preset.subcommand](config, artifacts_dir)
     except Exception as exc:  # pipeline failure -> ERROR rows, not FAIL
         pipeline_error = f"{type(exc).__name__}: {exc}"
 
@@ -694,23 +679,21 @@ def run_regress(preset, config: RunConfig, out: Path):
 
     artifacts = ["report.json", "report.csv"]
     artifacts.extend(f"artifacts/{name}" for name in sub_artifacts)
-    _finish_run(
-        out, "regress", config, config.seed, artifacts, quantities, counters, preset.name
-    )
+    _finish_run(out, "regress", config, artifacts, quantities, counters, preset.name)
     return 0 if overall == "PASS" else 1
 
 
 # --- entry point ----------------------------------------------------------------
 
 
-def _finish_run(out, subcommand, config, seed, artifacts, quantities, counters, preset=None):
+def _finish_run(out, subcommand, config, artifacts, quantities, counters, preset=None):
     with open(out / "config.json", "w", encoding="utf-8") as fh:
         fh.write(config_to_json(config))
         fh.write("\n")
     manifest = {
         "subcommand": subcommand,
         "preset": preset,
-        "seed": seed,
+        "seed": config.seed,
         "config_hash": config_hash(config),
         "artifacts": sorted(artifacts + ["config.json"]),
         "quantities": quantities,
@@ -770,11 +753,8 @@ def main(argv=None) -> int:
             return run_regress(get_preset(args.preset), config, out)
         out = Path(args.out or f"runs/{args.subcommand}")
         out.mkdir(parents=True, exist_ok=True)
-        artifacts, quantities, counters = RUNNERS[args.subcommand](config, out, config.seed)
-        _finish_run(
-            out, args.subcommand, config, config.seed, artifacts, quantities, counters,
-            args.preset,
-        )
+        artifacts, quantities, counters = RUNNERS[args.subcommand](config, out)
+        _finish_run(out, args.subcommand, config, artifacts, quantities, counters, args.preset)
         return 0
     except ConfigError as exc:
         _emit_error({"error": "ConfigError", "message": str(exc), "fields": exc.problems})

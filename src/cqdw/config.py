@@ -73,7 +73,6 @@ class ScanConfig:
     mu_max: float = 0.45
     direction: int = 1
     norm_cap: float = 6.0
-    seed_delta_mu: float = 0.005
     families: tuple[str, ...] = ("sym", "anti")
     trace_daughters: bool = True
     dump_profiles: bool = False
@@ -98,8 +97,6 @@ class OverlapsConfig:
     sigma_min: float = 0.1
     sigma_max: float = 16.0
     count: int = 65
-    log_spaced: bool = True
-    recompute_thresholds: bool = False
 
 
 @dataclass(frozen=True)
@@ -119,16 +116,12 @@ class StabilityConfig:
     """Spectra per state; empty states_path means 'scan, then sweep'."""
 
     states_path: str = ""
-    full_spectra: bool = False
 
 
 @dataclass(frozen=True)
 class ThermalConfig:
     d: float = 0.25
     sigma0: float = 1.0
-    beam_amplitude: float = 0.8
-    beam_width: float = 1.0
-    random_sources: int = 5
 
 
 @dataclass(frozen=True)
@@ -308,8 +301,6 @@ def validate_config(config: RunConfig) -> list[str]:
         p.append(f"scan.direction: must be +1 or -1, got {sc.direction}")
     if not sc.norm_cap > 0:
         p.append(f"scan.norm_cap: must be positive, got {sc.norm_cap}")
-    if not sc.seed_delta_mu > 0:
-        p.append(f"scan.seed_delta_mu: must be positive, got {sc.seed_delta_mu}")
     if not sc.families:
         p.append("scan.families: at least one of sym/anti is required")
     for fam in sc.families:
@@ -370,10 +361,6 @@ def validate_config(config: RunConfig) -> list[str]:
     th = config.thermal
     if not th.d > 0:
         p.append(f"thermal.d: must be positive, got {th.d}")
-    if not th.beam_width > 0:
-        p.append(f"thermal.beam_width: must be positive, got {th.beam_width}")
-    if th.random_sources < 0:
-        p.append(f"thermal.random_sources: must be >= 0, got {th.random_sources}")
     if isinstance(config.seed, bool) or not isinstance(config.seed, int) or config.seed < 0:
         p.append(f"seed: must be a non-negative integer, got {config.seed!r}")
     return p

@@ -55,6 +55,8 @@ PARENT_PARITY_TOL = 1e-6
 # Newton iterates whose norm falls below this are the trivial solution.
 TRIVIAL_NORM = 1e-8
 MAX_NEWTON_ITER = 40
+# Offset of seed_from_mode's state from its linear eigenvalue.
+SEED_DELTA_MU = 5e-3
 
 # Arclength step bounds and step budget of continue_branch.
 _DS_MIN = 1e-3
@@ -273,7 +275,7 @@ class StationaryState:
     norm: float
     symmetry: str
     residual: float
-    newton_iterations: int = 0  # steps of the Newton or branch-switching solve behind it
+    newton_iterations: int = 0  # steps of the Newton, corrector or branch-switching solve behind it
 
 
 @dataclass(frozen=True)
@@ -353,22 +355,22 @@ def newton_solve(
 
 
 def seed_from_mode(
-    problem: StationaryProblem, mode: np.ndarray, omega_k: float, delta_mu: float
+    problem: StationaryProblem, mode: np.ndarray, omega_k: float
 ) -> StationaryState:
     """Converge the small-amplitude state branching from a linear mode.
 
     Near the linear limit mu = omega_k + s c N with c the self-overlap of the
     mode density through the kernel, so the state sits at mu = omega_k +
-    s delta_mu, on the nontrivial side for delta_mu > 0, and the guess
-    amplitude is matched to that offset.
+    s SEED_DELTA_MU, on the nontrivial side, and the guess amplitude is
+    matched to that offset.
     """
     mode = np.asarray(mode, dtype=float)
     density = mode**2
     c = float(problem.grid.integrate(density * problem._plan.apply(density)))
     c /= problem.norm(mode) ** 2
-    amp_sq = delta_mu / c / problem.norm(mode)
+    amp_sq = SEED_DELTA_MU / c / problem.norm(mode)
     guess = math.sqrt(amp_sq) * mode
-    return newton_solve(problem, guess, omega_k + problem.s * delta_mu)
+    return newton_solve(problem, guess, omega_k + problem.s * SEED_DELTA_MU)
 
 
 def _weighted_dot(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
@@ -547,7 +549,7 @@ def continue_branch(
                     return branch
         psi_new, mu_new, iters = stepped
         branch.corrector_iterations += iters
-        state = make_state(problem, psi_new, mu_new)
+        state = replace(make_state(problem, psi_new, mu_new), newton_iterations=iters)
         branch.states.append(state)
 
         new_dir = int(math.copysign(1.0, state.mu - last.mu)) if state.mu != last.mu else mu_dir

@@ -11,9 +11,12 @@ depends on the kernel range sigma:
   case 2 (intermediate):  keep eta0, eta1, eta4
   case 3 (wide):          keep eta0, eta1 and drop the quintic eta4
 
-The boundaries are where the relevance measure eta_i - max(|eta2|, |eta3|)
-crosses 0.01: sigma_b for eta1 (crossing upward) and sigma_c for eta4
-(crossing downward).
+`compute_overlaps` labels each sigma with its case from the relevance
+measure eta_rel = eta_i - max(|eta2|, |eta3|) of eta1 and eta4 against 0.01.
+The boundaries are always computed from that same per-sigma measure, never
+taken from a table: sigma_b is where eta_rel(eta1) crosses 0.01 upward and
+sigma_c where eta_rel(eta4) crosses it downward, so they move with the well
+and the kernel family, and agree with the per-sigma labels.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .discretization import EXPONENTIAL, GAUSSIAN, ConvolutionPlan, Kernel
+from .discretization import ConvolutionPlan, Kernel
 from .spectrum import LinearBasis
 
 CASE1 = "case1"
@@ -34,13 +37,6 @@ REGIMES = (CASE1, CASE2, CASE3)
 RELEVANCE_CUTOFF = 0.01
 
 ETA_LABELS = tuple(f"eta{i}" for i in range(12))
-
-# Reference regime boundaries for the default double well (half_width 20,
-# dx 0.1); recompute_thresholds reproduces them from scratch.
-REFERENCE_THRESHOLDS = {
-    GAUSSIAN: (2.96, 9.15),
-    EXPONENTIAL: (1.56, 7.01),
-}
 
 
 @dataclass(frozen=True)
@@ -115,9 +111,8 @@ def compute_overlaps(basis: LinearBasis, kernel: Kernel) -> OverlapSet:
     values = np.empty(12)
     for i, (f, g) in enumerate(_factor_pairs(basis)):
         values[i] = grid.integrate(g * plan.apply(f))
-    exchange = max(abs(values[2]), abs(values[3]))
-    cross_relevant = values[1] - exchange >= RELEVANCE_CUTOFF
-    quintic_relevant = values[4] - exchange >= RELEVANCE_CUTOFF
+    cross_relevant = eta_rel(values, "eta1") >= RELEVANCE_CUTOFF
+    quintic_relevant = eta_rel(values, "eta4") >= RELEVANCE_CUTOFF
     if cross_relevant and quintic_relevant:
         regime = CASE2
     elif cross_relevant:
@@ -127,22 +122,13 @@ def compute_overlaps(basis: LinearBasis, kernel: Kernel) -> OverlapSet:
     return OverlapSet(values=values, kernel=kernel, regime=regime)
 
 
-def eta_rel(overlaps: OverlapSet, which: str) -> float:
-    """Relevance measure eta_i - max(|eta2|, |eta3|) for which in {eta1, eta4}."""
+def eta_rel(overlaps: OverlapSet | np.ndarray, which: str) -> float:
+    """Relevance measure eta_i - max(|eta2|, |eta3|) for which in {eta1, eta4},
+    of an OverlapSet or of its twelve values."""
+    if which not in ("eta1", "eta4"):
+        raise ValueError(f"which must be 'eta1' or 'eta4', got {which!r}")
     exchange = max(abs(overlaps[2]), abs(overlaps[3]))
-    if which == "eta1":
-        return overlaps.eta1 - exchange
-    if which == "eta4":
-        return overlaps.eta4 - exchange
-    raise ValueError(f"which must be 'eta1' or 'eta4', got {which!r}")
-
-
-def classify_regime(sigma: float, thresholds: RegimeThresholds) -> str:
-    if sigma < thresholds.sigma_b:
-        return CASE1
-    if sigma < thresholds.sigma_c:
-        return CASE2
-    return CASE3
+    return float(overlaps[int(which[3:])] - exchange)
 
 
 def find_threshold(basis: LinearBasis, family: str, which: str) -> float:
@@ -171,10 +157,3 @@ def recompute_thresholds(basis: LinearBasis, family: str) -> RegimeThresholds:
     sigma_c = find_threshold(basis, family, "eta4")
     return RegimeThresholds(kernel_family=family, sigma_b=sigma_b, sigma_c=sigma_c)
 
-
-def overlap_sweep(basis: LinearBasis, family: str, sigmas: np.ndarray) -> np.ndarray:
-    """eta0..eta11 stacked over a sigma sweep; shape (len(sigmas), 12)."""
-    out = np.empty((len(sigmas), 12))
-    for i, s in enumerate(sigmas):
-        out[i] = compute_overlaps(basis, Kernel(family, float(s))).values
-    return out

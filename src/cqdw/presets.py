@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 from .config import (
     InteractionConfig,
-    OverlapsConfig,
     RunConfig,
     ScanConfig,
 )
@@ -74,7 +73,7 @@ def _catalogue() -> dict[str, ScenarioPreset]:
         ScenarioPreset(
             name="fig02-overlaps-gaussian",
             subcommand="overlaps",
-            config=replace(base, overlaps=OverlapsConfig(recompute_thresholds=True)),
+            config=base,
             expected=(
                 RegressionTarget("sigma_b", 2.96, 0.05, "Sec. II.A, Gaussian regime boundary"),
                 RegressionTarget("sigma_c", 9.15, 0.15, "Sec. II.A, Gaussian regime boundary"),
@@ -84,11 +83,7 @@ def _catalogue() -> dict[str, ScenarioPreset]:
         ScenarioPreset(
             name="fig03-overlaps-exponential",
             subcommand="overlaps",
-            config=replace(
-                base,
-                interaction=_interaction(family="exponential"),
-                overlaps=OverlapsConfig(recompute_thresholds=True),
-            ),
+            config=replace(base, interaction=_interaction(family="exponential")),
             expected=(
                 RegressionTarget("sigma_b", 1.56, 0.05, "Sec. II.A, exponential regime boundary"),
                 RegressionTarget("sigma_c", 7.01, 0.15, "Sec. II.A, exponential regime boundary"),

@@ -83,7 +83,7 @@ def branch_suite(grid, basis):
         )
         entry = {"problem": problem, "settings": settings}
         for name, mode, omega_k in (("sym", basis.u0, basis.omega0), ("anti", basis.u1, basis.omega1)):
-            seed = seed_from_mode(problem, mode, omega_k, delta_mu=0.005)
+            seed = seed_from_mode(problem, mode, omega_k)
             branch = continue_branch(problem, seed, settings)
             entry[name] = branch
             entry[f"{name}_pitchforks"] = detect_pitchfork(problem, branch)

@@ -15,8 +15,11 @@ import pytest
 
 from cqdw.cli import RUNNERS, SUBCOMMANDS, main
 from cqdw.config import RunConfig, ThermalConfig, config_hash, validate_config
+from cqdw.discretization import GAUSSIAN, Kernel, PotentialParams, build_grid
 from cqdw.dynamics import MAX_FIXED_POINT
+from cqdw.overlaps import compute_overlaps
 from cqdw.presets import PRESETS, RegressionTarget, ScenarioPreset, get_preset
+from cqdw.spectrum import default_basis
 
 
 def _write(path: Path, payload: dict) -> str:
@@ -81,7 +84,26 @@ def test_overlaps_artifacts(tmp_path):
     assert len(rows) == 8
     assert {r[-1] for r in rows[1:]} <= {"case1", "case2", "case3"}
     thresholds = json.loads((out / "thresholds.json").read_text())
-    assert thresholds["sigma_b"] == 2.96 and thresholds["sigma_c"] == 9.15
+    assert thresholds["sigma_b"] == pytest.approx(2.9656, abs=2e-3)
+    assert thresholds["sigma_c"] == pytest.approx(9.1521, abs=2e-3)
+
+
+def test_overlaps_regimes_follow_the_well(tmp_path):
+    # a barrier of 2 moves both boundaries away from the default well's
+    # 2.97 and 9.15; thresholds.json and every row's regime follow it, and
+    # each row carries the regime that the reduction reads at its sigma
+    cfg = _write(tmp_path / "c.json", {"potential": {"barrier_height": 2.0}})
+    out = tmp_path / "ov"
+    assert main(["overlaps", "--config", cfg, "--out", str(out)]) == 0
+    thresholds = json.loads((out / "thresholds.json").read_text())
+    assert thresholds["sigma_b"] == pytest.approx(3.637, abs=2e-3)
+    assert thresholds["sigma_c"] == pytest.approx(10.05, abs=2e-3)
+    basis = default_basis(build_grid(20.0, 0.1), PotentialParams(0.1, 2.0, 0.5))
+    rows = _rows(out / "overlaps.csv")[1:]
+    assert len(rows) == RunConfig().overlaps.count
+    for row in rows:
+        overlaps = compute_overlaps(basis, Kernel(GAUSSIAN, float(row[0])))
+        assert row[-1] == overlaps.regime, row[0]
 
 
 def test_twomode_artifacts(tmp_path):
@@ -213,6 +235,49 @@ def test_walk_into_the_vacuum_is_a_cli_error(tmp_path, capsys):
     assert (tmp_path / "ok" / "phase_mu0.158.csv").exists()
 
 
+def test_targets_short_of_a_fold_or_cap_are_solved(tmp_path, capsys):
+    # the anti branch folds at mu = 0.374, and a norm cap of 0.3 stops the
+    # sym trace at mu = 0.158: the nearer target of each run is solved and
+    # evolved before the farther one fails
+    for payload, solved, named in (
+        ({"dynamics": {"mu_list": [0.19, 0.40], "family": "anti"}}, "0.19", "anti branch folds"),
+        ({"scan": {"norm_cap": 0.3}, "dynamics": {"mu_list": [0.15, 0.2], "family": "sym"}},
+         "0.15", "scan.norm_cap=0.3"),
+    ):
+        payload["dynamics"].update(t_end=1.0, perturbation="none")
+        cfg = _write(tmp_path / "c.json", payload)
+        out = tmp_path / solved
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+        assert named in json.loads(capsys.readouterr().err)["message"]
+        assert (out / f"phase_mu{solved}.csv").exists()
+
+
+def test_evolve_traces_each_direction_once(tmp_path):
+    # the anti seed sits at omega1 + 0.005 = 0.1607, so 0.158 lies below it
+    # and 0.19 and 0.25 above: one run solves each target from the same traced
+    # states as a run of its own, with fewer Newton iterations than those runs
+    def run(mu_list, name):
+        payload = {"dynamics": {"mu_list": mu_list, "family": "anti", "t_end": 1.0,
+                                "perturbation": "none"}}
+        out = tmp_path / name
+        assert main(["evolve", "--config", _write(tmp_path / f"{name}.json", payload),
+                     "--out", str(out)]) == 0
+        counters = json.loads((out / "manifest.json").read_text())["counters"]
+        return out, {k: v for k, v in counters.items() if k.startswith("newton_iterations")}
+
+    together, counters = run([0.19, 0.158, 0.25], "all")
+    alone_total = 0
+    for mu in (0.19, 0.158, 0.25):
+        out, alone = run([mu], f"mu{mu:g}")
+        for kind in ("density", "phase"):
+            name = f"{kind}_mu{mu:g}.csv"
+            assert (together / name).read_bytes() == (out / name).read_bytes()
+        alone_total += alone[f"newton_iterations_mu{mu:g}"]
+        if mu == 0.19:  # the first target spends what a run of its own does
+            assert counters["newton_iterations_mu0.19"] == alone["newton_iterations_mu0.19"]
+    assert sum(counters.values()) < alone_total
+
+
 def test_evolve_stable_run_layout(tmp_path):
     cfg = _write(tmp_path / "c.json", TINY_EVOLVE)
     out = tmp_path / "ev"
@@ -300,6 +365,28 @@ FIELD_RULES = [
     ("evolve", {"dynamics": {"t_end": float("inf")}}, "dynamics.t_end"),
     ("thermal", {"thermal": {"d": 0.0}}, "thermal.d"),
 ]
+
+
+# Config fields that no run set, now deleted: naming one is a config error.
+DELETED_FIELDS = [
+    ("overlaps", "log_spaced", False),
+    ("overlaps", "recompute_thresholds", True),
+    ("stability", "full_spectra", True),
+    ("scan", "seed_delta_mu", 0.01),
+    ("thermal", "beam_amplitude", 0.5),
+    ("thermal", "beam_width", 2.0),
+    ("thermal", "random_sources", 3),
+]
+
+
+@pytest.mark.parametrize("section, name, value", DELETED_FIELDS,
+                         ids=[f"{section}.{name}" for section, name, _ in DELETED_FIELDS])
+def test_deleted_field_is_unknown(tmp_path, capsys, section, name, value):
+    cfg = _write(tmp_path / "c.json", {section: {name: value}})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["fields"] == [f"{section}.{name}: unknown field"]
 
 
 @pytest.mark.parametrize("subcommand, payload, field", FIELD_RULES,
@@ -450,7 +537,7 @@ def test_regress_pipeline_failure_marks_error(tmp_path, monkeypatch):
     target = RegressionTarget("screened_poisson_max_diff", 0.0, 1e-6, "made up")
     monkeypatch.setitem(PRESETS, "tiny-boom", _thermal_preset("tiny-boom", (target,)))
 
-    def boom(config, out, seed):
+    def boom(config, out):
         raise RuntimeError("synthetic pipeline failure")
 
     monkeypatch.setitem(RUNNERS, "thermal", boom)
@@ -486,6 +573,15 @@ def test_regress_rejects_config(tmp_path, capsys):
     assert code == 2
     assert "not both" in json.loads(capsys.readouterr().err)["message"]
     assert not (tmp_path / "r").exists()
+
+
+def test_thermal_check_holds_off_the_default_medium(tmp_path):
+    cfg = _write(tmp_path / "c.json", {"thermal": {"d": 0.5, "sigma0": 2.0}})
+    out = tmp_path / "th"
+    assert main(["thermal", "--config", cfg, "--out", str(out)]) == 0
+    check = json.loads((out / "thermal_check.json").read_text())
+    assert (check["d"], check["sigma0"]) == (0.5, 2.0)
+    assert check["equivalent"]
 
 
 def test_seed_override_lands_in_manifest(tmp_path):

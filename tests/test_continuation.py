@@ -141,7 +141,7 @@ def test_sector_linearization_matches_fold(branch_suite, family):
 
 def test_seed_converges_to_small_norm_symmetric_state(branch_suite, basis):
     problem = branch_suite["sigma01"]["problem"]
-    state = seed_from_mode(problem, basis.u0, basis.omega0, delta_mu=0.005)
+    state = seed_from_mode(problem, basis.u0, basis.omega0)
     assert state.mu == pytest.approx(basis.omega0 + 0.005)
     assert state.symmetry == SYMMETRIC
     assert 0.0 < state.norm < 0.2
@@ -242,7 +242,7 @@ def test_parent_trace_assembles_no_whole_grid_jacobian(branch_suite, basis, monk
         return jac
 
     monkeypatch.setattr(StationaryProblem, "jacobian", recorded)
-    seed = seed_from_mode(problem, basis.u0, basis.omega0, delta_mu=0.005)
+    seed = seed_from_mode(problem, basis.u0, basis.omega0)
     branch = continue_branch(problem, seed, entry["settings"])
     assert len(detect_pitchfork(problem, branch)) == 1
     assert len(sizes) > len(branch.states)

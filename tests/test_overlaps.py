@@ -18,15 +18,10 @@ from cqdw.overlaps import (
     CASE1,
     CASE2,
     CASE3,
-    REFERENCE_THRESHOLDS,
     RELEVANCE_CUTOFF,
-    RegimeThresholds,
-    classify_regime,
     compute_overlaps,
     eta_rel,
     find_threshold,
-    overlap_sweep,
-    recompute_thresholds,
 )
 
 
@@ -146,13 +141,10 @@ def test_eta1_grows_with_range(basis):
 
 
 def test_regime_boundaries_from_ratio(basis):
-    table = RegimeThresholds(GAUSSIAN, *REFERENCE_THRESHOLDS[GAUSSIAN])
     expected = {0.1: CASE1, 1.0: CASE1, 5.0: CASE2, 8.0: CASE2, 12.0: CASE3}
     for sigma, case in expected.items():
         overlaps = compute_overlaps(basis, Kernel(GAUSSIAN, sigma))
         assert overlaps.regime == case, sigma
-        # the data-driven label agrees with the threshold-table one
-        assert classify_regime(sigma, table) == case
 
 
 def test_eta_rel_is_the_classifier(basis, overlaps_sigma1, overlaps_sigma8):
@@ -188,21 +180,13 @@ def test_threshold_is_a_cutoff_crossing(basis):
 
 def test_overlap_sweep_crosses_cutoff_once(basis):
     sigmas = np.linspace(0.5, 12.0, 8)
-    table = overlap_sweep(basis, GAUSSIAN, sigmas)
-    assert table.shape == (len(sigmas), 12)
-    relevance = table[:, 1] - np.maximum(np.abs(table[:, 2]), np.abs(table[:, 3]))
+    sweep = [compute_overlaps(basis, Kernel(GAUSSIAN, float(s))) for s in sigmas]
+    relevance = np.array([ov[1] - max(abs(ov[2]), abs(ov[3])) for ov in sweep])
     # the eta1 relevance measure starts below the cutoff, ends above it,
     # and crosses it exactly once on this range
     signs = np.sign(relevance - RELEVANCE_CUTOFF)
     assert signs[0] < 0 < signs[-1]
     assert np.sum(np.diff(signs) != 0) == 1
-
-
-def test_recompute_thresholds_matches_table(basis):
-    thresholds = recompute_thresholds(basis, GAUSSIAN)
-    ref_b, ref_c = REFERENCE_THRESHOLDS[GAUSSIAN]
-    assert thresholds.sigma_b == pytest.approx(ref_b, abs=0.01)
-    assert thresholds.sigma_c == pytest.approx(ref_c, abs=0.01)
 
 
 def test_overlap_set_accessors(overlaps_sigma1):

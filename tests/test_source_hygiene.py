@@ -6,6 +6,7 @@ attribute of that name, even on an unrelated object.
 """
 
 import ast
+import json
 from collections import Counter
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -20,6 +21,13 @@ MODULES = sorted(SOURCE.glob("*.py"))
 # Files whose references count as reaching a definition: the package itself
 # and the acceptance criteria with their test-side BdG block.
 REACHING = MODULES + [TESTS / "test_acceptance.py", TESTS / "bdg_reference.py"]
+WORKLOADS = TESTS.parent / "perfbench" / "workloads"
+# Files whose settings count as a run that sets a config field.
+SETTING = [SOURCE / "presets.py", *sorted(TESTS.glob("*.py"))]
+# RunConfig leaves that no preset, workload or test sets but that stay, with why.
+UNSET_BY_DESIGN = {
+    "twomode.n_max": "the upper bound of the N axis, paired with n_min, which tests do set",
+}
 # Top-level definitions that no reaching file uses but that stay, with why.
 UNREACHED_BY_DESIGN = {
     "hamiltonian": "the H that integrate_orbit's drift monitor checks; "
@@ -173,3 +181,48 @@ def test_every_config_message_names_its_field():
         assert colon and is_config_field(path), f"{ast.unparse(node)} names no RunConfig field"
         paths.append(path)
     assert paths, "found no message in validate_config"
+
+
+def config_leaves(node, prefix: str = "") -> list[str]:
+    """Dotted path of every leaf field under a config dataclass."""
+    leaves = []
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if is_dataclass(value):
+            leaves.extend(config_leaves(value, f"{prefix}{f.name}."))
+        else:
+            leaves.append(prefix + f.name)
+    return leaves
+
+
+def json_keys(value) -> set[str]:
+    if not isinstance(value, dict):
+        return set()
+    return set(value).union(*(json_keys(v) for v in value.values()))
+
+
+def dict_keys_and_options(tree: ast.AST) -> set[str]:
+    """String keys of the dict literals in the tree, and the names of the
+    command-line options (`"--seed"`) among its string constants."""
+    keys = {key.value for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            for key in node.keys if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+    options = {node.value[2:] for node in ast.walk(tree) if isinstance(node, ast.Constant)
+               and isinstance(node.value, str) and node.value.startswith("--")}
+    return keys | options
+
+
+def test_every_config_field_is_set():
+    """Every leaf of RunConfig is set in presets.py, a benchmark workload or
+    a test: passed by keyword or as a command-line option, or a key of a dict
+    literal or workload JSON. Matching is by the leaf's name, whatever the
+    section, as for settings."""
+    names = set()
+    for path in SETTING:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names |= keyword_names(tree) | dict_keys_and_options(tree)
+    for path in sorted(WORKLOADS.glob("*.json")):
+        names |= json_keys(json.loads(path.read_text(encoding="utf-8")))
+    unset = {leaf for leaf in config_leaves(RunConfig()) if leaf.rpartition(".")[2] not in names}
+    assert unset == set(UNSET_BY_DESIGN), (
+        f"set by no preset, workload or test: {sorted(unset - set(UNSET_BY_DESIGN))}; "
+        f"exemptions now set or gone: {sorted(set(UNSET_BY_DESIGN) - unset)}")
