@@ -5,15 +5,15 @@ Every subcommand writes into its own output directory: the resolved config
 alongside the sha256 config hash, any headline quantities the run produced
 and the deterministic work counters of its solvers (`counters`; so far the
 midpoint fixed-point passes of `evolve` and the Newton iterations of its
-walk to each mu, and the seed's Newton iterations, arclength corrector
-iterations, rejected steps and pitchfork bisection steps of `continue`).
+walk to each mu, the seed's Newton iterations, arclength corrector
+iterations, rejected steps and pitchfork bisection steps of `continue`, and
+the RK4 steps and step halvings of the `twomode` portrait orbits).
 Every stationary state comes from `continue_branch`; `evolve` traces from
 the seed once per direction, out to its farthest mu, and ends with one
 fixed-mu solve at each mu. Its `newton_iterations_mu<tag>` counts the
 iterations first spent for that mu, so the counters of a run add up to its
-Newton work. Nothing written
-contains timestamps or machine state, so a repeated run with the same
-config and seed is byte-identical. Failures
+Newton work. Nothing written contains timestamps or machine state, so a
+repeated run with the same config and seed is byte-identical. Failures
 are reported as one JSON object on stderr (machine-readable) with a nonzero
 exit status; configuration problems arrive all at once in the `fields` list.
 """
@@ -325,6 +325,7 @@ def run_twomode(config: RunConfig, out: Path):
     )
 
     max_drift = 0.0
+    counters = {"orbit_steps": 0, "orbit_halvings": 0}
     portrait_files = []
     for norm in tm.portrait_norms:
         params = params_at(norm)
@@ -338,6 +339,8 @@ def run_twomode(config: RunConfig, out: Path):
                 href = orbit.hamiltonian[0]
                 drift = np.max(np.abs(orbit.hamiltonian - href)) / max(abs(href), 1e-12)
                 max_drift = max(max_drift, float(drift))
+                counters["orbit_steps"] += orbit.t.size - 1
+                counters["orbit_halvings"] += orbit.halvings
                 every = slice(None, None, max(1, orbit.t.size // 2000))
                 picked = np.column_stack(
                     (orbit.t[every], orbit.z[every], orbit.theta[every], orbit.hamiltonian[every])
@@ -368,7 +371,7 @@ def run_twomode(config: RunConfig, out: Path):
     )
     artifacts = ["fixed_points.csv", "critical_norms.csv", "twomode_summary.json"]
     artifacts.extend(portrait_files)
-    return artifacts, quantities, {}
+    return artifacts, quantities, counters
 
 
 def run_continue(config: RunConfig, out: Path):
@@ -614,9 +617,7 @@ def run_regress(preset, config: RunConfig, out: Path):
 
     rows = []
     for target in preset.expected:
-        if pipeline_error is not None:
-            status, measured = "ERROR", None
-        elif target.quantity not in quantities:
+        if pipeline_error is not None or target.quantity not in quantities:
             status, measured = "ERROR", None
         else:
             measured = quantities[target.quantity]
@@ -636,9 +637,7 @@ def run_regress(preset, config: RunConfig, out: Path):
 
     vacuous = not preset.expected
     statuses = {row["status"] for row in rows}
-    if pipeline_error is not None:
-        overall = "ERROR"
-    elif "ERROR" in statuses:
+    if pipeline_error is not None or "ERROR" in statuses:
         overall = "ERROR"
     elif "FAIL" in statuses:
         overall = "FAIL"
@@ -655,14 +654,8 @@ def run_regress(preset, config: RunConfig, out: Path):
     if vacuous:
         report["warning"] = "preset has no regression targets; result is vacuous"
     _write_json(out / "report.json", report)
-    _write_csv(
-        out / "report.csv",
-        ["quantity", "expected", "measured", "tolerance", "status", "provenance"],
-        [
-            [r["quantity"], r["expected"], r["measured"], r["tolerance"], r["status"], r["provenance"]]
-            for r in rows
-        ],
-    )
+    columns = ["quantity", "expected", "measured", "tolerance", "status", "provenance"]
+    _write_csv(out / "report.csv", columns, [[r[c] for c in columns] for r in rows])
 
     print(f"preset {preset.name} ({preset.subcommand})")
     for r in rows:

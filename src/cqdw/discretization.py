@@ -5,7 +5,8 @@ time propagation) lives on one uniform symmetric grid. Convolutions are
 zero-padded linear convolutions: the parabolic trap makes the problem
 non-periodic, so periodic wrap-around is never allowed. With zero padding the
 trapezoid rule on the whole line reduces to a plain dx-weighted sum, which is
-what the FFT route computes.
+what the FFT route computes. That route is numpy.fft (the pocketfft C++ core
+that scipy.fft also wraps, from numpy 2.0) at an 11-smooth length.
 
 A field on the grid is a plain 1-D array of its n_points values; the grid
 comes from the object that owns the field (a StationaryProblem, a
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
@@ -178,6 +178,20 @@ def kernel_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
     return samples[n - 1 :][idx] * grid.spacing
 
 
+def _next_fast_len(target: int) -> int:
+    """Smallest n >= target whose only prime factors are 2, 3, 5, 7 and 11,
+    the lengths pocketfft transforms fastest (scipy.fft.next_fast_len)."""
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 class ConvolutionPlan:
     """Cached FFT plan for repeated convolutions with one kernel on one grid.
 
@@ -186,23 +200,24 @@ class ConvolutionPlan:
     only the middle n (indices n-1..2n-2) are kept. A cyclic convolution of
     length L folds entry k + L onto k; for every kept k the partner k + L lies
     past the last entry 3n - 3 once L >= 2n - 1, and k - L is negative. So the
-    FFT length is next_fast_len(2n - 1): the kept outputs see no wrap-around,
-    and the discarded ones are free to.
+    FFT length is the smallest 11-smooth L >= 2n - 1 (810 at n = 401): the
+    kept outputs see no wrap-around, and the discarded ones are free to. The
+    transforms are numpy.fft.rfft / irfft at that length.
     """
 
     def __init__(self, kernel: Kernel, grid: Grid):
         self.kernel = kernel
         self.grid = grid
         self.n = grid.n_points
-        self._size = _fft.next_fast_len(2 * self.n - 1)
-        self._kernel_hat = _fft.rfft(kernel_samples(kernel, grid), self._size)
+        self._size = _next_fast_len(2 * self.n - 1)
+        self._kernel_hat = np.fft.rfft(kernel_samples(kernel, grid), self._size)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
         if np.iscomplexobj(values):
             return self.apply(values.real) + 1j * self.apply(values.imag)
-        fhat = _fft.rfft(values, self._size)
-        full = _fft.irfft(fhat * self._kernel_hat, self._size)
+        fhat = np.fft.rfft(values, self._size)
+        full = np.fft.irfft(fhat * self._kernel_hat, self._size)
         return full[self.n - 1 : 2 * self.n - 1] * self.grid.spacing
 
 

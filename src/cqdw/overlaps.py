@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .discretization import ConvolutionPlan, Kernel
 from .spectrum import LinearBasis
@@ -131,8 +130,21 @@ def eta_rel(overlaps: OverlapSet | np.ndarray, which: str) -> float:
     return float(overlaps[int(which[3:])] - exchange)
 
 
+def bisect(holds, lo: float, hi: float, width: float) -> float:
+    """Midpoint of the last bracket of a bisection of [lo, hi] down to `width`,
+    for a test `holds` that is true at lo and false at hi."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def find_threshold(basis: LinearBasis, family: str, which: str) -> float:
-    """Kernel range in [0.05, 25] where eta_rel(which) crosses RELEVANCE_CUTOFF, by bisection.
+    """Kernel range in [0.05, 25] where eta_rel(which) crosses RELEVANCE_CUTOFF,
+    by bisection on its sign down to a 1e-6 bracket.
 
     eta1's measure increases with sigma (crossing gives sigma_b); eta4's
     decreases (crossing gives sigma_c).
@@ -148,7 +160,7 @@ def find_threshold(basis: LinearBasis, family: str, which: str) -> float:
             f"eta_rel({which}) - {RELEVANCE_CUTOFF} does not change sign on "
             f"[{lo}, {hi}]: {glo:.3e}, {ghi:.3e}"
         )
-    return float(brentq(g, lo, hi, xtol=1e-6))
+    return bisect(lambda sigma: g(sigma) * glo > 0, lo, hi, 1e-6)
 
 
 def recompute_thresholds(basis: LinearBasis, family: str) -> RegimeThresholds:

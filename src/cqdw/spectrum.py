@@ -113,18 +113,13 @@ class LinearBasis:
         return float(mass[x < 0].sum() + 0.5 * mass[x == 0].sum())
 
 
-def rotated_basis(
-    grid: Grid,
-    omegas: np.ndarray,
-    modes: np.ndarray,
-    min_left_mass: float = 0.9,
-) -> LinearBasis:
+def rotated_basis(grid: Grid, omegas: np.ndarray, modes: np.ndarray) -> LinearBasis:
     """Fix mode signs and build the left/right basis.
 
     Sign conventions: u0 positive at x = 0, u1 with positive slope at x = 0.
     With these, (u0 - u1)/sqrt(2) is the left-well function. Degenerate or
     misordered eigenvalues are rejected; so is a basis that fails to localize
-    (left mass fraction below `min_left_mass`), which signals that the
+    (left mass fraction below 0.9), which signals that the
     potential is not an adequate double well.
     """
     omega0, omega1 = float(omegas[0]), float(omegas[1])
@@ -141,20 +136,11 @@ def rotated_basis(
         u1 = -u1
     phi_left = (u0 - u1) / math.sqrt(2.0)
     phi_right = (u0 + u1) / math.sqrt(2.0)
-    basis = LinearBasis(
-        grid=grid,
-        omega0=omega0,
-        omega1=omega1,
-        u0=u0,
-        u1=u1,
-        phi_left=phi_left,
-        phi_right=phi_right,
-    )
+    basis = LinearBasis(grid, omega0, omega1, u0, u1, phi_left, phi_right)
     lm = basis.left_mass_fraction()
-    if lm < min_left_mass:
+    if lm < 0.9:
         raise SpectrumError(
-            f"left-well function is not localized: left mass fraction {lm:.3f} < {min_left_mass}"
-        )
+            f"left-well function is not localized: left mass fraction {lm:.3f} < 0.9")
     mirror_err = math.sqrt(grid.norm_sq(basis.phi_right - reflect(basis.phi_left)))
     if mirror_err > 1e-6:
         raise SpectrumError(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import Kernel
-from .overlaps import compute_overlaps
+from .overlaps import bisect, compute_overlaps
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -165,6 +165,7 @@ class Orbit:
     theta: np.ndarray
     hamiltonian: np.ndarray
     dt: float
+    halvings: int
 
 
 def _field(z: float, theta: float, omega: float, f: float) -> tuple[float, float]:
@@ -252,14 +253,7 @@ def coalescence_sigma(basis, family: str, s: int, delta: int,
 
     if not pair_exists(lo) or pair_exists(hi):
         return None
-    a, b = lo, hi
-    while b - a > 1e-4:
-        mid = 0.5 * (a + b)
-        if pair_exists(mid):
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    return bisect(pair_exists, lo, hi, 1e-4)
 
 
 def _classify_state(state: TwoModeState) -> str:
@@ -336,8 +330,9 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
     """Fixed-step RK4 orbit with a Hamiltonian drift monitor.
 
     The step is halved and the run restarted whenever the relative drift
-    exceeds 1e-8; hitting the |z| = 1 singularity aborts with a diagnostic.
-    Orbit.hamiltonian holds the drift monitor's own values, H at every step.
+    exceeds 1e-8, and Orbit.halvings counts those restarts; hitting the
+    |z| = 1 singularity aborts with a diagnostic. Orbit.hamiltonian holds the
+    drift monitor's own values, H at every step.
     """
     if abs(initial.z) >= 1:
         raise TwoModeError("orbit must start with |z| < 1")
@@ -346,7 +341,7 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
     h_ref = _energy(z0, theta0, omega, f)
     tol = _HAMILTONIAN_DRIFT_TOL * max(abs(h_ref), 2 * omega)
     step = dt
-    for _ in range(_MAX_STEP_HALVINGS + 1):
+    for halvings in range(_MAX_STEP_HALVINGS + 1):
         n_steps = max(1, int(round(t_end / step)))
         ts = np.linspace(0.0, n_steps * step, n_steps + 1)
         zs, thetas, hs = np.empty((3, n_steps + 1))
@@ -371,7 +366,8 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
                 break
             zs[i], thetas[i], hs[i] = z, theta, h
         else:
-            return Orbit(t=ts, z=zs, theta=thetas, hamiltonian=hs, dt=step)
+            return Orbit(t=ts, z=zs, theta=thetas, hamiltonian=hs, dt=step,
+                         halvings=halvings)
         step *= 0.5
     raise TwoModeError(
         f"Hamiltonian drift above {_HAMILTONIAN_DRIFT_TOL} even at dt = {step}")

@@ -130,6 +130,19 @@ def test_twomode_artifacts(tmp_path):
     assert (out / "portrait_N5.csv").exists()
 
 
+def test_twomode_manifest_counts_orbit_steps_and_halvings(tmp_path):
+    cfg = _write(
+        tmp_path / "c.json",
+        {"twomode": {"n_count": 2, "sigma_count": 2, "portrait_norms": [1.0, 5.0],
+                     "portrait_t_end": 20.0}},
+    )
+    out = tmp_path / "tm"
+    assert main(["twomode", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    # 2 norms x 14 starts, each 20 / 0.01 steps at the default dt, none halved
+    assert manifest["counters"] == {"orbit_steps": 2 * 14 * 2000, "orbit_halvings": 0}
+
+
 def test_continue_finds_pitchfork_and_daughter(tmp_path):
     cfg = _write(
         tmp_path / "c.json",

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 from scipy.integrate import quad
 
 from cqdw.discretization import (
@@ -11,6 +12,7 @@ from cqdw.discretization import (
     DiscretizationError,
     Kernel,
     PotentialParams,
+    _next_fast_len,
     build_grid,
     field_from_payload,
     field_payload,
@@ -129,6 +131,40 @@ def test_plan_at_tightest_padding_matches_oracle(n_points):
     g = f + 1j * rng.normal(size=n_points)
     np.testing.assert_allclose(plan.apply(f), brute_force_convolution(kernel, f, grid), atol=1e-12)
     np.testing.assert_allclose(plan.apply(g), brute_force_convolution(kernel, g, grid), atol=1e-12)
+
+
+def scipy_fft_convolution(kernel, grid, values):
+    """ConvolutionPlan.apply's zero-padded convolution, through scipy.fft."""
+    n = grid.n_points
+    size = scipy_fft.next_fast_len(2 * n - 1)
+    kernel_hat = scipy_fft.rfft(kernel_samples(kernel, grid), size)
+
+    def real(v):
+        full = scipy_fft.irfft(scipy_fft.rfft(v, size) * kernel_hat, size)
+        return full[n - 1 : 2 * n - 1] * grid.spacing
+
+    if np.iscomplexobj(values):
+        return real(values.real) + 1j * real(values.imag)
+    return real(values)
+
+
+def test_next_fast_len_matches_scipy():
+    for target in range(1, 5001):
+        assert _next_fast_len(target) == scipy_fft.next_fast_len(target), target
+
+
+# n = 401 transforms at 810 = 2 3^4 5; n = 153 at 308 = 2^2 7 11
+@pytest.mark.parametrize("half_width, fft_size", [(20.0, 810), (7.6, 308)])
+@pytest.mark.parametrize("kernel", [Kernel(GAUSSIAN, 1.0), Kernel(EXPONENTIAL, 0.7)])
+def test_plan_is_bit_identical_to_scipy_fft(half_width, fft_size, kernel):
+    grid = build_grid(half_width, 0.1)
+    assert scipy_fft.next_fast_len(2 * grid.n_points - 1) == fft_size
+    rng = np.random.default_rng(grid.n_points)
+    f = np.exp(-grid.points**2 / 8) * rng.normal(size=grid.n_points)
+    g = f + 1j * rng.normal(size=grid.n_points)
+    plan = ConvolutionPlan(kernel, grid)
+    for values in (f, g):
+        assert np.array_equal(plan.apply(values), scipy_fft_convolution(kernel, grid, values))
 
 
 def test_convolution_complex_input():

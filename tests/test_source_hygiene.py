@@ -7,6 +7,9 @@ attribute of that name, even on an unrelated object.
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -75,6 +78,18 @@ def keyword_names(tree: ast.AST) -> set[str]:
     """Names passed as keyword arguments in any call (`f(name=...)`)."""
     return {kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
             for kw in node.keywords if kw.arg is not None}
+
+
+def test_cli_import_loads_no_scipy_beyond_linalg():
+    """`import cqdw.cli` needs scipy.linalg only. scipy.fft and scipy.optimize,
+    with the special, sparse and spatial packages they pull in, would add about
+    0.3 s and 20 MiB to every run."""
+    heavy = ["scipy.fft", "scipy.optimize", "scipy.special", "scipy.sparse", "scipy.spatial"]
+    code = f"import sys, cqdw.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]", done.stdout
 
 
 def test_modules_found():

@@ -471,6 +471,7 @@ def test_orbit_mirror_antisymmetry(lobe_params):
 def test_orbit_step_halving_on_drift(lobe_params):
     orbit = integrate_orbit(TwoModeState(0.3, 0.5), lobe_params, t_end=60.0, dt=5.0)
     assert orbit.dt < 5.0
+    assert orbit.dt == 5.0 / 2**orbit.halvings
     scale = max(abs(orbit.hamiltonian[0]), 2 * lobe_params.omega)
     assert np.max(np.abs(orbit.hamiltonian - orbit.hamiltonian[0])) <= 1e-8 * scale
     assert len(orbit.t) == int(round(60.0 / orbit.dt)) + 1
