@@ -7,7 +7,8 @@ and the deterministic work counters of its solvers (`counters`; so far the
 midpoint fixed-point passes of `evolve` and the Newton iterations of its
 walk to each mu, the seed's Newton iterations, arclength corrector
 iterations, rejected steps and pitchfork bisection steps of `continue`, and
-the RK4 steps and step halvings of the `twomode` portrait orbits).
+the RK4 steps and step halvings that `twomode` integrates; a portrait start
+(z0, 0) reuses its mirror (-z0, 0) from earlier in the grid, and adds none).
 Every stationary state comes from `continue_branch`; `evolve` traces from
 the seed once per direction, out to its farthest mu, and ends with one
 fixed-mu solve at each mu. Its `newton_iterations_mu<tag>` counts the
@@ -327,26 +328,34 @@ def run_twomode(config: RunConfig, out: Path):
     max_drift = 0.0
     counters = {"orbit_steps": 0, "orbit_halvings": 0}
     portrait_files = []
+    starts = [(z0, theta0) for z0 in np.linspace(-0.75, 0.75, 7) for theta0 in (0.0, math.pi)]
     for norm in tm.portrait_norms:
         params = params_at(norm)
         orbit_rows = []
-        orbit_id = 0
-        for z0 in np.linspace(-0.75, 0.75, 7):
-            for theta0 in (0.0, math.pi):
-                orbit = integrate_orbit(
-                    TwoModeState(float(z0), theta0), params, tm.portrait_t_end
-                )
-                href = orbit.hamiltonian[0]
-                drift = np.max(np.abs(orbit.hamiltonian - href)) / max(abs(href), 1e-12)
-                max_drift = max(max_drift, float(drift))
-                counters["orbit_steps"] += orbit.t.size - 1
-                counters["orbit_halvings"] += orbit.halvings
-                every = slice(None, None, max(1, orbit.t.size // 2000))
-                picked = np.column_stack(
-                    (orbit.t[every], orbit.z[every], orbit.theta[every], orbit.hamiltonian[every])
-                )
-                orbit_rows.extend((orbit_id, *row) for row in picked.tolist())
-                orbit_id += 1
+        twins = {}  # z0 -> the rows of orbit_rows that hold the orbit from (z0, 0)
+        for orbit_id, (z0, theta0) in enumerate(starts):
+            first = len(orbit_rows)
+            if theta0 == 0.0 and -z0 in twins:
+                # the exact mirror (z, theta) -> (-z, -theta); 0.0 - x negates
+                # exactly and leaves a zero, theta[0] among them, at +0.0
+                orbit_rows.extend((orbit_id, t, 0.0 - z, 0.0 - theta, h)
+                                  for _, t, z, theta, h in orbit_rows[twins[-z0]])
+                continue
+            orbit = integrate_orbit(
+                TwoModeState(float(z0), theta0), params, tm.portrait_t_end
+            )
+            href = orbit.hamiltonian[0]
+            drift = np.max(np.abs(orbit.hamiltonian - href)) / max(abs(href), 1e-12)
+            max_drift = max(max_drift, float(drift))
+            counters["orbit_steps"] += orbit.t.size - 1
+            counters["orbit_halvings"] += orbit.halvings
+            every = slice(None, None, max(1, orbit.t.size // 2000))
+            picked = np.column_stack(
+                (orbit.t[every], orbit.z[every], orbit.theta[every], orbit.hamiltonian[every])
+            )
+            orbit_rows.extend((orbit_id, *row) for row in picked.tolist())
+            if theta0 == 0.0:
+                twins[z0] = slice(first, len(orbit_rows))
         name = f"portrait_N{file_tag(norm)}.csv"
         _write_csv(out / name, ["orbit", "t", "z", "theta", "hamiltonian"], orbit_rows)
         portrait_files.append(name)
@@ -396,7 +405,9 @@ def run_continue(config: RunConfig, out: Path):
             )
         termination[family] = branch.termination
         counters[f"newton_iterations_{family}"] = branch.states[0].newton_iterations
-        counters[f"corrector_iterations_{family}"] = branch.corrector_iterations
+        counters[f"corrector_iterations_{family}"] = sum(
+            state.newton_iterations for state in branch.states[1:]
+        )
         counters[f"rejected_steps_{family}"] = branch.rejected_steps
         counters[f"pitchfork_bisections_{family}"] = sum(pf.bisections for pf in pitchforks)
         for k, pf in enumerate(pitchforks):

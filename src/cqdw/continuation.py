@@ -295,15 +295,13 @@ class Branch:
 
     `termination` records why tracing stopped: mu_range, norm_cap, max_steps,
     merge, or newton_failure (partial results are still returned).
-    `corrector_iterations` sums the corrector iterations of the accepted
-    arclength steps, and `rejected_steps` counts the steps whose corrector
-    failed and were retried shorter.
+    `rejected_steps` counts the steps whose corrector failed and were retried
+    shorter; each state carries its own corrector iterations.
     """
 
     states: list[StationaryState] = field(default_factory=list)
     events: list[BranchEvent] = field(default_factory=list)
     termination: str = ""
-    corrector_iterations: int = 0
     rejected_steps: int = 0
 
     def symmetry(self) -> str:
@@ -548,7 +546,6 @@ def continue_branch(
                     branch.termination = "newton_failure"
                     return branch
         psi_new, mu_new, iters = stepped
-        branch.corrector_iterations += iters
         state = replace(make_state(problem, psi_new, mu_new), newton_iterations=iters)
         branch.states.append(state)
 
@@ -610,14 +607,14 @@ def _segment_state(
     pa, pb = a.psi, b.psi
     d_psi, d_mu = pb - pa, b.mu - a.mu
     scale = math.sqrt(problem.grid.norm_sq(d_psi) + d_mu**2)
-    psi, mu, _ = _newton(
+    psi, mu, iterations = _newton(
         problem,
         (1 - t) * pa + t * pb,
         (1 - t) * a.mu + t * b.mu,
         d_psi / scale,
         d_mu / scale,
     )
-    return make_state(problem, psi, mu)
+    return replace(make_state(problem, psi, mu), newton_iterations=iterations)
 
 
 def _bisect(

@@ -12,6 +12,12 @@ with eta_z = eta0 (case 1) or eta0 - eta1 (cases 2, 3). Everything
 derivable from this system lives here: fixed points, the four critical
 norms where asymmetric states appear or vanish, linearized stability,
 parent-branch chemical potentials, and phase-plane orbit integration.
+
+The field is odd under (z, theta) -> (-z, -theta) and H is even. An RK4 step
+and its drift test use only +, *, /, an even cos, an odd sin and sqrt(1 - z^2),
+all sign-symmetric under IEEE round-to-nearest, so the orbit from (-z0, -theta0)
+is the negated orbit from (z0, theta0) bit for bit (an exact zero aside), with
+the same H and halvings.
 """
 
 from __future__ import annotations
@@ -168,26 +174,24 @@ class Orbit:
     halvings: int
 
 
-def _field(z: float, theta: float, omega: float, f: float) -> tuple[float, float]:
-    if abs(z) >= 1:
-        raise TwoModeError(f"theta equation is singular at |z| = 1 (z = {z})")
-    root = math.sqrt(1 - z * z)
-    return 2 * omega * root * math.sin(theta), \
-        -2 * omega * z * math.cos(theta) / root - f * z
-
-
-def _energy(z: float, theta: float, omega: float, f: float) -> float:
-    return 2 * omega * math.sqrt(1 - z * z) * math.cos(theta) - 0.5 * f * z * z
+def _rim_error(z: float) -> TwoModeError:
+    return TwoModeError(f"theta equation is singular at |z| = 1 (z = {z})")
 
 
 def reduced_rhs(state: TwoModeState, p: ModeParams) -> tuple[float, float]:
     """(dz/dt, dtheta/dt) of the reduced system."""
-    return _field(state.z, state.theta, p.omega, p.coupling())
+    z, omega, f = state.z, p.omega, p.coupling()
+    if abs(z) >= 1:
+        raise _rim_error(z)
+    root = math.sqrt(1 - z * z)
+    return 2 * omega * root * math.sin(state.theta), \
+        -2 * omega * z * math.cos(state.theta) / root - f * z
 
 
 def hamiltonian(state: TwoModeState, p: ModeParams) -> float:
     """H = 2 omega sqrt(1-z^2) cos(theta) - (1/2) f(N) z^2."""
-    return _energy(state.z, state.theta, p.omega, p.coupling())
+    z = state.z
+    return 2 * p.omega * math.sqrt(1 - z * z) * math.cos(state.theta) - 0.5 * p.coupling() * z * z
 
 
 def asymmetric_z(p: ModeParams) -> list[TwoModeState]:
@@ -337,8 +341,12 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
     if abs(initial.z) >= 1:
         raise TwoModeError("orbit must start with |z| < 1")
     omega, f = p.omega, p.coupling()
+    # reduced_rhs and hamiltonian inlined for speed, term for term in their
+    # order, so every value keeps its rounding (a test pins this bit for bit)
+    sqrt, sin, cos = math.sqrt, math.sin, math.cos
+    w2, hf = 2 * omega, 0.5 * f
     z0, theta0 = float(initial.z), float(initial.theta)
-    h_ref = _energy(z0, theta0, omega, f)
+    h_ref = w2 * sqrt(1 - z0 * z0) * cos(theta0) - hf * z0 * z0
     tol = _HAMILTONIAN_DRIFT_TOL * max(abs(h_ref), 2 * omega)
     step = dt
     for halvings in range(_MAX_STEP_HALVINGS + 1):
@@ -346,25 +354,36 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
         ts = np.linspace(0.0, n_steps * step, n_steps + 1)
         zs, thetas, hs = np.empty((3, n_steps + 1))
         zs[0], thetas[0], hs[0] = z0, theta0, h_ref
+        z_out, theta_out, h_out = memoryview(zs), memoryview(thetas), memoryview(hs)
         z, theta, half = z0, theta0, 0.5 * step
         for i in range(1, n_steps + 1):
+            # |z| < 1 holds at the start and after each step; a later stage at
+            # |zk| > 1 fails in its sqrt, and one at |zk| = 1 in its division
             try:
-                k1z, k1t = _field(z, theta, omega, f)
-                k2z, k2t = _field(z + half * k1z, theta + half * k1t, omega, f)
-                k3z, k3t = _field(z + half * k2z, theta + half * k2t, omega, f)
-                k4z, k4t = _field(z + step * k3z, theta + step * k3t, omega, f)
-            except TwoModeError as exc:
+                root = sqrt(1 - z * z)
+                k1z, k1t = w2 * root * sin(theta), -w2 * z * cos(theta) / root - f * z
+                zk, tk = z + half * k1z, theta + half * k1t
+                root = sqrt(1 - zk * zk)
+                k2z, k2t = w2 * root * sin(tk), -w2 * zk * cos(tk) / root - f * zk
+                zk, tk = z + half * k2z, theta + half * k2t
+                root = sqrt(1 - zk * zk)
+                k3z, k3t = w2 * root * sin(tk), -w2 * zk * cos(tk) / root - f * zk
+                zk, tk = z + step * k3z, theta + step * k3t
+                root = sqrt(1 - zk * zk)
+                k4z, k4t = w2 * root * sin(tk), -w2 * zk * cos(tk) / root - f * zk
+            except (ValueError, ZeroDivisionError):
+                cause = _rim_error(zk)
                 raise TwoModeError(
-                    f"orbit reached the |z| = 1 singularity near t = {ts[i - 1]:.4g}: {exc}"
-                ) from exc
+                    f"orbit reached the |z| = 1 singularity near t = {ts[i - 1]:.4g}: {cause}"
+                ) from cause
             z = z + step * (k1z + 2 * k2z + 2 * k3z + k4z) / 6
             theta = theta + step * (k1t + 2 * k2t + 2 * k3t + k4t) / 6
             if abs(z) >= 1:
                 raise TwoModeError(f"orbit reached |z| = 1 at t = {ts[i]:.4g}")
-            h = _energy(z, theta, omega, f)
+            h = w2 * sqrt(1 - z * z) * cos(theta) - hf * z * z
             if not abs(h - h_ref) <= tol:  # a NaN drift fails too
                 break
-            zs[i], thetas[i], hs[i] = z, theta, h
+            z_out[i], theta_out[i], h_out[i] = z, theta, h
         else:
             return Orbit(t=ts, z=zs, theta=thetas, hamiltonian=hs, dt=step,
                          halvings=halvings)

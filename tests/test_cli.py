@@ -13,13 +13,22 @@ from pathlib import Path
 
 import pytest
 
-from cqdw.cli import RUNNERS, SUBCOMMANDS, main
+from cqdw.cli import (
+    RUNNERS,
+    SUBCOMMANDS,
+    _build_basis,
+    _build_grid,
+    _build_potential,
+    _fmt,
+    main,
+)
 from cqdw.config import RunConfig, ThermalConfig, config_hash, validate_config
 from cqdw.discretization import GAUSSIAN, Kernel, PotentialParams, build_grid
 from cqdw.dynamics import MAX_FIXED_POINT
 from cqdw.overlaps import compute_overlaps
 from cqdw.presets import PRESETS, RegressionTarget, ScenarioPreset, get_preset
 from cqdw.spectrum import default_basis
+from cqdw.twomode import ModeParams, TwoModeState, integrate_orbit
 
 
 def _write(path: Path, payload: dict) -> str:
@@ -139,8 +148,32 @@ def test_twomode_manifest_counts_orbit_steps_and_halvings(tmp_path):
     out = tmp_path / "tm"
     assert main(["twomode", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    # 2 norms x 14 starts, each 20 / 0.01 steps at the default dt, none halved
-    assert manifest["counters"] == {"orbit_steps": 2 * 14 * 2000, "orbit_halvings": 0}
+    # 2 norms x 11 integrated starts, each 20 / 0.01 steps at the default dt,
+    # none halved; (0.25, 0), (0.5, 0) and (0.75, 0) reuse their mirror twins
+    assert manifest["counters"] == {"orbit_steps": 2 * 11 * 2000, "orbit_halvings": 0}
+
+
+def test_twomode_mirrored_orbits_match_direct_integration(tmp_path):
+    cfg = _write(
+        tmp_path / "c.json",
+        {"twomode": {"n_count": 2, "sigma_count": 2, "portrait_norms": [5.0],
+                     "portrait_t_end": 20.0}},
+    )
+    out = tmp_path / "tm"
+    assert main(["twomode", "--config", cfg, "--out", str(out)]) == 0
+    config = RunConfig()
+    basis = _build_basis(_build_grid(config), _build_potential(config))
+    inter = config.interaction
+    overlaps = compute_overlaps(basis, Kernel(inter.family, inter.sigma))
+    params = ModeParams.from_overlaps(overlaps, basis, inter.s, inter.delta, 5.0)
+    rows = _rows(out / "portrait_N5.csv")[1:]
+    for orbit_id, z0 in ((8, 0.25), (10, 0.5), (12, 0.75)):
+        orbit = integrate_orbit(TwoModeState(z0, 0.0), params, 20.0)
+        # 2,001 points: the portrait keeps every one
+        direct = [[str(orbit_id), *map(_fmt, values)] for values in zip(
+            orbit.t.tolist(), orbit.z.tolist(), orbit.theta.tolist(),
+            orbit.hamiltonian.tolist())]
+        assert [r for r in rows if r[0] == str(orbit_id)] == direct
 
 
 def test_continue_finds_pitchfork_and_daughter(tmp_path):
