@@ -22,7 +22,7 @@ exit status; configuration problems arrive all at once in the `fields` list.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import math
 import sys
@@ -101,20 +101,54 @@ class CliError(RuntimeError):
 # --- deterministic artifact writing -------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    return "" if value is None else str(value)
+def _row_format(kinds: tuple) -> tuple[str, tuple | None]:
+    """The % format of a row with these cell types, CRLF included, and which
+    of its cells go through `_text` (None when none do): a float, numpy's
+    included, is format(x, ".17g"), an int str(x) and a bool 1 or 0."""
+    specs = []
+    for kind in kinds:
+        if issubclass(kind, float):
+            specs.append("%.17g")
+        elif issubclass(kind, (int, np.integer, np.bool_)):
+            specs.append("%d")
+        else:
+            specs.append("%s")
+    texts = tuple(spec == "%s" for spec in specs)
+    return ",".join(specs) + "\r\n", texts if any(texts) else None
+
+
+def _text(value) -> str:
+    """Any other cell: None as empty, anything else as its str, quoted the
+    way csv.writer quotes (a comma, a quote or a line break puts it in
+    quotes, with its quotes doubled)."""
+    text = "" if value is None else str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """Header and rows as csv.writer writes them, CRLF line ends included.
+
+    Each row is one % format, built once per sequence of cell types, and is
+    written as it is formatted; an array is read one row at a time through
+    tolist(). Every table has two or more columns, so the quoted empty line
+    csv.writer writes for a lone empty cell never arises.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = map(np.ndarray.tolist, rows)
+    formats = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(map(_fmt, row))
+        for row in itertools.chain([header], rows):
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            entry = formats.get(kinds)
+            if entry is None:
+                entry = formats[kinds] = _row_format(kinds)
+            line, texts = entry
+            if texts:
+                row = tuple(_text(v) if t else v for v, t in zip(row, texts))
+            fh.write(line % row)
 
 
 def _write_json(path: Path, payload) -> None:

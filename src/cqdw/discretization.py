@@ -203,6 +203,11 @@ class ConvolutionPlan:
     FFT length is the smallest 11-smooth L >= 2n - 1 (810 at n = 401): the
     kept outputs see no wrap-around, and the discarded ones are free to. The
     transforms are numpy.fft.rfft / irfft at that length.
+
+    The plan owns two scratch arrays, the spectrum and the length-L result,
+    which `apply` transforms into and multiplies in place. It returns the kept
+    entries times dx as a fresh array, so no caller ever holds the scratch,
+    and a plan serves one call at a time.
     """
 
     def __init__(self, kernel: Kernel, grid: Grid):
@@ -211,13 +216,16 @@ class ConvolutionPlan:
         self.n = grid.n_points
         self._size = _next_fast_len(2 * self.n - 1)
         self._kernel_hat = np.fft.rfft(kernel_samples(kernel, grid), self._size)
+        self._spectrum = np.empty_like(self._kernel_hat)
+        self._full = np.empty(self._size)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
         if np.iscomplexobj(values):
             return self.apply(values.real) + 1j * self.apply(values.imag)
-        fhat = np.fft.rfft(values, self._size)
-        full = np.fft.irfft(fhat * self._kernel_hat, self._size)
+        fhat = np.fft.rfft(values, self._size, out=self._spectrum)
+        np.multiply(fhat, self._kernel_hat, out=fhat)
+        full = np.fft.irfft(fhat, self._size, out=self._full)
         return full[self.n - 1 : 2 * self.n - 1] * self.grid.spacing
 
 

@@ -44,6 +44,12 @@ tridiagonal solve reproduces the quadrature convolution identically instead
 of to O(dx^2). The corner rows close the system with the exact decay ratio
 of that sequence, which is what "decaying boundary conditions" means on a
 finite grid.
+
+These two solves are the package's only use of scipy. `evolve` and
+`solve_screened_poisson` import zgtsv and dgtsv from scipy.linalg.lapack
+when they are called: loading scipy.linalg costs about 0.3 s and 24 MiB,
+which every other run (spectrum, overlaps, two-mode, branches) would
+otherwise pay at `import cqdw.cli`.
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, zgtsv
 
 from .continuation import StationaryProblem, StationaryState
 from .discretization import Grid
@@ -140,48 +145,88 @@ def evolve(
     if not np.all(np.isfinite(psi.view(float))):
         raise DynamicsError("initial field is not finite")
 
+    from scipy.linalg.lapack import zgtsv  # here, not at import: see the module docstring
+
+    n = grid.n_points
     diag0 = problem.operator.diagonal - mu
     hop = 0.5j * dt * float(problem.operator.off_diagonal[0])
-    band = np.full(grid.n_points - 1, hop)
+    band = np.full(n - 1, hop)
+    half_dt_i = 0.5j * dt
 
     n0 = _invariant_norm(grid, psi)
     times = snapshot_dt * np.arange(frames + 1)
-    snapshots = np.empty((frames + 1, grid.n_points), dtype=complex)
+    snapshots = np.empty((frames + 1, n), dtype=complex)
     snapshots[0] = psi
     norms = [n0]
 
+    # Scratch for the step, filled by the operations of the expression beside
+    # each block in the same order, so the bits are the expressions'. The
+    # solve's result is a fresh array each pass: it becomes psi and history.
+    start = np.empty(n, dtype=complex)  # the extrapolated psi_next
+    work = np.empty(n, dtype=complex)
+    base = np.empty(n, dtype=complex)
+    mid = np.empty(n, dtype=complex)
+    d = np.empty(n, dtype=complex)
+    diag = np.empty(n, dtype=complex)
+    dens = np.empty(n)
+    square = np.empty(n)
+    magnitude = np.empty(n)
+
     t = 0.0
-    history: list[np.ndarray] = []  # psi_{n-1}, psi_{n-2}, psi_{n-3}: the predictor's memory
+    # the predictor's memory: history = [h0, h1, h2] = psi_{n-1}, psi_{n-2}, psi_{n-3}
+    history: list[np.ndarray] = []
     passes = max_passes = 0
     for frame in range(1, frames + 1):
         for _ in range(steps_per_frame):
+            psi_next = start
             if len(history) == 3:
-                psi_next = 4.0 * (psi + history[1]) - 6.0 * history[0] - history[2]
+                # 4.0 * (psi + h1) - 6.0 * h0 - h2
+                np.add(psi, history[1], out=start)
+                np.multiply(4.0, start, out=start)
+                np.multiply(6.0, history[0], out=work)
+                np.subtract(start, work, out=start)
+                np.subtract(start, history[2], out=start)
             elif len(history) == 2:
-                psi_next = 3.0 * (psi - history[0]) + history[1]
+                # 3.0 * (psi - h0) + h1
+                np.subtract(psi, history[0], out=start)
+                np.multiply(3.0, start, out=start)
+                np.add(start, history[1], out=start)
             elif history:
-                psi_next = 2.0 * psi - history[0]
+                # 2.0 * psi - h0
+                np.multiply(2.0, psi, out=start)
+                np.subtract(start, history[0], out=start)
             else:
                 psi_next = psi
             # psi - i dt/2 (hopping part of H) psi; the diagonal part is per pass
-            base = psi.copy()
-            base[:-1] -= hop * psi[1:]
-            base[1:] -= hop * psi[:-1]
+            np.multiply(hop, psi, out=work)
+            base[:] = psi
+            base[:-1] -= work[1:]
+            base[1:] -= work[:-1]
             for attempt in range(MAX_FIXED_POINT + 1):
-                mid = 0.5 * (psi + psi_next)
-                dens = mid.real**2 + mid.imag**2
-                # i dt/2 times the diagonal of H_mid
-                d = 0.5j * dt * (diag0 + problem.nonlinear_potential_density(dens))
+                # mid = 0.5 * (psi + psi_next); dens = mid.real**2 + mid.imag**2
+                np.add(psi, psi_next, out=mid)
+                np.multiply(0.5, mid, out=mid)
+                np.multiply(mid.real, mid.real, out=dens)
+                np.multiply(mid.imag, mid.imag, out=square)
+                np.add(dens, square, out=dens)
+                # d = i dt/2 times the diagonal of H_mid
+                potential = problem.nonlinear_potential_density(dens)
+                np.add(diag0, potential, out=potential)
+                np.multiply(half_dt_i, potential, out=d)
+                np.add(1.0, d, out=diag)
+                rhs = np.multiply(d, psi)
+                np.subtract(base, rhs, out=rhs)  # base - d * psi
                 _, _, _, cand, info = zgtsv(
-                    band, 1.0 + d, band, base - d * psi, overwrite_d=1, overwrite_b=1
+                    band, diag, band, rhs, overwrite_d=1, overwrite_b=1
                 )
                 if info != 0:
                     raise DynamicsError(
                         f"midpoint tridiagonal solve failed at t={t + dt:.4f} (zgtsv info={info})"
                     )
-                gap = float(np.max(np.abs(cand - psi_next)))
+                np.subtract(cand, psi_next, out=work)
+                gap = float(np.abs(work, out=magnitude).max())
                 psi_next = cand
-                if gap <= FIXED_POINT_TOL * max(1.0, float(np.max(np.abs(cand)))):
+                if gap <= FIXED_POINT_TOL * max(1.0, float(np.abs(cand, out=magnitude).max())):
                     break
             else:
                 raise DynamicsError(
@@ -333,6 +378,7 @@ def solve_screened_poisson(
     if intensity.shape != (grid.n_points,):
         raise DynamicsError(f"intensity has shape {intensity.shape}, expected ({grid.n_points},)")
     source = sigma0 * (intensity - intensity**2)
+    from scipy.linalg.lapack import dgtsv  # here, not at import: see the module docstring
 
     ell = math.sqrt(d)
     ratio = math.exp(-grid.spacing / ell)  # decay of the discrete Green's sequence

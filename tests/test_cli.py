@@ -7,10 +7,12 @@ artifact layout exactly as a shell invocation would, without subprocess cost.
 
 import csv
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cqdw.cli import (
@@ -19,7 +21,7 @@ from cqdw.cli import (
     _build_basis,
     _build_grid,
     _build_potential,
-    _fmt,
+    _write_csv,
     main,
 )
 from cqdw.config import RunConfig, ThermalConfig, config_hash, validate_config
@@ -39,6 +41,23 @@ def _write(path: Path, payload: dict) -> str:
 def _rows(path: Path) -> list[list[str]]:
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def _fmt(value) -> str:
+    """The cell text of the csv.writer-based writer that `_write_csv` replaced."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    return "" if value is None else str(value)
+
+
+def _reference_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(map(_fmt, row))
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
@@ -174,6 +193,49 @@ def test_twomode_mirrored_orbits_match_direct_integration(tmp_path):
             orbit.t.tolist(), orbit.z.tolist(), orbit.theta.tolist(),
             orbit.hamiltonian.tolist())]
         assert [r for r in rows if r[0] == str(orbit_id)] == direct
+
+
+CELLS = [
+    0, -7, 2**63, np.int64(-3), np.int32(5), np.uint64(2**64 - 1),
+    0.1, -0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1.0, -2.5e-310,
+    np.float64(-0.0), np.float64(math.inf), np.float64(math.nan), np.float64(5e-324),
+    np.float64(1e16), np.float64(1 / 3), np.float32(0.1),
+    True, False, np.True_, np.False_, None,
+    "", "sym", "a,b", 'say "hi"', "line\nbreak", "cr\r", " lead", "tab\t", "%d %s",
+]
+
+
+def _writer_parity(tmp_path: Path, header, rows) -> None:
+    mine, ref = tmp_path / "mine.csv", tmp_path / "ref.csv"
+    _write_csv(mine, header, rows)
+    _reference_csv(ref, header, rows)
+    assert mine.read_bytes() == ref.read_bytes()
+
+
+def test_csv_writer_keeps_every_cell_byte(tmp_path):
+    """Each kind of cell a table holds, alone beside a float and mixed in rows
+    whose types change from row to row."""
+    rows = [[cell, 0.5] for cell in CELLS] + [[0.5, cell] for cell in CELLS]
+    rows += [CELLS, CELLS[::-1], [1, 2.0, "x", None, True], [1.0, 2, None, "x", False]]
+    _writer_parity(tmp_path, ["a", "b,c", 'q"'], rows)
+
+
+def test_csv_writer_keeps_the_table_shapes_bytes(tmp_path):
+    """The portrait's (orbit, t, z, theta, H) tuples, the density array with
+    its 17-digit x header, zipped numpy columns with a bool one, and rows
+    with a text column."""
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((300, 4)) * np.array([1e3, 1.0, math.pi, 1e-7])
+    portrait = [(k // 20, *row) for k, row in enumerate(values.tolist())]
+    _writer_parity(tmp_path, ["orbit", "t", "z", "theta", "hamiltonian"], portrait)
+    x = 0.1 * np.arange(-200, 201)
+    density = np.column_stack((np.arange(7) * 0.2, rng.random((7, x.size)) ** 2))
+    _writer_parity(tmp_path, ["t", *[format(v, ".17g") for v in x]], density)
+    flags = rng.random(40) > 0.5
+    zipped = list(zip(values[:40, 0], values[:40, 1], flags, rng.integers(-5, 5, 40)))
+    _writer_parity(tmp_path, ["t", "z", "defined", "n"], zipped)
+    labels = [[0.1 * k, float(k), ("sym", "anti", "asym-sym")[k % 3], k % 2] for k in range(30)]
+    _writer_parity(tmp_path, ["mu", "N", "symmetry", "n_unstable"], labels)
 
 
 def test_continue_finds_pitchfork_and_daughter(tmp_path):

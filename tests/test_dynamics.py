@@ -12,8 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
-from cqdw import dynamics
 from cqdw.discretization import (
     ConvolutionPlan,
     Kernel,
@@ -263,7 +263,8 @@ def test_tridiagonal_failure_names_the_time(breaking_runs, monkeypatch):
     def singular(dl, d, du, b, **_):
         return dl, d, du, b, 2
 
-    monkeypatch.setattr(dynamics, "zgtsv", singular)
+    # evolve imports zgtsv from scipy.linalg.lapack when it is called
+    monkeypatch.setattr(scipy.linalg.lapack, "zgtsv", singular)
     with pytest.raises(DynamicsError, match=r"t=0\.0050"):
         evolve(entry["problem"], state.psi.astype(complex), 0.25, 1.0)
 
@@ -340,6 +341,15 @@ def test_screened_poisson_edge_cases(grid):
     assert np.max(np.abs(flat[interior] / s_val - 1.0)) <= 5e-3
     with pytest.raises(DynamicsError, match="shape"):
         solve_screened_poisson(grid, np.zeros(grid.n_points - 1), 0.3, 1.0)
+
+
+def test_screened_poisson_solve_failure_is_reported(grid, monkeypatch):
+    def singular(dl, d, du, b, **_):
+        return dl, d, du, b, 3
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", singular)
+    with pytest.raises(DynamicsError, match=r"dgtsv info=3"):
+        solve_screened_poisson(grid, np.zeros(grid.n_points), 0.3, 1.0)
 
 
 def test_density_imbalance_conventions(grid, basis):

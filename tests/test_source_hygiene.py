@@ -80,16 +80,40 @@ def keyword_names(tree: ast.AST) -> set[str]:
             for kw in node.keywords if kw.arg is not None}
 
 
-def test_cli_import_loads_no_scipy_beyond_linalg():
-    """`import cqdw.cli` needs scipy.linalg only. scipy.fft and scipy.optimize,
-    with the special, sparse and spatial packages they pull in, would add about
-    0.3 s and 20 MiB to every run."""
-    heavy = ["scipy.fft", "scipy.optimize", "scipy.special", "scipy.sparse", "scipy.spatial"]
-    code = f"import sys, cqdw.cli; print([m for m in {heavy!r} if m in sys.modules])"
+def test_cli_import_loads_no_scipy():
+    """`import cqdw.cli` loads no scipy module. scipy.linalg alone costs about
+    0.3 s and 24 MiB; only the tridiagonal solves of `evolve` and `thermal`
+    need it, and they import it when they run."""
+    code = "import sys, cqdw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]", done.stdout
+
+
+def import_time_modules(tree: ast.Module) -> list[str]:
+    """Modules a file imports when it loads: every import outside a function
+    body (class bodies and `if`/`try` blocks run at import too)."""
+    found, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    """A scipy import runs inside the function that needs it, never when a
+    cqdw module loads, whichever module imports it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scipy = [m for m in import_time_modules(tree) if m.split(".")[0] == "scipy"]
+    assert not scipy, f"{path.name}: {scipy}"
 
 
 def test_modules_found():

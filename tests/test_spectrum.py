@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from cqdw.discretization import PotentialParams, build_grid, reflect
 from cqdw.spectrum import (
@@ -99,3 +100,33 @@ def test_eigenvalue_count_guard(grid):
         lowest_eigenpairs(op, 0)
     with pytest.raises(SpectrumError):
         lowest_eigenpairs(op, grid.n_points + 1)
+
+
+@pytest.mark.parametrize(
+    "half_width, spacing, params",
+    [(20.0, 0.1, PotentialParams()), (10.0, 0.1, PotentialParams(barrier_height=2.0)),
+     (20.0, 0.05, PotentialParams(barrier_width=1.0))],
+)
+def test_basis_matches_the_tridiagonal_eigensolver(half_width, spacing, params):
+    """The dense eigh doublet against LAPACK's tridiagonal one (stebz/stein),
+    after the same normalization and `rotated_basis` sign rules."""
+    grid = build_grid(half_width, spacing)
+    op = discretize_operator(grid, params)
+    basis = rotated_basis(grid, *lowest_eigenpairs(op, 2))
+    omegas, modes = eigh_tridiagonal(
+        op.diagonal, op.off_diagonal, select="i", select_range=(0, 1)
+    )
+    modes /= np.sqrt([grid.norm_sq(modes[:, k]) for k in range(2)])
+    ref = rotated_basis(grid, omegas, modes)
+    assert abs(basis.omega0 - ref.omega0) <= 1e-13
+    assert abs(basis.omega1 - ref.omega1) <= 1e-13
+    assert np.max(np.abs(basis.u0 - ref.u0)) <= 1e-12
+    assert np.max(np.abs(basis.u1 - ref.u1)) <= 1e-12
+
+
+def test_modes_above_the_box_edge_are_refused(grid):
+    # V at the box edge of the default well is 2: 20 levels lie below it
+    op = discretize_operator(grid, PotentialParams())
+    lowest_eigenpairs(op, 20)
+    with pytest.raises(SpectrumError, match="box edge"):
+        lowest_eigenpairs(op, 21)
