@@ -47,7 +47,6 @@ from .continuation import (
     StationaryProblem,
     continue_branch,
     detect_pitchfork,
-    make_state,
     newton_solve,
     seed_daughter,
     seed_from_mode,
@@ -57,7 +56,6 @@ from .discretization import (
     Kernel,
     PotentialParams,
     build_grid,
-    field_from_payload,
     field_payload,
 )
 from .dynamics import (
@@ -81,18 +79,6 @@ from .twomode import (
     fixed_point_census,
     integrate_orbit,
 )
-
-SUBCOMMANDS = (
-    "spectrum",
-    "overlaps",
-    "twomode",
-    "continue",
-    "stability",
-    "evolve",
-    "thermal",
-    "regress",
-)
-
 
 class CliError(RuntimeError):
     """Subcommand-level failure with a user-addressable message."""
@@ -432,7 +418,7 @@ def run_continue(config: RunConfig, out: Path):
     for family, branch, pitchforks in traced:
         spectra = sweep_branch(problem, branch.states)
         for state, spec in zip(branch.states, spectra):
-            rows.append([state.mu, state.norm, family, spec.unstable_count])
+            rows.append([state.mu, state.norm, family, spec.unstable_count, spec.max_real_part])
         for event in branch.events:
             events.append(
                 {"family": family, "kind": event.kind, "mu": event.mu, "norm": event.norm}
@@ -458,63 +444,12 @@ def run_continue(config: RunConfig, out: Path):
                 _write_json(out / name, _state_payload(problem.grid, state, family))
                 artifacts.append(name)
 
-    _write_csv(out / "branches.csv", ["mu", "N", "symmetry", "n_unstable"], rows)
+    _write_csv(out / "branches.csv", ["mu", "N", "symmetry", "n_unstable", "max_re_lambda"], rows)
     _write_json(
         out / "events.json",
         {"events": events, "pitchforks": pitchfork_entries, "termination": termination},
     )
     return artifacts, quantities, counters
-
-
-def _load_states(path: Path, problem):
-    """Stored states from a file or directory, shape-checked; a file that is
-    not a stored state (not JSON, a key missing, wrong shape) is named."""
-    if path.is_dir():
-        files = sorted(path.glob("*.json"))
-        if not files:
-            raise CliError(f"no state files (*.json) found in {path}")
-    else:
-        if not path.exists():
-            raise FileNotFoundError(None, "state file not found", str(path))
-        files = [path]
-    states = []
-    for file in files:
-        try:
-            with open(file, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            grid, values = field_from_payload(payload["field"])
-            mu = float(payload["mu"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(
-                f"{file}: not a stored state file ({type(exc).__name__}: {exc})"
-            ) from exc
-        if grid.n_points != problem.grid.n_points or not math.isclose(
-            grid.spacing, problem.grid.spacing
-        ):
-            raise CliError(f"{file}: stored grid does not match the configured grid")
-        states.append(make_state(problem, np.real(values), mu))
-    return states
-
-
-def run_stability(config: RunConfig, out: Path):
-    problem = _build_problem(config)
-    if config.stability.states_path:
-        states = _load_states(Path(config.stability.states_path), problem)
-    else:
-        basis = _build_basis(problem.grid, _build_potential(config))
-        states = []
-        for _, branch, _ in _trace_branches(problem, basis, config):
-            states.extend(branch.states)
-    rows = []
-    for state, spectrum in zip(states, sweep_branch(problem, states)):
-        rows.append([state.mu, state.norm, spectrum.max_real_part, spectrum.unstable_count])
-    _write_csv(
-        out / "stability.csv", ["mu", "N", "max_re_lambda", "unstable_count"], rows
-    )
-    quantities = {}
-    if rows:
-        quantities["max_re_lambda"] = max(row[2] for row in rows)
-    return ["stability.csv"], quantities, {}
 
 
 def run_evolve(config: RunConfig, out: Path):
@@ -638,7 +573,6 @@ RUNNERS = {
     "overlaps": run_overlaps,
     "twomode": run_twomode,
     "continue": run_continue,
-    "stability": run_stability,
     "evolve": run_evolve,
     "thermal": run_thermal,
 }
@@ -768,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Double-well states of a cubic-quintic nonlocal Schrodinger equation.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in (*RUNNERS, "regress"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a JSON run configuration")
         p.add_argument("--out", help="output directory (default runs/<subcommand>)")

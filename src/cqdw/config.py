@@ -11,7 +11,8 @@ identifies the resolved configuration in run manifests.
 `validate_config` is the one gate for input rules: each rule on a config
 field is stated there once, and every run passes through it. The library's
 constructors and solvers assume validated values; they check only solver
-state, stored files and values they compute themselves.
+state and values they compute themselves, apart from the guards that
+`build_grid` and `Kernel` keep for direct library callers.
 """
 
 from __future__ import annotations
@@ -112,13 +113,6 @@ class DynamicsConfig:
 
 
 @dataclass(frozen=True)
-class StabilityConfig:
-    """Spectra per state; empty states_path means 'scan, then sweep'."""
-
-    states_path: str = ""
-
-
-@dataclass(frozen=True)
 class ThermalConfig:
     d: float = 0.25
     sigma0: float = 1.0
@@ -133,7 +127,6 @@ class RunConfig:
     twomode: TwoModeConfig = field(default_factory=TwoModeConfig)
     overlaps: OverlapsConfig = field(default_factory=OverlapsConfig)
     dynamics: DynamicsConfig = field(default_factory=DynamicsConfig)
-    stability: StabilityConfig = field(default_factory=StabilityConfig)
     thermal: ThermalConfig = field(default_factory=ThermalConfig)
     seed: int = 0
 
@@ -167,7 +160,7 @@ def _build_section(cls, data, prefix, problems):
             if not isinstance(raw, dict):
                 problems.append(f"{prefix}{key}: expected an object")
                 continue
-            kwargs[key] = _build_section(_SECTION_TYPES[key], raw, f"{prefix}{key}.", problems)
+            kwargs[key] = _build_section(known[key].default_factory, raw, f"{prefix}{key}.", problems)
         elif declared.startswith("tuple"):
             if not isinstance(raw, (list, tuple)):
                 problems.append(f"{prefix}{key}: expected a list")
@@ -199,19 +192,6 @@ def _build_section(cls, data, prefix, problems):
             else:
                 kwargs[key] = raw
     return cls(**kwargs)
-
-
-_SECTION_TYPES = {
-    "grid": GridConfig,
-    "potential": PotentialConfig,
-    "interaction": InteractionConfig,
-    "scan": ScanConfig,
-    "twomode": TwoModeConfig,
-    "overlaps": OverlapsConfig,
-    "dynamics": DynamicsConfig,
-    "stability": StabilityConfig,
-    "thermal": ThermalConfig,
-}
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -26,7 +26,7 @@ KERNEL_FAMILIES = (GAUSSIAN, EXPONENTIAL)
 
 
 class DiscretizationError(ValueError):
-    """Raised for an invalid grid, kernel family or stored field."""
+    """Raised for an invalid grid or kernel family."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,8 @@ def build_grid(half_width: float, spacing: float) -> Grid:
 
     half_width must be a whole multiple of spacing so that x = 0 is a grid
     point (the parity machinery relies on it); the grid then has at least
-    3 points. Stored state files are read through here.
+    3 points. `validate_config` states the same rules for every run; these
+    checks guard callers that build a grid directly.
     """
     if not (half_width > 0.0) or not (spacing > 0.0):
         raise DiscretizationError(
@@ -261,17 +262,3 @@ def field_payload(grid: Grid, values: np.ndarray) -> dict:
         "values_re": values.real.tolist(),
         "values_im": values.imag.tolist(),
     }
-
-
-def field_from_payload(payload: dict) -> tuple[Grid, np.ndarray]:
-    """(grid, values) of a `field_payload` record; values are real when im is zero."""
-    grid = build_grid(payload["half_width"], payload["spacing"])
-    if grid.n_points != payload["n_points"]:
-        raise DiscretizationError("n_points inconsistent with half_width/spacing")
-    re = np.asarray(payload["values_re"], dtype=float)
-    im = np.asarray(payload["values_im"], dtype=float)
-    if re.shape != (grid.n_points,) or im.shape != re.shape:
-        raise DiscretizationError(
-            f"values have shapes {re.shape} and {im.shape}, expected ({grid.n_points},)"
-        )
-    return grid, re if not im.any() else re + 1j * im

@@ -17,11 +17,11 @@ import pytest
 
 from cqdw.cli import (
     RUNNERS,
-    SUBCOMMANDS,
     _build_basis,
     _build_grid,
     _build_potential,
     _write_csv,
+    build_parser,
     main,
 )
 from cqdw.config import RunConfig, ThermalConfig, config_hash, validate_config
@@ -30,6 +30,7 @@ from cqdw.dynamics import MAX_FIXED_POINT
 from cqdw.overlaps import compute_overlaps
 from cqdw.presets import PRESETS, RegressionTarget, ScenarioPreset, get_preset
 from cqdw.spectrum import default_basis
+from cqdw.stability import DEFAULT_THRESHOLD
 from cqdw.twomode import ModeParams, TwoModeState, integrate_orbit
 
 
@@ -223,7 +224,7 @@ def test_csv_writer_keeps_every_cell_byte(tmp_path):
 def test_csv_writer_keeps_the_table_shapes_bytes(tmp_path):
     """The portrait's (orbit, t, z, theta, H) tuples, the density array with
     its 17-digit x header, zipped numpy columns with a bool one, and rows
-    with a text column."""
+    with a text column and a signed-zero float one."""
     rng = np.random.default_rng(3)
     values = rng.standard_normal((300, 4)) * np.array([1e3, 1.0, math.pi, 1e-7])
     portrait = [(k // 20, *row) for k, row in enumerate(values.tolist())]
@@ -234,8 +235,9 @@ def test_csv_writer_keeps_the_table_shapes_bytes(tmp_path):
     flags = rng.random(40) > 0.5
     zipped = list(zip(values[:40, 0], values[:40, 1], flags, rng.integers(-5, 5, 40)))
     _writer_parity(tmp_path, ["t", "z", "defined", "n"], zipped)
-    labels = [[0.1 * k, float(k), ("sym", "anti", "asym-sym")[k % 3], k % 2] for k in range(30)]
-    _writer_parity(tmp_path, ["mu", "N", "symmetry", "n_unstable"], labels)
+    labels = [[0.1 * k, float(k), ("sym", "anti", "asym-sym")[k % 3], k % 2,
+               (-0.0, 3e-9, 0.0125)[k % 3]] for k in range(30)]
+    _writer_parity(tmp_path, ["mu", "N", "symmetry", "n_unstable", "max_re_lambda"], labels)
 
 
 def test_continue_finds_pitchfork_and_daughter(tmp_path):
@@ -249,7 +251,7 @@ def test_continue_finds_pitchfork_and_daughter(tmp_path):
     assert len(events["pitchforks"]) == 1
     assert abs(events["pitchforks"][0]["mu"] - 0.168565) < 1e-4
     rows = _rows(out / "branches.csv")
-    assert rows[0] == ["mu", "N", "symmetry", "n_unstable"]
+    assert rows[0] == ["mu", "N", "symmetry", "n_unstable", "max_re_lambda"]
     families = {r[2] for r in rows[1:]}
     assert families == {"anti", "asym-anti"}
     manifest = json.loads((out / "manifest.json").read_text())
@@ -268,9 +270,13 @@ def test_continue_finds_pitchfork_and_daughter(tmp_path):
     # past the pitchfork the parent is unstable, the daughter is not
     unstable = [r for r in rows[1:] if r[2] == "anti" and float(r[0]) > 0.175]
     assert unstable and all(int(r[3]) >= 1 for r in unstable)
+    # a state counts unstable modes exactly when its largest growth rate passes the threshold
+    assert all((int(r[3]) >= 1) == (float(r[4]) > DEFAULT_THRESHOLD) for r in rows[1:])
 
 
-def test_stability_reads_stored_states(tmp_path):
+def test_continue_dumps_profiles(tmp_path):
+    """With scan.dump_profiles, one states/*.json per branches.csv row, at
+    that row's mu, whose stored field has that row's norm."""
     scan = {
         "mu_min": 0.15,
         "mu_max": 0.20,
@@ -279,40 +285,17 @@ def test_stability_reads_stored_states(tmp_path):
         "dump_profiles": True,
     }
     cfg = _write(tmp_path / "c.json", {"scan": scan})
-    dumped = tmp_path / "ct"
-    assert main(["continue", "--config", cfg, "--out", str(dumped)]) == 0
-    states_dir = dumped / "states"
-    n_states = len(list(states_dir.glob("*.json")))
-    assert n_states > 0
-
-    cfg2 = _write(
-        tmp_path / "c2.json", {"stability": {"states_path": str(states_dir)}}
-    )
-    out = tmp_path / "st"
-    assert main(["stability", "--config", cfg2, "--out", str(out)]) == 0
-    rows = _rows(out / "stability.csv")
-    assert rows[0] == ["mu", "N", "max_re_lambda", "unstable_count"]
-    assert len(rows) - 1 == n_states
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["quantities"]["max_re_lambda"] > 0.01
-
-
-def test_malformed_stored_states_name_the_file(tmp_path, capsys):
-    bad_json = tmp_path / "broken.json"
-    bad_json.write_text("{not json")
-    no_field = tmp_path / "nofield.json"
-    no_field.write_text(json.dumps({"mu": 0.2, "norm": 1.0, "family": "anti"}))
-    short = tmp_path / "short.json"
-    field = {"half_width": 20.0, "spacing": 0.1, "n_points": 401,
-             "values_re": [0.0] * 400, "values_im": [0.0] * 400}
-    short.write_text(json.dumps({"mu": 0.2, "field": field}))
-    for bad in (bad_json, no_field, short):
-        cfg = _write(tmp_path / "c.json", {"stability": {"states_path": str(bad)}})
-        code = main(["stability", "--config", cfg, "--out", str(tmp_path / "st")])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "CliError"
-        assert str(bad) in err["message"]
+    out = tmp_path / "ct"
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 0
+    rows = _rows(out / "branches.csv")[1:]
+    files = sorted((out / "states").glob("*.json"))
+    assert rows and len(files) == len(rows)
+    for row, file in zip(rows, files):
+        payload = json.loads(file.read_text())
+        assert (payload["mu"], payload["norm"]) == (float(row[0]), float(row[1]))
+        field = payload["field"]
+        density = np.square(field["values_re"]) + np.square(field["values_im"])
+        assert abs(np.trapezoid(density, dx=field["spacing"]) - payload["norm"]) <= 1e-12
 
 
 def test_walk_into_the_vacuum_is_a_cli_error(tmp_path, capsys):
@@ -479,7 +462,6 @@ FIELD_RULES = [
 DELETED_FIELDS = [
     ("overlaps", "log_spaced", False),
     ("overlaps", "recompute_thresholds", True),
-    ("stability", "full_spectra", True),
     ("scan", "seed_delta_mu", 0.01),
     ("thermal", "beam_amplitude", 0.5),
     ("thermal", "beam_width", 2.0),
@@ -495,6 +477,16 @@ def test_deleted_field_is_unknown(tmp_path, capsys, section, name, value):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert err["fields"] == [f"{section}.{name}: unknown field"]
+
+
+def test_deleted_section_is_unknown(tmp_path, capsys):
+    """The stability section went with `cqdw stability`, whatever it holds."""
+    for fields in ({"full_spectra": True}, {"states_path": "states"}):
+        cfg = _write(tmp_path / "c.json", {"stability": fields})
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["fields"] == ["stability: unknown field"]
 
 
 @pytest.mark.parametrize("subcommand, payload, field", FIELD_RULES,
@@ -726,5 +718,12 @@ def test_preset_config_is_validated(tmp_path, monkeypatch, capsys):
         assert not out.exists()
 
 
-def test_every_subcommand_is_wired():
-    assert set(SUBCOMMANDS) == set(RUNNERS) | {"regress"}
+def test_parser_takes_every_runner_and_regress(capsys):
+    parser = build_parser()
+    for name in (*RUNNERS, "regress"):
+        assert parser.parse_args([name]).subcommand == name
+    with pytest.raises(SystemExit) as exc:
+        main(["stability"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "stability" in err

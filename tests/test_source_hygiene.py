@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from cqdw.cli import RUNNERS
 from cqdw.config import RunConfig
+from cqdw.presets import PRESETS
 
 TESTS = Path(__file__).resolve().parent
 SOURCE = TESTS.parent / "src" / "cqdw"
@@ -24,7 +26,8 @@ MODULES = sorted(SOURCE.glob("*.py"))
 # Files whose references count as reaching a definition: the package itself
 # and the acceptance criteria with their test-side BdG block.
 REACHING = MODULES + [TESTS / "test_acceptance.py", TESTS / "bdg_reference.py"]
-WORKLOADS = TESTS.parent / "perfbench" / "workloads"
+PERFBENCH = TESTS.parent / "perfbench"
+WORKLOADS = PERFBENCH / "workloads"
 # Files whose settings count as a run that sets a config field.
 SETTING = [SOURCE / "presets.py", *sorted(TESTS.glob("*.py"))]
 # RunConfig leaves that no preset, workload or test sets but that stay, with why.
@@ -265,3 +268,15 @@ def test_every_config_field_is_set():
     assert unset == set(UNSET_BY_DESIGN), (
         f"set by no preset, workload or test: {sorted(unset - set(UNSET_BY_DESIGN))}; "
         f"exemptions now set or gone: {sorted(set(UNSET_BY_DESIGN) - unset)}")
+
+
+def test_every_subcommand_is_run_by_a_preset_or_workload():
+    """Each runner serves a preset or a benchmark workload (`Workload(name,
+    subcommand)` in perfbench/workloads.py), so a subcommand that only tests
+    run, a second route beside the pipeline, does not stay."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    run = {node.args[1].value for node in ast.walk(tree)
+           if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Workload"}
+    assert run, "no Workload(...) found in perfbench/workloads.py"
+    run |= {preset.subcommand for preset in PRESETS.values()}
+    assert set(RUNNERS) <= run, f"run by no preset or workload: {sorted(set(RUNNERS) - run)}"
