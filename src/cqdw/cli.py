@@ -9,6 +9,8 @@ walk to each mu, the seed's Newton iterations, arclength corrector
 iterations, rejected steps and pitchfork bisection steps of `continue`, and
 the RK4 steps and step halvings that `twomode` integrates; a portrait start
 (z0, 0) reuses its mirror (-z0, 0) from earlier in the grid, and adds none).
+`twomode` streams each portrait into its CSV one orbit at a time, so a run
+holds one orbit's rows (plus the mirror twins still to come), not the file.
 Every stationary state comes from `continue_branch`; `evolve` traces from
 the seed once per direction, out to its farthest mu, and ends with one
 fixed-mu solve at each mu. Its `newton_iterations_mu<tag>` counts the
@@ -347,37 +349,41 @@ def run_twomode(config: RunConfig, out: Path):
 
     max_drift = 0.0
     counters = {"orbit_steps": 0, "orbit_halvings": 0}
-    portrait_files = []
     starts = [(z0, theta0) for z0 in np.linspace(-0.75, 0.75, 7) for theta0 in (0.0, math.pi)]
-    for norm in tm.portrait_norms:
-        params = params_at(norm)
-        orbit_rows = []
-        twins = {}  # z0 -> the rows of orbit_rows that hold the orbit from (z0, 0)
+
+    def portrait_rows(params: ModeParams):
+        """Yield each orbit's rows as it is integrated. The picked rows of a
+        (z0, 0) start are kept only until its mirror start (-z0, 0) reuses them."""
+        nonlocal max_drift
+        twins = {}
         for orbit_id, (z0, theta0) in enumerate(starts):
-            first = len(orbit_rows)
             if theta0 == 0.0 and -z0 in twins:
                 # the exact mirror (z, theta) -> (-z, -theta); 0.0 - x negates
                 # exactly and leaves a zero, theta[0] among them, at +0.0
-                orbit_rows.extend((orbit_id, t, 0.0 - z, 0.0 - theta, h)
-                                  for _, t, z, theta, h in orbit_rows[twins[-z0]])
-                continue
-            orbit = integrate_orbit(
-                TwoModeState(float(z0), theta0), params, tm.portrait_t_end
-            )
-            href = orbit.hamiltonian[0]
-            drift = np.max(np.abs(orbit.hamiltonian - href)) / max(abs(href), 1e-12)
-            max_drift = max(max_drift, float(drift))
-            counters["orbit_steps"] += orbit.t.size - 1
-            counters["orbit_halvings"] += orbit.halvings
-            every = slice(None, None, max(1, orbit.t.size // 2000))
-            picked = np.column_stack(
-                (orbit.t[every], orbit.z[every], orbit.theta[every], orbit.hamiltonian[every])
-            )
-            orbit_rows.extend((orbit_id, *row) for row in picked.tolist())
-            if theta0 == 0.0:
-                twins[z0] = slice(first, len(orbit_rows))
+                picked = twins.pop(-z0)
+                picked[:, 1:3] = 0.0 - picked[:, 1:3]
+            else:
+                orbit = integrate_orbit(
+                    TwoModeState(float(z0), theta0), params, tm.portrait_t_end
+                )
+                href = orbit.hamiltonian[0]
+                drift = np.max(np.abs(orbit.hamiltonian - href)) / max(abs(href), 1e-12)
+                max_drift = max(max_drift, float(drift))
+                counters["orbit_steps"] += orbit.t.size - 1
+                counters["orbit_halvings"] += orbit.halvings
+                every = slice(None, None, max(1, orbit.t.size // 2000))
+                picked = np.column_stack((orbit.t[every], orbit.z[every],
+                                          orbit.theta[every], orbit.hamiltonian[every]))
+                if theta0 == 0.0:
+                    twins[z0] = picked
+            for row in picked.tolist():
+                yield orbit_id, *row
+
+    portrait_files = []
+    for norm in tm.portrait_norms:
         name = f"portrait_N{file_tag(norm)}.csv"
-        _write_csv(out / name, ["orbit", "t", "z", "theta", "hamiltonian"], orbit_rows)
+        _write_csv(out / name, ["orbit", "t", "z", "theta", "hamiltonian"],
+                   portrait_rows(params_at(norm)))
         portrait_files.append(name)
 
     crit_here = critical_norms(params_at(1.0))

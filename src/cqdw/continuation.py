@@ -37,6 +37,7 @@ from .discretization import (
     Grid,
     Kernel,
     PotentialParams,
+    ReflectionSector,
     kernel_matrix,
     parity_residuals,
     reflect,
@@ -82,63 +83,6 @@ class NewtonError(ContinuationError):
     def __init__(self, message: str, residual_history: list[float]):
         super().__init__(message)
         self.residual_history = residual_history
-
-
-@dataclass(frozen=True)
-class ReflectionSector:
-    """Even or odd reflection subspace of the symmetric grid.
-
-    Its orthonormal coordinate basis B pairs x_i with x_{n-1-i}, columns
-    (e_i +- e_{n-1-i}) / sqrt(2) for i < n // 2, plus the centre e_{n // 2}
-    in the even sector.  Restriction and lifting work by index, without
-    forming B.
-    """
-
-    parity: str
-    n: int
-
-    def fold(self, matrix: np.ndarray) -> np.ndarray:
-        """B.T @ matrix @ B.
-
-        Entry (i, j) with i, j < n // 2 is (M[i,j] +- M[i,n-1-j] +- M[n-1-i,j]
-        + M[n-1-i,n-1-j]) / 2; the even sector adds the centre row and column.
-        """
-        m = self.n // 2
-        sign = 1.0 if self.parity == "even" else -1.0
-        rows = matrix[:m] + sign * matrix[::-1][:m]
-        core = 0.5 * (rows[:, :m] + sign * rows[:, ::-1][:, :m])
-        if self.parity == "odd":
-            return core
-        inv = math.sqrt(0.5)
-        column = inv * rows[:, m:m + 1]
-        row = inv * (matrix[m:m + 1, :m] + matrix[m:m + 1, ::-1][:, :m])
-        return np.block([[core, column], [row, matrix[m:m + 1, m:m + 1]]])
-
-    def restrict(self, vector: np.ndarray) -> np.ndarray:
-        """B.T @ vector: grid values to sector coordinates, the transpose of lift."""
-        m = self.n // 2
-        sign = 1.0 if self.parity == "even" else -1.0
-        out = math.sqrt(0.5) * (vector[:m] + sign * vector[::-1][:m])
-        if self.parity == "even":
-            out = np.append(out, vector[m])
-        return out
-
-    def lift(self, vector: np.ndarray) -> np.ndarray:
-        """B @ vector: sector coordinates back to grid values, exact mirror images."""
-        m = self.n // 2
-        sign = 1.0 if self.parity == "even" else -1.0
-        half = math.sqrt(0.5) * vector[:m]
-        out = np.zeros(self.n, dtype=vector.dtype)
-        out[:m] = half
-        out[self.n - m:] = sign * half[::-1]
-        if self.parity == "even":
-            out[m] = vector[m]
-        return out
-
-    def project(self, vector: np.ndarray) -> np.ndarray:
-        """B @ B.T @ vector, the component of this parity; exact on a member."""
-        sign = 1.0 if self.parity == "even" else -1.0
-        return 0.5 * (vector + sign * reflect(vector))
 
 
 def reflection_sectors(

@@ -60,10 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import (NewtonError, ReflectionSector, StationaryProblem,
-                           StationaryState, classify_symmetry, newton_solve,
-                           reflection_sectors)
-from .discretization import Grid
+from .continuation import (NewtonError, StationaryProblem, StationaryState,
+                           classify_symmetry, newton_solve, reflection_sectors)
+from .discretization import Grid, ReflectionSector
 from .twomode import ASYMMETRIC
 
 

@@ -174,9 +174,11 @@ def test_twomode_manifest_counts_orbit_steps_and_halvings(tmp_path):
 
 
 def test_twomode_mirrored_orbits_match_direct_integration(tmp_path):
+    """Each orbit from (z0, 0) with z0 > 0 is the mirror of an earlier one;
+    the stream keeps the twins of one norm apart from the next."""
     cfg = _write(
         tmp_path / "c.json",
-        {"twomode": {"n_count": 2, "sigma_count": 2, "portrait_norms": [5.0],
+        {"twomode": {"n_count": 2, "sigma_count": 2, "portrait_norms": [1.0, 5.0],
                      "portrait_t_end": 20.0}},
     )
     out = tmp_path / "tm"
@@ -185,15 +187,16 @@ def test_twomode_mirrored_orbits_match_direct_integration(tmp_path):
     basis = _build_basis(_build_grid(config), _build_potential(config))
     inter = config.interaction
     overlaps = compute_overlaps(basis, Kernel(inter.family, inter.sigma))
-    params = ModeParams.from_overlaps(overlaps, basis, inter.s, inter.delta, 5.0)
-    rows = _rows(out / "portrait_N5.csv")[1:]
-    for orbit_id, z0 in ((8, 0.25), (10, 0.5), (12, 0.75)):
-        orbit = integrate_orbit(TwoModeState(z0, 0.0), params, 20.0)
-        # 2,001 points: the portrait keeps every one
-        direct = [[str(orbit_id), *map(_fmt, values)] for values in zip(
-            orbit.t.tolist(), orbit.z.tolist(), orbit.theta.tolist(),
-            orbit.hamiltonian.tolist())]
-        assert [r for r in rows if r[0] == str(orbit_id)] == direct
+    for norm, name in ((1.0, "portrait_N1.csv"), (5.0, "portrait_N5.csv")):
+        params = ModeParams.from_overlaps(overlaps, basis, inter.s, inter.delta, norm)
+        rows = _rows(out / name)[1:]
+        for orbit_id, z0 in ((8, 0.25), (10, 0.5), (12, 0.75)):
+            orbit = integrate_orbit(TwoModeState(z0, 0.0), params, 20.0)
+            # 2,001 points: the portrait keeps every one
+            direct = [[str(orbit_id), *map(_fmt, values)] for values in zip(
+                orbit.t.tolist(), orbit.z.tolist(), orbit.theta.tolist(),
+                orbit.hamiltonian.tolist())]
+            assert [r for r in rows if r[0] == str(orbit_id)] == direct
 
 
 CELLS = [

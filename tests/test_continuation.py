@@ -15,7 +15,6 @@ from cqdw.continuation import (
     BranchEvent,
     ContinuationError,
     NewtonError,
-    ReflectionSector,
     StationaryProblem,
     _newton,
     classify_symmetry,
@@ -30,6 +29,7 @@ from cqdw.discretization import (
     GAUSSIAN,
     Kernel,
     PotentialParams,
+    ReflectionSector,
     kernel_eval,
     parity_residuals,
     potential_profile,

@@ -65,13 +65,14 @@ def test_sign_conventions_and_parity(grid, basis):
     c = grid.center_index
     assert basis.u0[c] > 0
     assert basis.u1[c + 1] - basis.u1[c - 1] > 0
-    np.testing.assert_allclose(basis.u0, reflect(basis.u0), atol=1e-9)
-    np.testing.assert_allclose(basis.u1, -reflect(basis.u1), atol=1e-9)
+    # the folds lift to exact mirror images
+    assert np.array_equal(basis.u0, reflect(basis.u0))
+    assert np.array_equal(basis.u1, -reflect(basis.u1))
 
 
 def test_rotated_basis_localization(grid, basis):
     assert basis.left_mass_fraction() > 0.95
-    np.testing.assert_allclose(basis.phi_right, reflect(basis.phi_left), atol=1e-9)
+    assert np.array_equal(basis.phi_right, reflect(basis.phi_left))
     # rotation is an involution: recombining gives back the modes
     rt2 = np.sqrt(2.0)
     np.testing.assert_allclose((basis.phi_left + basis.phi_right) * rt2 / 2, basis.u0, atol=1e-12)
@@ -108,7 +109,7 @@ def test_eigenvalue_count_guard(grid):
      (20.0, 0.05, PotentialParams(barrier_width=1.0))],
 )
 def test_basis_matches_the_tridiagonal_eigensolver(half_width, spacing, params):
-    """The dense eigh doublet against LAPACK's tridiagonal one (stebz/stein),
+    """The folded doublet against LAPACK's tridiagonal one (stebz/stein),
     after the same normalization and `rotated_basis` sign rules."""
     grid = build_grid(half_width, spacing)
     op = discretize_operator(grid, params)
@@ -122,6 +123,15 @@ def test_basis_matches_the_tridiagonal_eigensolver(half_width, spacing, params):
     assert abs(basis.omega1 - ref.omega1) <= 1e-13
     assert np.max(np.abs(basis.u0 - ref.u0)) <= 1e-12
     assert np.max(np.abs(basis.u1 - ref.u1)) <= 1e-12
+
+
+def test_twenty_levels_match_the_tridiagonal_eigensolver(grid):
+    """The merge of the even and odd folds' lists, ten levels from each."""
+    op = discretize_operator(grid, PotentialParams())
+    omegas, _ = lowest_eigenpairs(op, 20)
+    ref = eigh_tridiagonal(op.diagonal, op.off_diagonal, eigvals_only=True,
+                           select="i", select_range=(0, 19))
+    assert np.max(np.abs(omegas - ref)) <= 1e-13
 
 
 def test_modes_above_the_box_edge_are_refused(grid):
