@@ -374,6 +374,7 @@ def run_twomode(config: RunConfig, out: Path):
                 every = slice(None, None, max(1, orbit.t.size // 2000))
                 picked = np.column_stack((orbit.t[every], orbit.z[every],
                                           orbit.theta[every], orbit.hamiltonian[every]))
+                del orbit  # released before the next orbit is integrated
                 if theta0 == 0.0:
                     twins[z0] = picked
             for row in picked.tolist():

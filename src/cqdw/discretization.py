@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
@@ -175,10 +176,9 @@ def kernel_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
     the FFT route computes; the matrix form is what the Newton and BdG
     Jacobians need.
     """
-    n = grid.n_points
     samples = kernel_samples(kernel, grid)
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    return samples[n - 1 :][idx] * grid.spacing
+    # K[i, j] = samples[n-1+i-j] dx of the even samples: a view, no n x n index array
+    return sliding_window_view(samples, grid.n_points)[:, ::-1] * grid.spacing
 
 
 def _next_fast_len(target: int) -> int:

@@ -226,7 +226,9 @@ def evolve(
                 np.subtract(cand, psi_next, out=work)
                 gap = float(np.abs(work, out=magnitude).max())
                 psi_next = cand
-                if gap <= FIXED_POINT_TOL * max(1.0, float(np.abs(cand, out=magnitude).max())):
+                # gap <= TOL * max(1, max|cand|), taking max|cand| only when gap > TOL
+                if gap <= FIXED_POINT_TOL or gap <= FIXED_POINT_TOL * float(
+                        np.abs(cand, out=magnitude).max()):
                     break
             else:
                 raise DynamicsError(

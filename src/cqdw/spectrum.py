@@ -7,15 +7,16 @@ rotated combinations phi_left = (u0 - u1)/sqrt(2), phi_right = (u0 + u1)/sqrt(2)
 localize in the two wells and carry the tunneling parameters
 Omega = (omega0 + omega1)/2 and omega = (omega1 - omega0)/2.
 
-The operator commutes with the reflection x -> -x, so its modes come from
-numpy.linalg.eigh of its even and odd folds, two (n/2)-square matrices (once
-per run, and no scipy import). Every mode is then exactly even or odd, and
-every eigenvalue is the Rayleigh quotient of its folded eigenvector.
+The operator commutes with the reflection x -> -x, so its modes come from its
+even and odd folds, two tridiagonal matrices of n/2 rows, by Sturm bisection and
+inverse iteration in Python: no n x n matrix and no LAPACK call. Every mode is
+exactly even or odd, and every eigenvalue the Rayleigh quotient of its fold.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,31 +65,88 @@ def discretize_operator(grid: Grid, potential: PotentialParams) -> TridiagonalOp
     return TridiagonalOperator(grid=grid, diagonal=diagonal, off_diagonal=off_diagonal)
 
 
+def _sturm_count(diag: list, off_sq: list, x: float, pivmin: float) -> int:
+    """Eigenvalues below x of the tridiagonal (diag, sqrt(off_sq[1:])): the
+    negative pivots of T - x = L D L^T, any below pivmin in size made -pivmin."""
+    count, q = 0, 1.0
+    for a, b2 in zip(diag, off_sq):
+        q = a - x - b2 / q
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
+            count += 1
+    return count
+
+
+def _fold_eigenpairs(diag: list, off: list, count: int) -> list:
+    """Lowest `count` eigenpairs of a tridiagonal matrix with simple eigenvalues.
+
+    The k-th is bisected on `_sturm_count` to adjacent floats lo < hi (Barth,
+    Martin and Wilkinson 1967); its vector takes three inverse-iteration sweeps
+    through the L D L^T pivots at lo, which need no pivoting: k are negative and
+    none is below pivmin in size. Its eigenvalue is the Rayleigh quotient."""
+    off_sq = [0.0] + [b * b for b in off]
+    pivmin = sys.float_info.min * max(off_sq + [1.0])
+    pad = 2 * max(map(abs, off), default=0.0) + 1.0  # past the Gershgorin discs
+    lo, top = min(diag) - pad, max(diag) + pad
+    pairs = []
+    for k in range(min(count, len(diag))):
+        hi = top  # lo stays: _sturm_count at lo is still <= k
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if _sturm_count(diag, off_sq, mid, pivmin) > k:
+                hi = mid
+            else:
+                lo = mid
+        pivots, q = [], 1.0  # those _sturm_count(diag, off_sq, lo, pivmin) counts
+        for a, b2 in zip(diag, off_sq):
+            q = a - lo - b2 / q
+            if -pivmin < q < pivmin:
+                q = -pivmin
+            pivots.append(q)
+        ratios = [b / q for b, q in zip(off, pivots)]
+        v = [1.0] * len(diag)
+        for _ in range(3):
+            for i in range(1, len(v)):  # L y = v
+                v[i] -= ratios[i - 1] * v[i - 1]
+            v = [y / q for y, q in zip(v, pivots)]  # D z = y
+            for i in range(len(v) - 2, -1, -1):  # L^T x = z
+                v[i] -= ratios[i] * v[i + 1]
+            size = math.sqrt(math.fsum(x * x for x in v))
+            v = [x / size for x in v]
+        v = np.array(v)
+        tv = np.multiply(diag, v)
+        tv[:-1] += np.multiply(off, v[1:])
+        tv[1:] += np.multiply(off, v[:-1])
+        pairs.append((v @ tv / (v @ v), v))
+    return pairs
+
+
 def lowest_eigenpairs(
     op: TridiagonalOperator, count: int = 2
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest `count` eigenvalues and quadrature-normalized eigenvectors.
 
-    Returns (omegas, modes) with modes[:, k] the k-th eigenvector. The lowest
-    `count` pairs of each reflection fold are merged by eigenvalue and lifted
-    to the grid. Each eigenvalue is the Rayleigh quotient of its folded
-    eigenvector, which lands closer to the tridiagonal solver's than the eigh
-    value does. Eigenvalues above the potential floor at the box edge belong
-    to the artificial Dirichlet box rather than the trap, so requesting them
-    is an error.
+    Returns (omegas, modes) with modes[:, k] the k-th eigenvector. With
+    m = n // 2, the odd reflection fold of the operator is the tridiagonal
+    (d[:m], e[:m-1]) and the even fold is (d[:m+1], e[:m-1]) with sqrt(2)
+    e[m-1] coupling the centre; no n x n matrix is formed. The lowest `count`
+    pairs of each fold (`_fold_eigenpairs`) are merged by eigenvalue and
+    lifted to the grid. Eigenvalues above the potential floor at the box edge
+    belong to the artificial Dirichlet box rather than the trap, so
+    requesting them is an error.
     """
     n = op.grid.n_points
     if count < 1 or count > n:
         raise SpectrumError(f"count {count} out of range for n={n}")
-    dense = op.to_dense()
+    m = n // 2
+    d, e = op.diagonal.tolist(), op.off_diagonal.tolist()
+    folds = {"even": (d[:m + 1], [*e[:m - 1], math.sqrt(2.0) * e[m - 1]]),
+             "odd": (d[:m], e[:m - 1])}
     pairs = []
-    for parity in ("even", "odd"):
+    for parity, (diag, off) in folds.items():
         sector = ReflectionSector(parity, n)
-        folded = sector.fold(dense)
-        vecs = np.linalg.eigh(folded)[1]
-        for k in range(min(count, vecs.shape[1])):
-            v = vecs[:, k]
-            pairs.append((v @ (folded @ v) / (v @ v), sector.lift(v)))
+        pairs.extend((omega, sector.lift(v))
+                     for omega, v in _fold_eigenpairs(diag, off, count))
     pairs.sort(key=lambda pair: pair[0])
     omegas = np.array([omega for omega, _ in pairs[:count]])
     v_edge = min(op.diagonal[0], op.diagonal[-1]) - 1.0 / op.grid.spacing ** 2

@@ -336,7 +336,8 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
     The step is halved and the run restarted whenever the relative drift
     exceeds 1e-8, and Orbit.halvings counts those restarts; hitting the
     |z| = 1 singularity aborts with a diagnostic. Orbit.hamiltonian holds the
-    drift monitor's own values, H at every step.
+    drift monitor's own values, H at every step. A start that one step maps
+    onto itself bit for bit (a fixed point) has its orbit filled at once.
     """
     if abs(initial.z) >= 1:
         raise TwoModeError("orbit must start with |z| < 1")
@@ -384,6 +385,10 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
             if not abs(h - h_ref) <= tol:  # a NaN drift fails too
                 break
             z_out[i], theta_out[i], h_out[i] = z, theta, h
+            if i == 1 and (z.hex(), theta.hex()) == (z0.hex(), theta0.hex()):
+                zs[:], thetas[:], hs[:] = z0, theta0, h
+                return Orbit(t=ts, z=zs, theta=thetas, hamiltonian=hs, dt=step,
+                             halvings=halvings)
         else:
             return Orbit(t=ts, z=zs, theta=thetas, hamiltonian=hs, dt=step,
                          halvings=halvings)

@@ -201,6 +201,17 @@ def test_kernel_matrix_agrees_with_plan():
     np.testing.assert_allclose(kernel_matrix(k, grid) @ f, plan.apply(f), atol=1e-12)
 
 
+@pytest.mark.parametrize("kernel", [Kernel(GAUSSIAN, 0.1), Kernel(GAUSSIAN, 1.0),
+                                    Kernel(GAUSSIAN, 8.0), Kernel(EXPONENTIAL, 1.0)])
+def test_kernel_matrix_is_the_gather_of_the_samples(grid, kernel):
+    """K[i, j] = samples[n - 1 + |i - j|] dx, gathered through an index array,
+    equals the Toeplitz matrix bit for bit."""
+    n = grid.n_points
+    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    gathered = kernel_samples(kernel, grid)[n - 1:][idx] * grid.spacing
+    assert np.array_equal(kernel_matrix(kernel, grid), gathered)
+
+
 @pytest.mark.parametrize(
     "kernel", [Kernel(GAUSSIAN, 0.1), Kernel(GAUSSIAN, 1.0), Kernel(EXPONENTIAL, 0.05)]
 )

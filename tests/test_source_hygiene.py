@@ -119,6 +119,30 @@ def test_no_module_level_scipy_import(path):
     assert not scipy, f"{path.name}: {scipy}"
 
 
+def numpy_linalg_lines(tree: ast.Module) -> list[int]:
+    """Lines that reach numpy.linalg: an import of it, or any `.linalg` attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            found += [node.lineno for alias in node.names
+                      if alias.name.split(".")[:2] == ["numpy", "linalg"]]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.split(".")[:2] == ["numpy", "linalg"]
+                or node.module == "numpy" and any(a.name == "linalg" for a in node.names)):
+            found.append(node.lineno)
+    return found
+
+
+def test_spectrum_uses_no_numpy_linalg():
+    """The doublet comes from Sturm bisection and inverse iteration on the
+    tridiagonal folds, in Python: no LAPACK call, so no OpenBLAS thread wakes
+    and no n x n workspace is allocated for it."""
+    tree = ast.parse((SOURCE / "spectrum.py").read_text(encoding="utf-8"))
+    assert not numpy_linalg_lines(tree), numpy_linalg_lines(tree)
+
+
 def test_modules_found():
     assert {m.name for m in MODULES} >= {"cli.py", "continuation.py", "presets.py"}
 

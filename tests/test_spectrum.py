@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -140,3 +142,33 @@ def test_modes_above_the_box_edge_are_refused(grid):
     lowest_eigenpairs(op, 20)
     with pytest.raises(SpectrumError, match="box edge"):
         lowest_eigenpairs(op, 21)
+
+
+def test_deep_barrier_doublet_matches_the_tridiagonal_eigensolver(grid):
+    """A barrier of 8 splits the doublet about 70 times more finely than the
+    default well; the folds still resolve it to the same bounds."""
+    op = discretize_operator(grid, PotentialParams(barrier_height=8.0))
+    basis = rotated_basis(grid, *lowest_eigenpairs(op, 2))
+    assert basis.omega1 - basis.omega0 < 5e-4
+    omegas, modes = eigh_tridiagonal(
+        op.diagonal, op.off_diagonal, select="i", select_range=(0, 1)
+    )
+    modes /= np.sqrt([grid.norm_sq(modes[:, k]) for k in range(2)])
+    ref = rotated_basis(grid, omegas, modes)
+    assert abs(basis.omega0 - ref.omega0) <= 1e-13
+    assert abs(basis.omega1 - ref.omega1) <= 1e-13
+    assert np.max(np.abs(basis.u0 - ref.u0)) <= 1e-12
+    assert np.max(np.abs(basis.u1 - ref.u1)) <= 1e-12
+
+
+def test_basis_allocates_less_than_one_grid_square_matrix(grid):
+    """The doublet is solved on the tridiagonal folds: no n x n array, dense
+    operator or LAPACK workspace is allocated for it."""
+    default_basis(grid)  # first-call allocations of numpy itself stay out
+    tracemalloc.start()
+    try:
+        default_basis(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.n_points ** 2 * 8

@@ -507,6 +507,7 @@ def _rk4_reference(initial, p, t_end, dt):
     (0.01, 0.0, 15.0, 0.05, 0.05),       # inside the lobe, 300 steps
     (-0.4, math.pi, 20.0, 0.05, 0.05),   # around the antisymmetric center, 400 steps
     (0.3, 0.5, 60.0, 5.0, 1.25),         # drifts at dt = 5 and 2.5, 48 steps at 1.25
+    (0.0, 0.0, 15.0, 0.05, 0.05),        # the symmetric fixed point, filled at once
 ])
 def test_orbit_matches_public_rk4_bit_for_bit(lobe_params, z0, theta0, t_end, dt, final_dt):
     start = TwoModeState(z0, theta0)
