@@ -11,6 +11,10 @@ the RK4 steps and step halvings that `twomode` integrates; a portrait start
 (z0, 0) reuses its mirror (-z0, 0) from earlier in the grid, and adds none).
 `twomode` streams each portrait into its CSV one orbit at a time, so a run
 holds one orbit's rows (plus the mirror twins still to come), not the file.
+`evolve` reduces each sample as it is stepped: its density row goes into
+the CSV on the snapshot cadence and its phase-plane scalars are kept, so a
+run holds one field, not the trajectory. A run that fails midway leaves the
+CSV rows written so far, and no manifest.
 Every stationary state comes from `continue_branch`; `evolve` traces from
 the seed once per direction, out to its farthest mu, and ends with one
 fixed-mu solve at each mu. Its `newton_iterations_mu<tag>` counts the
@@ -62,6 +66,7 @@ from .discretization import (
 )
 from .dynamics import (
     DynamicsError,
+    PhaseSeries,
     evolve,
     growth_rate,
     onset_time,
@@ -477,40 +482,38 @@ def run_evolve(config: RunConfig, out: Path):
             initial = state.psi
         run = evolve(problem, initial, mu, dy.t_end, dt=dy.dt, snapshot_dt=dy.phase_dt)
         tag = file_tag(mu)
+        rows = []  # the PhaseSeries row of each sample
+
+        def density_rows():
+            """Reduce each sample as it arrives; yield the density of every
+            density_stride-th one."""
+            for k, (t, psi, n_t) in enumerate(run):
+                rows.append(project_phase_plane(basis, t, psi, n_t))
+                if k % density_stride == 0:
+                    yield t, *(np.abs(psi) ** 2).tolist()
 
         density_name = f"density_mu{tag}.csv"
         header = ["t", *[format(x, ".17g") for x in problem.grid.points]]
-        every = slice(None, None, density_stride)
-        density = np.column_stack((run.times[every], np.abs(run.snapshots[every]) ** 2))
-        _write_csv(out / density_name, header, density)
+        _write_csv(out / density_name, header, density_rows())
 
         phase_name = f"phase_mu{tag}.csv"
-        series = project_phase_plane(run, basis)
         _write_csv(
             out / phase_name,
             ["t", "z", "theta", "residual_fraction", "theta_defined", "N"],
-            zip(
-                series.times,
-                series.z,
-                series.theta,
-                series.residual_fraction,
-                series.defined,
-                run.norm_series,
-            ),
+            (row[:6] for row in rows),
         )
+        series = PhaseSeries(*map(np.array, zip(*rows)))
 
         quantities = {}
-        onset = onset_time(run)
+        onset = onset_time(series)
         if onset is not None:
             quantities[f"onset_mu{tag}"] = onset
         try:
-            quantities[f"growth_rate_mu{tag}"] = growth_rate(run)
+            quantities[f"growth_rate_mu{tag}"] = growth_rate(series)
         except DynamicsError:
             pass
-        drift = float(
-            np.max(np.abs(run.norm_series - run.norm_series[0]))
-            / max(run.norm_series[0], 1e-300)
-        )
+        norms = series.norm_series
+        drift = float(np.max(np.abs(norms - norms[0])) / max(norms[0], 1e-300))
         counters = {
             f"fixed_point_passes_mu{tag}": run.fixed_point_passes,
             f"max_passes_per_step_mu{tag}": run.max_passes_per_step,

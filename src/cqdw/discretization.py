@@ -9,10 +9,10 @@ what the FFT route computes. That route is numpy.fft (the pocketfft C++ core
 that scipy.fft also wraps, from numpy 2.0) at an 11-smooth length.
 
 A field on the grid is a plain 1-D array of its n_points values; the grid
-comes from the object that owns the field (a StationaryProblem, a
-LinearBasis, an EvolutionRun). Parity lives here too: `reflect`,
-`parity_residuals` and the even and odd `ReflectionSector` folds that the
-linear spectrum, the Newton solves and the BdG spectra split onto.
+comes from the object that owns the field (a StationaryProblem or a
+LinearBasis). Parity lives here too: `reflect`, `parity_residuals` and the
+even and odd `ReflectionSector` folds that the linear spectrum, the Newton
+solves and the BdG spectra split onto.
 """
 
 from __future__ import annotations
@@ -176,9 +176,10 @@ def kernel_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
     the FFT route computes; the matrix form is what the Newton and BdG
     Jacobians need.
     """
-    samples = kernel_samples(kernel, grid)
-    # K[i, j] = samples[n-1+i-j] dx of the even samples: a view, no n x n index array
-    return sliding_window_view(samples, grid.n_points)[:, ::-1] * grid.spacing
+    samples = kernel_samples(kernel, grid) * grid.spacing
+    # K[i, j] = samples[n-1+i-j] dx of the even samples: a read-only view of
+    # them, with no n x n array behind it
+    return sliding_window_view(samples, grid.n_points)[:, ::-1]
 
 
 def _next_fast_len(target: int) -> int:
@@ -210,7 +211,8 @@ class ConvolutionPlan:
     The plan owns two scratch arrays, the spectrum and the length-L result,
     which `apply` transforms into and multiplies in place. It returns the kept
     entries times dx as a fresh array, so no caller ever holds the scratch,
-    and a plan serves one call at a time.
+    and a plan serves one call at a time. The values are real: rfft raises
+    TypeError on a complex array.
     """
 
     def __init__(self, kernel: Kernel, grid: Grid):
@@ -223,9 +225,6 @@ class ConvolutionPlan:
         self._full = np.empty(self._size)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values)
-        if np.iscomplexobj(values):
-            return self.apply(values.real) + 1j * self.apply(values.imag)
         fhat = np.fft.rfft(values, self._size, out=self._spectrum)
         np.multiply(fhat, self._kernel_hat, out=fhat)
         full = np.fft.irfft(fhat, self._size, out=self._full)

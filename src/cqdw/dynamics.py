@@ -27,6 +27,12 @@ three. The start only changes how soon the iteration meets FIXED_POINT_TOL,
 not the fixed point it converges to. Each run reports its pass count in
 fixed_point_passes and max_passes_per_step.
 
+`evolve` streams its samples: the run it returns steps as it is iterated and
+hands out (t, psi, N) at each sample time, keeping no trajectory. A caller
+reduces each sample as it arrives, `project_phase_plane` to its PhaseSeries
+row (the phase-plane scalars, N and the density imbalance), and collects
+whole trajectories only where it needs them.
+
 Norm bookkeeping: the inner product in which this H is symmetric (and the
 step exactly unitary) is the uniform-weight sum dx sum |psi_i|^2, so that is
 the N(t) reported and guarded to 1e-8 relative on every accepted run. It
@@ -45,9 +51,9 @@ of to O(dx^2). The corner rows close the system with the exact decay ratio
 of that sequence, which is what "decaying boundary conditions" means on a
 finite grid.
 
-These two solves are the package's only use of scipy. `evolve` and
+These two solves are the package's only use of scipy. An evolution run and
 `solve_screened_poisson` import zgtsv and dgtsv from scipy.linalg.lapack
-when they are called: loading scipy.linalg costs about 0.3 s and 24 MiB,
+when they start: loading scipy.linalg costs about 0.2 s and 23 MiB,
 which every other run (spectrum, overlaps, two-mode, branches) would
 otherwise pay at `import cqdw.cli`.
 """
@@ -77,33 +83,140 @@ class DynamicsError(RuntimeError):
     """Propagation aborted or a dynamics contract was violated."""
 
 
-@dataclass
 class EvolutionRun:
-    """Sampled trajectory of one accepted evolution.
+    """One accepted evolution, stepped as it is iterated.
 
-    snapshots holds the field on `grid` at each of `times`, one row per
-    sample, and norm_series the scheme's conserved discrete norm dx sum
-    |psi|^2; |N(t) - N(0)|/N(0) <= 1e-8 is enforced during propagation.
-    fixed_point_passes counts the midpoint passes (one convolution and one
-    tridiagonal solve each) over all steps, max_passes_per_step the most that
-    any one step took.
+    Iterating yields (t, psi, N) at each of `times`: the field on the grid (a
+    fresh array, which the caller may keep) and the scheme's conserved
+    discrete norm dx sum |psi|^2, whose drift |N(t) - N(0)|/N(0) <= 1e-8 is
+    checked before the sample is handed out. So the run holds one field and
+    the step's scratch, not its trajectory; a caller keeps what it reduces
+    each sample to. fixed_point_passes counts the midpoint passes (one
+    convolution and one tridiagonal solve each) over the steps taken so far,
+    max_passes_per_step the most that any one step took; once the samples run
+    out, both are the whole run's. A run is iterated once.
     """
 
-    grid: Grid
-    times: np.ndarray
-    snapshots: np.ndarray
-    norm_series: np.ndarray
-    fixed_point_passes: int
-    max_passes_per_step: int
+    def __init__(self, problem: StationaryProblem, psi: np.ndarray, mu: float, dt: float,
+                 steps_per_frame: int, times: np.ndarray):
+        self.times = times
+        self.fixed_point_passes = self.max_passes_per_step = 0
+        self._start = problem, psi, mu, dt, steps_per_frame
+
+    def __iter__(self):
+        problem, psi, mu, dt, steps_per_frame = self._start
+        from scipy.linalg.lapack import zgtsv  # here, not at import: see the module docstring
+
+        grid = problem.grid
+        n = grid.n_points
+        diag0 = problem.operator.diagonal - mu
+        hop = 0.5j * dt * float(problem.operator.off_diagonal[0])
+        band = np.full(n - 1, hop)
+        half_dt_i = 0.5j * dt
+
+        n0 = _invariant_norm(grid, psi)
+        yield self.times[0], psi, n0
+
+        # Scratch for the step, filled by the operations of the expression beside
+        # each block in the same order, so the bits are the expressions'. The
+        # solve's result is a fresh array each pass: it becomes psi and history.
+        start = np.empty(n, dtype=complex)  # the extrapolated psi_next
+        work = np.empty(n, dtype=complex)
+        base = np.empty(n, dtype=complex)
+        mid = np.empty(n, dtype=complex)
+        d = np.empty(n, dtype=complex)
+        diag = np.empty(n, dtype=complex)
+        dens = np.empty(n)
+        square = np.empty(n)
+        magnitude = np.empty(n)
+
+        t = 0.0
+        # the predictor's memory: history = [h0, h1, h2] = psi_{n-1}, psi_{n-2}, psi_{n-3}
+        history: list[np.ndarray] = []
+        for frame in range(1, len(self.times)):
+            for _ in range(steps_per_frame):
+                psi_next = start
+                if len(history) == 3:
+                    # 4.0 * (psi + h1) - 6.0 * h0 - h2
+                    np.add(psi, history[1], out=start)
+                    np.multiply(4.0, start, out=start)
+                    np.multiply(6.0, history[0], out=work)
+                    np.subtract(start, work, out=start)
+                    np.subtract(start, history[2], out=start)
+                elif len(history) == 2:
+                    # 3.0 * (psi - h0) + h1
+                    np.subtract(psi, history[0], out=start)
+                    np.multiply(3.0, start, out=start)
+                    np.add(start, history[1], out=start)
+                elif history:
+                    # 2.0 * psi - h0
+                    np.multiply(2.0, psi, out=start)
+                    np.subtract(start, history[0], out=start)
+                else:
+                    psi_next = psi
+                # psi - i dt/2 (hopping part of H) psi; the diagonal part is per pass
+                np.multiply(hop, psi, out=work)
+                base[:] = psi
+                base[:-1] -= work[1:]
+                base[1:] -= work[:-1]
+                for attempt in range(MAX_FIXED_POINT + 1):
+                    # mid = 0.5 * (psi + psi_next); dens = mid.real**2 + mid.imag**2
+                    np.add(psi, psi_next, out=mid)
+                    np.multiply(0.5, mid, out=mid)
+                    np.multiply(mid.real, mid.real, out=dens)
+                    np.multiply(mid.imag, mid.imag, out=square)
+                    np.add(dens, square, out=dens)
+                    # d = i dt/2 times the diagonal of H_mid
+                    potential = problem.nonlinear_potential_density(dens)
+                    np.add(diag0, potential, out=potential)
+                    np.multiply(half_dt_i, potential, out=d)
+                    np.add(1.0, d, out=diag)
+                    rhs = np.multiply(d, psi)
+                    np.subtract(base, rhs, out=rhs)  # base - d * psi
+                    _, _, _, cand, info = zgtsv(
+                        band, diag, band, rhs, overwrite_d=1, overwrite_b=1
+                    )
+                    if info != 0:
+                        raise DynamicsError(
+                            f"midpoint tridiagonal solve failed at t={t + dt:.4f} (zgtsv info={info})"
+                        )
+                    np.subtract(cand, psi_next, out=work)
+                    gap = float(np.abs(work, out=magnitude).max())
+                    psi_next = cand
+                    # gap <= TOL * max(1, max|cand|), taking max|cand| only when gap > TOL
+                    if gap <= FIXED_POINT_TOL or gap <= FIXED_POINT_TOL * float(
+                            np.abs(cand, out=magnitude).max()):
+                        break
+                else:
+                    raise DynamicsError(
+                        f"midpoint iteration stalled at t={t + dt:.4f} "
+                        f"(last update {gap:.3e}); reduce dt or the field amplitude"
+                    )
+                self.fixed_point_passes += attempt + 1
+                self.max_passes_per_step = max(self.max_passes_per_step, attempt + 1)
+                history = [psi, *history[:2]]
+                psi = psi_next
+                t += dt
+            if not np.all(np.isfinite(psi.view(float))):
+                raise DynamicsError(f"non-finite field detected at t={t:.4f}")
+            n_t = _invariant_norm(grid, psi)
+            if abs(n_t - n0) > NORM_DRIFT_TOL * max(n0, 1e-300):
+                raise DynamicsError(
+                    f"norm drift breach at t={t:.4f}: N={n_t!r} vs N(0)={n0!r} "
+                    f"(relative {abs(n_t - n0) / max(n0, 1e-300):.3e} > {NORM_DRIFT_TOL})"
+                )
+            yield self.times[frame], psi, n_t
 
 
 @dataclass(frozen=True)
 class PhaseSeries:
-    """Two-mode phase-plane samples of a run.
+    """Per-sample scalars of a run, in the order of its samples.
 
-    theta is wrapped to (-pi, pi]; samples where either projection magnitude
-    falls below the floor carry defined=False and NaN angles. residual_fraction
-    is the share of N(t) outside the two-mode subspace.
+    z and theta are the two-mode phase-plane coordinates, theta wrapped to
+    (-pi, pi]; samples where either projection magnitude falls below the
+    floor carry defined=False and NaN angles. residual_fraction is the share
+    of N(t) outside the two-mode subspace, norm_series the run's N(t) and
+    imbalance the density imbalance (N_L - N_R)/N.
     """
 
     times: np.ndarray
@@ -111,6 +224,8 @@ class PhaseSeries:
     theta: np.ndarray
     residual_fraction: np.ndarray
     defined: np.ndarray
+    norm_series: np.ndarray
+    imbalance: np.ndarray
 
 
 def _invariant_norm(grid: Grid, psi: np.ndarray) -> float:
@@ -128,12 +243,13 @@ def evolve(
 ) -> EvolutionRun:
     """Propagate `initial` under the flow at chemical potential mu.
 
-    Snapshots (with N(t)) are recorded every `snapshot_dt`, a whole multiple
-    of dt; t_end is truncated to the last full snapshot. dt, snapshot_dt and
-    t_end are the config's, whose rules (including the step-size cap
-    config.DT_SCALE_LIMIT) `validate_config` checks. A relative norm drift
-    beyond 1e-8, a non-finite field, or a stalled midpoint iteration aborts
-    with diagnostics instead of returning a polluted run.
+    The run hands out a sample (with N(t)) every `snapshot_dt`, a whole
+    multiple of dt, as it steps; t_end is truncated to the last full sample.
+    dt, snapshot_dt and t_end are the config's, whose rules (including the
+    step-size cap config.DT_SCALE_LIMIT) `validate_config` checks. A
+    misshapen or non-finite initial field is rejected here; a relative norm
+    drift beyond 1e-8, a non-finite field, or a stalled midpoint iteration
+    aborts the iteration with diagnostics before the sample it would spoil.
     """
     grid = problem.grid
     steps_per_frame = int(round(snapshot_dt / dt))
@@ -144,121 +260,7 @@ def evolve(
         raise DynamicsError(f"initial data has shape {psi.shape}, grid has {grid.n_points} points")
     if not np.all(np.isfinite(psi.view(float))):
         raise DynamicsError("initial field is not finite")
-
-    from scipy.linalg.lapack import zgtsv  # here, not at import: see the module docstring
-
-    n = grid.n_points
-    diag0 = problem.operator.diagonal - mu
-    hop = 0.5j * dt * float(problem.operator.off_diagonal[0])
-    band = np.full(n - 1, hop)
-    half_dt_i = 0.5j * dt
-
-    n0 = _invariant_norm(grid, psi)
-    times = snapshot_dt * np.arange(frames + 1)
-    snapshots = np.empty((frames + 1, n), dtype=complex)
-    snapshots[0] = psi
-    norms = [n0]
-
-    # Scratch for the step, filled by the operations of the expression beside
-    # each block in the same order, so the bits are the expressions'. The
-    # solve's result is a fresh array each pass: it becomes psi and history.
-    start = np.empty(n, dtype=complex)  # the extrapolated psi_next
-    work = np.empty(n, dtype=complex)
-    base = np.empty(n, dtype=complex)
-    mid = np.empty(n, dtype=complex)
-    d = np.empty(n, dtype=complex)
-    diag = np.empty(n, dtype=complex)
-    dens = np.empty(n)
-    square = np.empty(n)
-    magnitude = np.empty(n)
-
-    t = 0.0
-    # the predictor's memory: history = [h0, h1, h2] = psi_{n-1}, psi_{n-2}, psi_{n-3}
-    history: list[np.ndarray] = []
-    passes = max_passes = 0
-    for frame in range(1, frames + 1):
-        for _ in range(steps_per_frame):
-            psi_next = start
-            if len(history) == 3:
-                # 4.0 * (psi + h1) - 6.0 * h0 - h2
-                np.add(psi, history[1], out=start)
-                np.multiply(4.0, start, out=start)
-                np.multiply(6.0, history[0], out=work)
-                np.subtract(start, work, out=start)
-                np.subtract(start, history[2], out=start)
-            elif len(history) == 2:
-                # 3.0 * (psi - h0) + h1
-                np.subtract(psi, history[0], out=start)
-                np.multiply(3.0, start, out=start)
-                np.add(start, history[1], out=start)
-            elif history:
-                # 2.0 * psi - h0
-                np.multiply(2.0, psi, out=start)
-                np.subtract(start, history[0], out=start)
-            else:
-                psi_next = psi
-            # psi - i dt/2 (hopping part of H) psi; the diagonal part is per pass
-            np.multiply(hop, psi, out=work)
-            base[:] = psi
-            base[:-1] -= work[1:]
-            base[1:] -= work[:-1]
-            for attempt in range(MAX_FIXED_POINT + 1):
-                # mid = 0.5 * (psi + psi_next); dens = mid.real**2 + mid.imag**2
-                np.add(psi, psi_next, out=mid)
-                np.multiply(0.5, mid, out=mid)
-                np.multiply(mid.real, mid.real, out=dens)
-                np.multiply(mid.imag, mid.imag, out=square)
-                np.add(dens, square, out=dens)
-                # d = i dt/2 times the diagonal of H_mid
-                potential = problem.nonlinear_potential_density(dens)
-                np.add(diag0, potential, out=potential)
-                np.multiply(half_dt_i, potential, out=d)
-                np.add(1.0, d, out=diag)
-                rhs = np.multiply(d, psi)
-                np.subtract(base, rhs, out=rhs)  # base - d * psi
-                _, _, _, cand, info = zgtsv(
-                    band, diag, band, rhs, overwrite_d=1, overwrite_b=1
-                )
-                if info != 0:
-                    raise DynamicsError(
-                        f"midpoint tridiagonal solve failed at t={t + dt:.4f} (zgtsv info={info})"
-                    )
-                np.subtract(cand, psi_next, out=work)
-                gap = float(np.abs(work, out=magnitude).max())
-                psi_next = cand
-                # gap <= TOL * max(1, max|cand|), taking max|cand| only when gap > TOL
-                if gap <= FIXED_POINT_TOL or gap <= FIXED_POINT_TOL * float(
-                        np.abs(cand, out=magnitude).max()):
-                    break
-            else:
-                raise DynamicsError(
-                    f"midpoint iteration stalled at t={t + dt:.4f} "
-                    f"(last update {gap:.3e}); reduce dt or the field amplitude"
-                )
-            passes += attempt + 1
-            max_passes = max(max_passes, attempt + 1)
-            history = [psi, *history[:2]]
-            psi = psi_next
-            t += dt
-        if not np.all(np.isfinite(psi.view(float))):
-            raise DynamicsError(f"non-finite field detected at t={t:.4f}")
-        n_t = _invariant_norm(grid, psi)
-        if abs(n_t - n0) > NORM_DRIFT_TOL * max(n0, 1e-300):
-            raise DynamicsError(
-                f"norm drift breach at t={t:.4f}: N={n_t!r} vs N(0)={n0!r} "
-                f"(relative {abs(n_t - n0) / max(n0, 1e-300):.3e} > {NORM_DRIFT_TOL})"
-            )
-        snapshots[frame] = psi
-        norms.append(n_t)
-
-    return EvolutionRun(
-        grid=grid,
-        times=times,
-        snapshots=snapshots,
-        norm_series=np.array(norms),
-        fixed_point_passes=passes,
-        max_passes_per_step=max_passes,
-    )
+    return EvolutionRun(problem, psi, mu, dt, steps_per_frame, snapshot_dt * np.arange(frames + 1))
 
 
 def perturb_state(
@@ -289,34 +291,26 @@ def perturb_state(
     return state.psi + kick
 
 
-def project_phase_plane(run: EvolutionRun, basis: LinearBasis) -> PhaseSeries:
-    """Project snapshots onto the left/right doublet basis.
+def project_phase_plane(basis: LinearBasis, t: float, psi: np.ndarray, n_t: float) -> tuple:
+    """The PhaseSeries row of one sample (t, psi, N(t)) of a run.
 
-    c_{L,R}(t) = <phi_{L,R}, psi(t)>, z = (|c_L|^2 - |c_R|^2)/N_proj with
+    c_{L,R} = <phi_{L,R}, psi>, z = (|c_L|^2 - |c_R|^2)/N_proj with
     N_proj = |c_L|^2 + |c_R|^2, theta = arg c_L - arg c_R. The residual
     fraction 1 - N_proj/N(t) measures leakage out of the two-mode subspace.
     """
     grid = basis.grid
-    if run.snapshots.shape[1] != grid.n_points:
-        raise DynamicsError("run snapshots and basis live on different grids")
-    m = len(run.snapshots)
-    z = np.full(m, np.nan)
-    theta = np.full(m, np.nan)
-    residual = np.full(m, np.nan)
-    defined = np.zeros(m, dtype=bool)
-    for k, psi in enumerate(run.snapshots):
-        c_left = grid.inner(basis.phi_left, psi)
-        c_right = grid.inner(basis.phi_right, psi)
-        n_proj = abs(c_left) ** 2 + abs(c_right) ** 2
-        n_t = run.norm_series[k]
-        if n_t > 0.0:
-            residual[k] = 1.0 - n_proj / n_t
-        if min(abs(c_left), abs(c_right)) < THETA_FLOOR:
-            continue
-        z[k] = (abs(c_left) ** 2 - abs(c_right) ** 2) / n_proj
-        theta[k] = np.angle(c_left * np.conj(c_right))
-        defined[k] = True
-    return PhaseSeries(times=run.times, z=z, theta=theta, residual_fraction=residual, defined=defined)
+    if psi.shape != (grid.n_points,):
+        raise DynamicsError("run sample and basis live on different grids")
+    c_left = grid.inner(basis.phi_left, psi)
+    c_right = grid.inner(basis.phi_right, psi)
+    n_proj = abs(c_left) ** 2 + abs(c_right) ** 2
+    residual = 1.0 - n_proj / n_t if n_t > 0.0 else math.nan
+    imbalance = density_imbalance(grid, psi)
+    if min(abs(c_left), abs(c_right)) < THETA_FLOOR:
+        return t, math.nan, math.nan, residual, False, n_t, imbalance
+    z = (abs(c_left) ** 2 - abs(c_right) ** 2) / n_proj
+    theta = np.angle(c_left * np.conj(c_right))
+    return t, z, theta, residual, True, n_t, imbalance
 
 
 def density_imbalance(grid: Grid, values: np.ndarray) -> float:
@@ -333,19 +327,15 @@ def density_imbalance(grid: Grid, values: np.ndarray) -> float:
     return float(dens[x < 0].sum() - dens[x > 0].sum()) / total
 
 
-def imbalance_series(run: EvolutionRun) -> np.ndarray:
-    return np.array([density_imbalance(run.grid, psi) for psi in run.snapshots])
-
-
-def onset_time(run: EvolutionRun) -> float | None:
+def onset_time(series: PhaseSeries) -> float | None:
     """First sample time with |z_density| >= 0.5, None if never reached."""
-    hits = np.flatnonzero(np.abs(imbalance_series(run)) >= 0.5)
+    hits = np.flatnonzero(np.abs(series.imbalance) >= 0.5)
     if hits.size == 0:
         return None
-    return float(run.times[hits[0]])
+    return float(series.times[hits[0]])
 
 
-def growth_rate(run: EvolutionRun) -> float:
+def growth_rate(series: PhaseSeries) -> float:
     """Exponential rate of the density imbalance over its linear window.
 
     Fits log|z_density(t)| on the samples between floor 1e-3 and ceiling 0.05,
@@ -353,7 +343,7 @@ def growth_rate(run: EvolutionRun) -> float:
     At least three samples are required.
     """
     floor, ceiling = 1e-3, 0.05
-    a = np.abs(imbalance_series(run))
+    a = np.abs(series.imbalance)
     above = np.flatnonzero(a >= ceiling)
     stop = above[0] if above.size else a.size
     mask = (a[:stop] >= floor) & (a[:stop] > 0.0)
@@ -361,7 +351,7 @@ def growth_rate(run: EvolutionRun) -> float:
         raise DynamicsError(
             f"only {int(mask.sum())} samples in the linear window [{floor}, {ceiling}]"
         )
-    slope = np.polyfit(run.times[:stop][mask], np.log(a[:stop][mask]), 1)[0]
+    slope = np.polyfit(series.times[:stop][mask], np.log(a[:stop][mask]), 1)[0]
     return float(slope)
 
 

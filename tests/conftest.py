@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 
 from cqdw.continuation import (
@@ -10,7 +13,7 @@ from cqdw.continuation import (
     seed_from_mode,
 )
 from cqdw.discretization import GAUSSIAN, Kernel, PotentialParams, build_grid
-from cqdw.dynamics import evolve, perturb_state
+from cqdw.dynamics import PhaseSeries, evolve, perturb_state, project_phase_plane
 from cqdw.overlaps import compute_overlaps
 from cqdw.spectrum import default_basis
 from cqdw.stability import build_bdg, dominant_unstable_mode, solve_bdg, sweep_branch
@@ -25,6 +28,15 @@ SCAN_SCENARIOS = {
     "sigma8": dict(sigma=8.0, s=1, delta=-1, mu_min=0.10, mu_max=0.45, direction=1),
     "dual1": dict(sigma=1.0, s=-1, delta=1, mu_min=-0.15, mu_max=0.16, direction=-1),
 }
+
+
+@dataclass(frozen=True)
+class Trajectory(PhaseSeries):
+    """A run's PhaseSeries with every sampled field and its pass counters."""
+
+    snapshots: np.ndarray
+    fixed_point_passes: int
+    max_passes_per_step: int
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +62,22 @@ def overlaps_sigma1(basis):
 @pytest.fixture(scope="session")
 def overlaps_sigma8(basis):
     return compute_overlaps(basis, Kernel(GAUSSIAN, 8.0))
+
+
+@pytest.fixture(scope="session")
+def collect(basis):
+    """Step an `evolve` run to its end and keep every sample whole: the
+    fields, and the PhaseSeries rows the CLI reduces them to."""
+
+    def run_to_end(run):
+        rows, fields = [], []
+        for t, psi, n_t in run:
+            rows.append(project_phase_plane(basis, t, psi, n_t))
+            fields.append(psi)
+        return Trajectory(*map(np.array, zip(*rows)), np.array(fields),
+                          run.fixed_point_passes, run.max_passes_per_step)
+
+    return run_to_end
 
 
 @pytest.fixture
@@ -102,7 +130,7 @@ def ssb_daughter(branch_suite):
 
 
 @pytest.fixture(scope="session")
-def breaking_runs(branch_suite):
+def breaking_runs(branch_suite, collect):
     """Eigenvector-kicked evolutions of sigma=1 antisymmetric states.
 
     One run per chemical potential of the dynamics story; each entry carries
@@ -121,7 +149,7 @@ def breaking_runs(branch_suite):
             "state": state,
             "rate": solve_bdg(op).max_real_part,
             "mode": mode,
-            "run": evolve(problem, init, mu, t_end),
+            "run": collect(evolve(problem, init, mu, t_end)),
         }
     return entry, runs
 

@@ -9,12 +9,15 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
+import cqdw.cli as cli_module
 from cqdw.cli import (
     RUNNERS,
     _build_basis,
@@ -394,6 +397,63 @@ def test_evolve_stable_run_layout(tmp_path):
     assert counters["fixed_point_passes_mu0.15"] >= 400  # at least one pass per step
     assert 1 <= counters["max_passes_per_step_mu0.15"] <= MAX_FIXED_POINT + 1
     assert counters["newton_iterations_mu0.15"] >= 1  # the seed solve at least
+
+
+def test_evolve_memory_does_not_grow_with_the_sample_count(tmp_path, monkeypatch):
+    """From the call to evolve on, the run keeps no field per phase sample:
+    30 more samples raise the tracemalloc peak by less than a quarter of one
+    complex grid field each."""
+    real_evolve = cli_module.evolve
+    growth = {}
+
+    def traced_from_here(*args, **kwargs):
+        tracemalloc.reset_peak()
+        growth["base"] = tracemalloc.get_traced_memory()[0]
+        return real_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "evolve", traced_from_here)
+    for t_end in (2.0, 8.0):
+        payload = {"dynamics": {**TINY_EVOLVE["dynamics"], "t_end": t_end}}
+        cfg = _write(tmp_path / "c.json", payload)
+        tracemalloc.start()
+        try:
+            assert main(["evolve", "--config", cfg, "--out", str(tmp_path / f"t{t_end:g}")]) == 0
+            growth[t_end] = tracemalloc.get_traced_memory()[1] - growth["base"]
+        finally:
+            tracemalloc.stop()
+    extra_samples = round((8.0 - 2.0) / 0.2)
+    field_bytes = 16 * build_grid(20.0, 0.1).n_points
+    assert growth[8.0] - growth[2.0] < extra_samples * field_bytes / 4, growth
+
+
+def test_evolve_failing_midway_exits_1_without_a_manifest(tmp_path, monkeypatch, capsys):
+    """A DynamicsError partway through the run ends it with exit status 1 and
+    the JSON diagnostic, and no manifest, while the density rows streamed
+    before the failure stay in their CSV."""
+    real_zgtsv = scipy.linalg.lapack.zgtsv
+    calls = 0
+
+    def singular_after_300_solves(dl, d, du, b, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls > 300:
+            return dl, d, du, b, 2
+        return real_zgtsv(dl, d, du, b, **kwargs)
+
+    # evolve imports zgtsv from scipy.linalg.lapack when it is iterated
+    monkeypatch.setattr(scipy.linalg.lapack, "zgtsv", singular_after_300_solves)
+    cfg = _write(tmp_path / "c.json", TINY_EVOLVE)
+    out = tmp_path / "ev"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error", "message"}
+    assert err["error"] == "DynamicsError"
+    assert re.fullmatch(r"midpoint tridiagonal solve failed at t=1\.\d{4} \(zgtsv info=2\)",
+                        err["message"]), err["message"]
+    assert not (out / "manifest.json").exists()
+    assert not (out / "phase_mu0.15.csv").exists()
+    density = _rows(out / "density_mu0.15.csv")
+    assert [row[0] for row in density] == ["t", "0", "1"]
 
 
 def test_two_mu_evolve_rerun_is_identical(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,7 +130,8 @@ def test_plan_at_tightest_padding_matches_oracle(n_points):
     f = rng.normal(size=n_points)
     g = f + 1j * rng.normal(size=n_points)
     np.testing.assert_allclose(plan.apply(f), brute_force_convolution(kernel, f, grid), atol=1e-12)
-    np.testing.assert_allclose(plan.apply(g), brute_force_convolution(kernel, g, grid), atol=1e-12)
+    np.testing.assert_allclose(plan.apply(g.real) + 1j * plan.apply(g.imag),
+                               brute_force_convolution(kernel, g, grid), atol=1e-12)
 
 
 def scipy_fft_convolution(kernel, grid, values):
@@ -162,18 +164,20 @@ def test_plan_is_bit_identical_to_scipy_fft(half_width, fft_size, kernel):
     f = np.exp(-grid.points**2 / 8) * rng.normal(size=grid.n_points)
     g = f + 1j * rng.normal(size=grid.n_points)
     plan = ConvolutionPlan(kernel, grid)
-    for values in (f, g):
-        assert np.array_equal(plan.apply(values), scipy_fft_convolution(kernel, grid, values))
+    assert np.array_equal(plan.apply(f), scipy_fft_convolution(kernel, grid, f))
+    assert np.array_equal(plan.apply(g.real) + 1j * plan.apply(g.imag),
+                          scipy_fft_convolution(kernel, grid, g))
 
 
-def test_convolution_complex_input():
+def test_convolution_rejects_complex_input():
+    """The plan convolves real values only; a complex field fails loudly in
+    rfft instead of losing its imaginary part."""
     grid = build_grid(8.0, 0.1)
     rng = np.random.default_rng(3)
     f = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
     plan = ConvolutionPlan(Kernel(GAUSSIAN, 1.0), grid)
-    out = plan.apply(f)
-    np.testing.assert_allclose(out.real, plan.apply(f.real), atol=1e-12)
-    np.testing.assert_allclose(out.imag, plan.apply(f.imag), atol=1e-12)
+    with pytest.raises(TypeError):
+        plan.apply(f)
 
 
 def test_convolution_linearity_and_parity():
@@ -210,6 +214,22 @@ def test_kernel_matrix_is_the_gather_of_the_samples(grid, kernel):
     idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     gathered = kernel_samples(kernel, grid)[n - 1:][idx] * grid.spacing
     assert np.array_equal(kernel_matrix(kernel, grid), gathered)
+
+
+def test_kernel_matrix_builds_no_n_by_n_buffer(grid):
+    """K is a view of its 2n - 1 scaled samples: building it allocates far
+    less than one n x n float64 array."""
+    n = grid.n_points
+    kernel = Kernel(GAUSSIAN, 1.0)
+    kernel_matrix(kernel, grid)  # warm any first-call allocations
+    tracemalloc.start()
+    try:
+        matrix = kernel_matrix(kernel, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (n, n)
+    assert peak < n * n * 8, peak
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,6 @@ two-mode residual share that roughly quadruples through the breaking.
 """
 
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.linalg.lapack
@@ -26,7 +24,6 @@ from cqdw.dynamics import (
     density_imbalance,
     evolve,
     growth_rate,
-    imbalance_series,
     onset_time,
     perturb_state,
     project_phase_plane,
@@ -34,11 +31,11 @@ from cqdw.dynamics import (
 )
 
 
-def test_stable_state_is_an_equilibrium(branch_suite):
+def test_stable_state_is_an_equilibrium(branch_suite, collect):
     """A converged stable profile must hold still to 1e-6 over t in [0, 100]."""
     entry = branch_suite["sigma1"]
     state = entry["anti"].states[2]
-    run = evolve(entry["problem"], state.psi.astype(complex), state.mu, 100.0)
+    run = collect(evolve(entry["problem"], state.psi.astype(complex), state.mu, 100.0))
     grid = entry["problem"].grid
     ref = run.snapshots[0]
     scale = math.sqrt(grid.norm_sq(ref))
@@ -48,21 +45,21 @@ def test_stable_state_is_an_equilibrium(branch_suite):
     assert drift <= 1e-8
 
 
-def test_linear_mode_rotates_at_its_detuning(branch_suite, basis):
+def test_linear_mode_rotates_at_its_detuning(branch_suite, basis, collect):
     """A tiny u0 seed picks up exactly the phase exp(-i (omega0 - mu) t)."""
     entry = branch_suite["sigma1"]
     grid = entry["problem"].grid
     eps, mu, t_end = 1e-6, 0.19, 10.0
-    run = evolve(entry["problem"], (eps * basis.u0).astype(complex), mu, t_end)
+    run = collect(evolve(entry["problem"], (eps * basis.u0).astype(complex), mu, t_end))
     got = grid.inner(basis.u0, run.snapshots[-1])
     expected = eps * np.exp(-1j * (basis.omega0 - mu) * run.times[-1])
     assert abs(got - expected) / eps <= 1e-7
 
 
-def test_vacuum_stays_vacuum(branch_suite):
+def test_vacuum_stays_vacuum(branch_suite, collect):
     entry = branch_suite["sigma1"]
     n = entry["problem"].grid.n_points
-    run = evolve(entry["problem"], np.zeros(n, dtype=complex), 0.2, 3.0)
+    run = collect(evolve(entry["problem"], np.zeros(n, dtype=complex), 0.2, 3.0))
     assert np.all(run.norm_series == 0.0)
     assert np.all(run.snapshots == 0.0)
     assert onset_time(run) is None
@@ -86,14 +83,14 @@ def test_symmetry_breaking_onset_windows(breaking_runs):
     assert onset25 < onset19
 
 
-def test_onset_insensitive_to_halving_dt(breaking_runs):
+def test_onset_insensitive_to_halving_dt(breaking_runs, collect):
     """Halving dt moves the breaking time by no more than 5%."""
     entry, runs = breaking_runs
     item = runs[0.25]
     init = perturb_state(
         entry["problem"].grid, item["state"], amplitude=1e-3, direction=item["mode"].direction
     )
-    fine = evolve(entry["problem"], init, 0.25, 150.0, dt=2.5e-3)
+    fine = collect(evolve(entry["problem"], init, 0.25, 150.0, dt=2.5e-3))
     t_ref = onset_time(item["run"])
     t_fine = onset_time(fine)
     assert abs(t_fine - t_ref) / t_ref <= 0.05
@@ -108,15 +105,15 @@ def test_growth_rate_matches_linearization(breaking_runs):
         assert item["mode"].frequency == 0.0  # breaking mode is a real pair
 
 
-def test_mirror_equivariance(breaking_runs):
+def test_mirror_equivariance(breaking_runs, collect):
     """Evolving the reflected field equals reflecting the evolved field."""
     entry, runs = breaking_runs
     item = runs[0.19]
     init = perturb_state(
         entry["problem"].grid, item["state"], amplitude=1e-3, direction=item["mode"].direction
     )
-    forward = evolve(entry["problem"], init, 0.19, 30.0)
-    mirrored = evolve(entry["problem"], reflect(init), 0.19, 30.0)
+    forward = collect(evolve(entry["problem"], init, 0.19, 30.0))
+    mirrored = collect(evolve(entry["problem"], reflect(init), 0.19, 30.0))
     gap = max(
         np.max(np.abs(reflect(f) - m))
         for f, m in zip(forward.snapshots, mirrored.snapshots)
@@ -124,37 +121,35 @@ def test_mirror_equivariance(breaking_runs):
     assert gap <= 1e-8
 
 
-def test_random_kick_breaks_later_than_eigen_kick(breaking_runs):
+def test_random_kick_breaks_later_than_eigen_kick(breaking_runs, collect):
     """White noise spreads 1e-3 over ~800 directions, delaying the onset."""
     entry, runs = breaking_runs
     item = runs[0.25]
     init = perturb_state(entry["problem"].grid, item["state"], rng=np.random.default_rng(0))
-    run = evolve(entry["problem"], init, 0.25, 200.0)
+    run = collect(evolve(entry["problem"], init, 0.25, 200.0))
     t_random = onset_time(run)
     t_eigen = onset_time(item["run"])
     assert t_random is not None and t_random > t_eigen
 
 
-def test_projection_of_stationary_states(branch_suite, basis):
+def test_projection_of_stationary_states(branch_suite, collect):
     """Symmetric parents sit at (0, 0), antisymmetric parents at (0, pi)."""
     entry = branch_suite["sigma1"]
     for family, theta_ref in (("sym", 0.0), ("anti", math.pi)):
         state = entry[family].states[0]
-        run = evolve(entry["problem"], state.psi.astype(complex), state.mu, 5.0)
-        series = project_phase_plane(run, basis)
+        series = collect(evolve(entry["problem"], state.psi.astype(complex), state.mu, 5.0))
         assert series.defined.all()
         assert np.max(np.abs(series.z)) <= 1e-9
         assert np.max(np.abs(np.abs(series.theta) - theta_ref)) <= 1e-9
 
 
-def test_projection_of_breaking_run(breaking_runs, basis):
+def test_projection_of_breaking_run(breaking_runs):
     """The trajectory leaves the saddle and sheds share out of the subspace."""
     _, runs = breaking_runs
-    run = runs[0.19]["run"]
-    series = project_phase_plane(run, basis)
+    run = series = runs[0.19]["run"]
     assert series.defined.all()
     assert abs(abs(series.theta[0]) - math.pi) <= 2e-3  # starts at the saddle
-    imbalance = imbalance_series(run)
+    imbalance = run.imbalance
     assert np.max(np.abs(imbalance)) >= 0.8  # deep self-trapped swing
     # projection and raw density agree on the imbalance while it is moderate
     moderate = np.abs(imbalance) < 0.3
@@ -165,11 +160,10 @@ def test_projection_of_breaking_run(breaking_runs, basis):
     assert apex >= 2.0 * early
 
 
-def test_projection_flags_vanishing_coefficients(branch_suite, basis):
+def test_projection_flags_vanishing_coefficients(branch_suite, collect):
     entry = branch_suite["sigma1"]
     n = entry["problem"].grid.n_points
-    run = evolve(entry["problem"], np.zeros(n, dtype=complex), 0.2, 2.0)
-    series = project_phase_plane(run, basis)
+    series = collect(evolve(entry["problem"], np.zeros(n, dtype=complex), 0.2, 2.0))
     assert not series.defined.any()
     assert np.all(np.isnan(series.theta))
 
@@ -177,12 +171,11 @@ def test_projection_flags_vanishing_coefficients(branch_suite, basis):
 def test_projection_rejects_a_run_on_another_grid(breaking_runs, basis):
     _, runs = breaking_runs
     run = runs[0.25]["run"]
-    clipped = replace(run, snapshots=run.snapshots[:, :-1])
     with pytest.raises(DynamicsError, match="different grids"):
-        project_phase_plane(clipped, basis)
+        project_phase_plane(basis, run.times[0], run.snapshots[0][:-1], run.norm_series[0])
 
 
-def test_snapshot_cadence(breaking_runs, branch_suite):
+def test_snapshot_cadence(breaking_runs, branch_suite, collect):
     _, runs = breaking_runs
     run = runs[0.25]["run"]
     assert np.allclose(run.times, np.arange(151.0))
@@ -190,9 +183,9 @@ def test_snapshot_cadence(breaking_runs, branch_suite):
     # phase-plane cadence: 0.2 sampling is a snapshot_dt choice, not a new API
     entry = branch_suite["sigma1"]
     state = entry["anti"].states[0]
-    fine = evolve(
+    fine = collect(evolve(
         entry["problem"], state.psi.astype(complex), state.mu, 2.0, snapshot_dt=0.2
-    )
+    ))
     assert np.allclose(np.diff(fine.times), 0.2)
     assert len(fine.snapshots) == 11
 
@@ -216,7 +209,7 @@ def test_midpoint_passes_per_step(breaking_runs):
         assert 1 <= run.max_passes_per_step <= MAX_FIXED_POINT + 1
 
 
-def test_extrapolated_start_matches_single_steps(breaking_runs):
+def test_extrapolated_start_matches_single_steps(breaking_runs, collect):
     """400 steps in one call equal 400 one-step calls, which start from psi_n.
 
     Only the multi-step call has the history for the extrapolated start, so
@@ -228,11 +221,11 @@ def test_extrapolated_start_matches_single_steps(breaking_runs):
         entry["problem"].grid, item["state"], amplitude=1e-3, direction=item["mode"].direction
     )
     dt = DEFAULT_DT
-    whole = evolve(entry["problem"], init, 0.25, 400 * dt, snapshot_dt=400 * dt)
+    whole = collect(evolve(entry["problem"], init, 0.25, 400 * dt, snapshot_dt=400 * dt))
     psi = init
     chained_passes = 0
     for _ in range(400):
-        step = evolve(entry["problem"], psi, 0.25, dt, snapshot_dt=dt)
+        step = collect(evolve(entry["problem"], psi, 0.25, dt, snapshot_dt=dt))
         psi = step.snapshots[-1]
         chained_passes += step.fixed_point_passes
     assert np.max(np.abs(whole.snapshots[-1] - psi)) <= 1e-11
@@ -240,7 +233,7 @@ def test_extrapolated_start_matches_single_steps(breaking_runs):
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 4])
-def test_each_start_of_the_ramp_matches_single_steps(breaking_runs, steps):
+def test_each_start_of_the_ramp_matches_single_steps(breaking_runs, collect, steps):
     """Steps 1-4 start from psi_n, then the linear, quadratic and cubic
     extrapolation; each must land on the fixed point of the one-step chain."""
     entry, runs = breaking_runs
@@ -249,10 +242,10 @@ def test_each_start_of_the_ramp_matches_single_steps(breaking_runs, steps):
         entry["problem"].grid, item["state"], amplitude=1e-3, direction=item["mode"].direction
     )
     dt = DEFAULT_DT
-    whole = evolve(entry["problem"], init, 0.25, steps * dt, snapshot_dt=steps * dt)
+    whole = collect(evolve(entry["problem"], init, 0.25, steps * dt, snapshot_dt=steps * dt))
     psi = init
     for _ in range(steps):
-        psi = evolve(entry["problem"], psi, 0.25, dt, snapshot_dt=dt).snapshots[-1]
+        psi = collect(evolve(entry["problem"], psi, 0.25, dt, snapshot_dt=dt)).snapshots[-1]
     assert np.max(np.abs(whole.snapshots[-1] - psi)) <= 1e-11
 
 
@@ -266,7 +259,7 @@ def test_tridiagonal_failure_names_the_time(breaking_runs, monkeypatch):
     # evolve imports zgtsv from scipy.linalg.lapack when it is called
     monkeypatch.setattr(scipy.linalg.lapack, "zgtsv", singular)
     with pytest.raises(DynamicsError, match=r"t=0\.0050"):
-        evolve(entry["problem"], state.psi.astype(complex), 0.25, 1.0)
+        list(evolve(entry["problem"], state.psi.astype(complex), 0.25, 1.0))
 
 
 def test_non_finite_initial_field_aborts(branch_suite):
@@ -282,7 +275,7 @@ def test_runaway_amplitude_aborts(breaking_runs):
     entry, runs = breaking_runs
     state = runs[0.19]["state"]
     with pytest.raises(DynamicsError, match="stalled"):
-        evolve(entry["problem"], (1e6 * state.psi).astype(complex), 0.19, 1.0)
+        list(evolve(entry["problem"], (1e6 * state.psi).astype(complex), 0.19, 1.0))
 
 
 def test_perturbation_protocol(breaking_runs):
@@ -307,11 +300,11 @@ def test_perturbation_protocol(breaking_runs):
         perturb_state(grid, state, direction=np.zeros(grid.n_points - 1))
 
 
-def test_observable_validation(branch_suite):
+def test_observable_validation(branch_suite, collect):
     """A run that never leaves its stationary state has no linear window to fit."""
     entry = branch_suite["sigma1"]
     state = entry["anti"].states[2]
-    run = evolve(entry["problem"], state.psi.astype(complex), state.mu, 3.0)
+    run = collect(evolve(entry["problem"], state.psi.astype(complex), state.mu, 3.0))
     with pytest.raises(DynamicsError, match="linear window"):
         growth_rate(run)
 
