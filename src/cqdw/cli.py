@@ -62,7 +62,6 @@ from .discretization import (
     Kernel,
     PotentialParams,
     build_grid,
-    field_payload,
 )
 from .dynamics import (
     DynamicsError,
@@ -124,12 +123,9 @@ def _write_csv(path: Path, header, rows) -> None:
     """Header and rows as csv.writer writes them, CRLF line ends included.
 
     Each row is one % format, built once per sequence of cell types, and is
-    written as it is formatted; an array is read one row at a time through
-    tolist(). Every table has two or more columns, so the quoted empty line
-    csv.writer writes for a lone empty cell never arises.
+    written as it is formatted. Every table has two or more columns, so the
+    quoted empty line csv.writer writes for a lone empty cell never arises.
     """
-    if isinstance(rows, np.ndarray):
-        rows = map(np.ndarray.tolist, rows)
     formats = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for row in itertools.chain([header], rows):
@@ -252,20 +248,11 @@ def _trace_branches(problem, basis, config: RunConfig):
         branch = continue_branch(problem, seed, settings)
         pitchforks = detect_pitchfork(problem, branch)
         traced.append((family, branch, pitchforks))
-        if sc.trace_daughters and pitchforks:
+        if pitchforks:
             daughter_seed = seed_daughter(problem, pitchforks[0])
             daughter = continue_branch(problem, daughter_seed, settings)
             traced.append((f"asym-{family}", daughter, []))
     return traced
-
-
-def _state_payload(grid, state, family: str) -> dict:
-    return {
-        "mu": state.mu,
-        "norm": state.norm,
-        "family": family,
-        "field": field_payload(grid, state.psi),
-    }
 
 
 # --- subcommand runners --------------------------------------------------------
@@ -426,7 +413,6 @@ def run_continue(config: RunConfig, out: Path):
     termination = {}
     quantities = {}
     counters = {}
-    artifacts = ["branches.csv", "events.json"]
     for family, branch, pitchforks in traced:
         spectra = sweep_branch(problem, branch.states)
         for state, spec in zip(branch.states, spectra):
@@ -448,20 +434,13 @@ def run_continue(config: RunConfig, out: Path):
             )
             key = "ssb" if k == 0 else ("restore" if k == 1 else f"pitchfork{k + 1}")
             quantities[f"{family}_{key}_mu"] = pf.state.mu
-        if config.scan.dump_profiles:
-            states_dir = out / "states"
-            states_dir.mkdir(exist_ok=True)
-            for k, state in enumerate(branch.states):
-                name = f"states/{family}_{k:04d}.json"
-                _write_json(out / name, _state_payload(problem.grid, state, family))
-                artifacts.append(name)
 
     _write_csv(out / "branches.csv", ["mu", "N", "symmetry", "n_unstable", "max_re_lambda"], rows)
     _write_json(
         out / "events.json",
         {"events": events, "pitchforks": pitchfork_entries, "termination": termination},
     )
-    return artifacts, quantities, counters
+    return ["branches.csv", "events.json"], quantities, counters
 
 
 def run_evolve(config: RunConfig, out: Path):

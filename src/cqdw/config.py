@@ -75,8 +75,6 @@ class ScanConfig:
     direction: int = 1
     norm_cap: float = 6.0
     families: tuple[str, ...] = ("sym", "anti")
-    trace_daughters: bool = True
-    dump_profiles: bool = False
 
 
 @dataclass(frozen=True)
@@ -181,11 +179,6 @@ def _build_section(cls, data, prefix, problems):
                 problems.append(f"{prefix}{key}: expected an integer, got {raw!r}")
             else:
                 kwargs[key] = raw
-        elif declared == "bool":
-            if not isinstance(raw, bool):
-                problems.append(f"{prefix}{key}: expected true/false, got {raw!r}")
-            else:
-                kwargs[key] = raw
         else:
             if not isinstance(raw, str):
                 problems.append(f"{prefix}{key}: expected a string, got {raw!r}")
@@ -283,9 +276,11 @@ def validate_config(config: RunConfig) -> list[str]:
         p.append(f"scan.norm_cap: must be positive, got {sc.norm_cap}")
     if not sc.families:
         p.append("scan.families: at least one of sym/anti is required")
-    for fam in sc.families:
+    for k, fam in enumerate(sc.families):
         if fam not in FAMILY_CHOICES:
             p.append(f"scan.families: unknown family {fam!r}")
+        elif fam in sc.families[:k]:
+            p.append(f"scan.families: family {fam!r} is listed twice")
     tm = config.twomode
     if not 0 < tm.n_min < tm.n_max:
         p.append(f"twomode.n_min: need 0 < n_min < n_max, got {tm.n_min}, {tm.n_max}")

@@ -305,18 +305,3 @@ class ReflectionSector:
         """B @ B.T @ vector, the component of this parity; exact on a member."""
         sign = 1.0 if self.parity == "even" else -1.0
         return 0.5 * (vector + sign * reflect(vector))
-
-
-# --- serialization ------------------------------------------------------------
-
-
-def field_payload(grid: Grid, values: np.ndarray) -> dict:
-    """JSON-ready record of a field on the grid: the grid and both value parts."""
-    values = np.asarray(values, dtype=complex)
-    return {
-        "half_width": grid.half_width,
-        "spacing": grid.spacing,
-        "n_points": grid.n_points,
-        "values_re": values.real.tolist(),
-        "values_im": values.imag.tolist(),
-    }

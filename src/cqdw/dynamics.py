@@ -71,7 +71,6 @@ from .spectrum import LinearBasis
 
 DEFAULT_DT = 5e-3
 SNAPSHOT_DT = 1.0
-PHASE_DT = 0.2
 NORM_DRIFT_TOL = 1e-8
 FIXED_POINT_TOL = 1e-13
 MAX_FIXED_POINT = 12

@@ -31,7 +31,6 @@ from .spectrum import LinearBasis
 CASE1 = "case1"
 CASE2 = "case2"
 CASE3 = "case3"
-REGIMES = (CASE1, CASE2, CASE3)
 
 RELEVANCE_CUTOFF = 0.01
 

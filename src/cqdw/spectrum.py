@@ -7,10 +7,12 @@ rotated combinations phi_left = (u0 - u1)/sqrt(2), phi_right = (u0 + u1)/sqrt(2)
 localize in the two wells and carry the tunneling parameters
 Omega = (omega0 + omega1)/2 and omega = (omega1 - omega0)/2.
 
-The operator commutes with the reflection x -> -x, so its modes come from its
-even and odd folds, two tridiagonal matrices of n/2 rows, by Sturm bisection and
-inverse iteration in Python: no n x n matrix and no LAPACK call. Every mode is
-exactly even or odd, and every eigenvalue the Rayleigh quotient of its fold.
+The operator commutes with the reflection x -> -x, so it splits into an even
+and an odd fold, two tridiagonal matrices of n/2 rows whose levels interlace;
+u0 is the ground level of the even fold and u1 that of the odd one. Each comes
+from Sturm bisection and inverse iteration in Python: no n x n matrix and no
+LAPACK call. u0 is exactly even and u1 exactly odd, and each eigenvalue is the
+Rayleigh quotient of its fold.
 """
 
 from __future__ import annotations
@@ -78,86 +80,74 @@ def _sturm_count(diag: list, off_sq: list, x: float, pivmin: float) -> int:
     return count
 
 
-def _fold_eigenpairs(diag: list, off: list, count: int) -> list:
-    """Lowest `count` eigenpairs of a tridiagonal matrix with simple eigenvalues.
+def _ground_pair(diag: list, off: list) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a tridiagonal matrix with simple eigenvalues.
 
-    The k-th is bisected on `_sturm_count` to adjacent floats lo < hi (Barth,
+    It is bisected on `_sturm_count` to adjacent floats lo < hi (Barth,
     Martin and Wilkinson 1967); its vector takes three inverse-iteration sweeps
-    through the L D L^T pivots at lo, which need no pivoting: k are negative and
-    none is below pivmin in size. Its eigenvalue is the Rayleigh quotient."""
+    through the L D L^T pivots at lo, which need no pivoting: _sturm_count
+    finds none below pivmin. Its eigenvalue is the Rayleigh quotient."""
     off_sq = [0.0] + [b * b for b in off]
     pivmin = sys.float_info.min * max(off_sq + [1.0])
     pad = 2 * max(map(abs, off), default=0.0) + 1.0  # past the Gershgorin discs
-    lo, top = min(diag) - pad, max(diag) + pad
-    pairs = []
-    for k in range(min(count, len(diag))):
-        hi = top  # lo stays: _sturm_count at lo is still <= k
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            if _sturm_count(diag, off_sq, mid, pivmin) > k:
-                hi = mid
-            else:
-                lo = mid
-        pivots, q = [], 1.0  # those _sturm_count(diag, off_sq, lo, pivmin) counts
-        for a, b2 in zip(diag, off_sq):
-            q = a - lo - b2 / q
-            if -pivmin < q < pivmin:
-                q = -pivmin
-            pivots.append(q)
-        ratios = [b / q for b, q in zip(off, pivots)]
-        v = [1.0] * len(diag)
-        for _ in range(3):
-            for i in range(1, len(v)):  # L y = v
-                v[i] -= ratios[i - 1] * v[i - 1]
-            v = [y / q for y, q in zip(v, pivots)]  # D z = y
-            for i in range(len(v) - 2, -1, -1):  # L^T x = z
-                v[i] -= ratios[i] * v[i + 1]
-            size = math.sqrt(math.fsum(x * x for x in v))
-            v = [x / size for x in v]
-        v = np.array(v)
-        tv = np.multiply(diag, v)
-        tv[:-1] += np.multiply(off, v[1:])
-        tv[1:] += np.multiply(off, v[:-1])
-        pairs.append((v @ tv / (v @ v), v))
-    return pairs
+    lo, hi = min(diag) - pad, max(diag) + pad
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _sturm_count(diag, off_sq, mid, pivmin) > 0:
+            hi = mid
+        else:
+            lo = mid
+    pivots, q = [], 1.0  # those _sturm_count(diag, off_sq, lo, pivmin) tests: all >= pivmin
+    for a, b2 in zip(diag, off_sq):
+        q = a - lo - b2 / q
+        pivots.append(q)
+    ratios = [b / q for b, q in zip(off, pivots)]
+    v = [1.0] * len(diag)
+    for _ in range(3):
+        for i in range(1, len(v)):  # L y = v
+            v[i] -= ratios[i - 1] * v[i - 1]
+        v = [y / q for y, q in zip(v, pivots)]  # D z = y
+        for i in range(len(v) - 2, -1, -1):  # L^T x = z
+            v[i] -= ratios[i] * v[i + 1]
+        size = math.sqrt(math.fsum(x * x for x in v))
+        v = [x / size for x in v]
+    v = np.array(v)
+    tv = np.multiply(diag, v)
+    tv[:-1] += np.multiply(off, v[1:])
+    tv[1:] += np.multiply(off, v[:-1])
+    return v @ tv / (v @ v), v
 
 
-def lowest_eigenpairs(
-    op: TridiagonalOperator, count: int = 2
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest `count` eigenvalues and quadrature-normalized eigenvectors.
+def lowest_eigenpairs(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The doublet: (omegas, modes) with modes[:, k] quadrature-normalized.
 
-    Returns (omegas, modes) with modes[:, k] the k-th eigenvector. With
-    m = n // 2, the odd reflection fold of the operator is the tridiagonal
-    (d[:m], e[:m-1]) and the even fold is (d[:m+1], e[:m-1]) with sqrt(2)
-    e[m-1] coupling the centre; no n x n matrix is formed. The lowest `count`
-    pairs of each fold (`_fold_eigenpairs`) are merged by eigenvalue and
-    lifted to the grid. Eigenvalues above the potential floor at the box edge
-    belong to the artificial Dirichlet box rather than the trap, so
-    requesting them is an error.
+    With m = n // 2, the even reflection fold of the operator is the
+    tridiagonal (d[:m+1], e[:m-1]) with sqrt(2) e[m-1] coupling the centre,
+    and the odd fold is (d[:m], e[:m-1]); no n x n matrix is formed. The
+    levels of a symmetric Jacobi matrix alternate even, odd, even... (the
+    discrete oscillation theorem), so the doublet is the ground pair of each
+    fold (`_ground_pair`), even first, lifted to the grid. Eigenvalues above
+    the potential floor at the box edge belong to the artificial Dirichlet
+    box rather than the trap, so a doublet there is an error.
     """
     n = op.grid.n_points
-    if count < 1 or count > n:
-        raise SpectrumError(f"count {count} out of range for n={n}")
     m = n // 2
     d, e = op.diagonal.tolist(), op.off_diagonal.tolist()
     folds = {"even": (d[:m + 1], [*e[:m - 1], math.sqrt(2.0) * e[m - 1]]),
              "odd": (d[:m], e[:m - 1])}
-    pairs = []
+    omegas, modes = [], []
     for parity, (diag, off) in folds.items():
-        sector = ReflectionSector(parity, n)
-        pairs.extend((omega, sector.lift(v))
-                     for omega, v in _fold_eigenpairs(diag, off, count))
-    pairs.sort(key=lambda pair: pair[0])
-    omegas = np.array([omega for omega, _ in pairs[:count]])
+        omega, v = _ground_pair(diag, off)
+        mode = ReflectionSector(parity, n).lift(v)
+        omegas.append(omega)
+        modes.append(mode / math.sqrt(op.grid.norm_sq(mode)))
+    omegas = np.array(omegas)
     v_edge = min(op.diagonal[0], op.diagonal[-1]) - 1.0 / op.grid.spacing ** 2
     if np.any(omegas >= v_edge):
         raise SpectrumError(
-            f"requested {count} modes but only trap-bound modes below the box edge "
-            f"value {v_edge:.6g} are physical (eigenvalues {omegas})"
+            f"the doublet lies above the box edge value {v_edge:.6g}, where only "
+            f"trap-bound modes are physical (eigenvalues {omegas})"
         )
-    modes = np.column_stack([mode / math.sqrt(op.grid.norm_sq(mode))
-                             for _, mode in pairs[:count]])
-    return omegas, modes
+    return omegas, np.column_stack(modes)
 
 
 @dataclass(frozen=True)
@@ -229,5 +219,5 @@ def default_basis(grid: Grid, params: PotentialParams | None = None) -> LinearBa
     """Convenience: operator + lowest doublet + rotation in one call."""
     params = params or PotentialParams()
     op = discretize_operator(grid, params)
-    omegas, modes = lowest_eigenpairs(op, 2)
+    omegas, modes = lowest_eigenpairs(op)
     return rotated_basis(grid, omegas, modes)

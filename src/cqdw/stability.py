@@ -50,8 +50,9 @@ breaking sector carries every pitchfork instability and, away from a
 pitchfork, no zero mode, so it is not deflated; right at a pitchfork its
 critical root carries noise of about sqrt(eps) ||L||.  A state without
 parity is deflated on the whole grid, and the vacuum, which has no phase
-mode, nowhere.  `solve_bdg` and `dominant_unstable_mode` share this one
-route.
+mode, nowhere.  `build_bdg` forms each sector's product once, parent first,
+into `BdGOperator.forms`, and `solve_bdg` and `dominant_unstable_mode` both
+read those forms.
 """
 
 from __future__ import annotations
@@ -73,25 +74,6 @@ POLISH_RESIDUAL = 1e-12
 
 class StabilityError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class BdGOperator:
-    """Dense real blocks Ld and Lplus of the linearization around one state.
-
-    `blocks` holds (sector, Ld, Lplus) in that sector's coordinates: for an
-    even or odd state the parent sector first, then the breaking one; for a
-    state without parity one entry on the whole grid, with sector None.
-    """
-
-    problem: StationaryProblem
-    psi: np.ndarray
-    mu: float
-    blocks: tuple[tuple[ReflectionSector | None, np.ndarray, np.ndarray], ...]
-
-    @property
-    def grid(self) -> Grid:
-        return self.problem.grid
 
 
 @dataclass(frozen=True)
@@ -144,18 +126,23 @@ def _product_form(
     return _ProductForm(sector, matrix[1:, 1:], l_plus, v, zero_sq)
 
 
-def _product_forms(operator: BdGOperator) -> list[_ProductForm]:
-    """The product form of each block: both reflection sectors, or the whole grid.
+@dataclass(frozen=True)
+class BdGOperator:
+    """The linearization around one state, as the product form of each block.
 
-    Reflection commutes with Ld and Lplus exactly when psi0 is even or odd (a
-    zero profile counts as even), and the spectrum is then the union of the
-    two sectors.  psi0 is deflated where it lives: in the parent sector, the
-    first block, or on the whole grid when it has no parity.
+    `forms` holds one `_ProductForm` per block: for an even or odd state the
+    parent sector first, deflated of psi0, then the breaking one; for a state
+    without parity one deflated form on the whole grid, with sector None.
     """
-    (sector, ld, l_plus), *breaking = operator.blocks
-    psi = operator.psi if sector is None else sector.restrict(operator.psi)
-    return [_product_form(sector, ld, l_plus, psi),
-            *(_product_form(*block, None) for block in breaking)]
+
+    problem: StationaryProblem
+    psi: np.ndarray
+    mu: float
+    forms: tuple[_ProductForm, ...]
+
+    @property
+    def grid(self) -> Grid:
+        return self.problem.grid
 
 
 @dataclass(frozen=True)
@@ -204,17 +191,28 @@ def _polish(problem: StationaryProblem, state: StationaryState) -> StationarySta
 
 
 def build_bdg(problem: StationaryProblem, state: StationaryState) -> BdGOperator:
-    """Assemble the linearization blocks at a converged stationary state."""
+    """The product form of each linearization block at a converged state.
+
+    Reflection commutes with Ld and Lplus exactly when psi0 is even or odd (a
+    zero profile counts as even), and the spectrum is then the union of the
+    two sectors.  psi0 is deflated where it lives: in the parent sector, the
+    first form, or on the whole grid when it has no parity.
+    """
     if state.residual > CONVERGED_RESIDUAL:
         raise StabilityError(
             f"state is not converged: residual {state.residual:.3e} exceeds "
             f"{CONVERGED_RESIDUAL:.1e}")
     state = _polish(problem, state)
     symmetry = classify_symmetry(problem.grid, state.psi)
-    sectors = (None,) if symmetry == ASYMMETRIC else reflection_sectors(problem.grid, symmetry)
-    blocks = tuple((sector, *problem.linearization(state.psi, state.mu, sector))
-                   for sector in sectors)
-    return BdGOperator(problem=problem, psi=state.psi, mu=state.mu, blocks=blocks)
+    if symmetry == ASYMMETRIC:
+        sectors, psi = (None,), state.psi
+    else:
+        sectors = reflection_sectors(problem.grid, symmetry)
+        psi = sectors[0].restrict(state.psi)
+    forms = tuple(
+        _product_form(sector, *problem.linearization(state.psi, state.mu, sector), deflate)
+        for sector, deflate in zip(sectors, (psi, None)))
+    return BdGOperator(problem=problem, psi=state.psi, mu=state.mu, forms=forms)
 
 
 def solve_bdg(operator: BdGOperator) -> BdGSpectrum:
@@ -226,7 +224,7 @@ def solve_bdg(operator: BdGOperator) -> BdGSpectrum:
     DEFAULT_THRESHOLD counts as unstable.
     """
     lam_sq = []
-    for form in _product_forms(operator):
+    for form in operator.forms:
         lam_sq.append(-np.linalg.eigvals(form.matrix))
         if form.zero_sq is not None:
             lam_sq.append([form.zero_sq])
@@ -248,7 +246,7 @@ def _dominant_eigenpair(operator: BdGOperator) -> tuple[complex, np.ndarray, np.
     and `_ProductForm.eigenpair` forms q = -Lplus p / l and lifts both.
     """
     best = None
-    for form in _product_forms(operator):
+    for form in operator.forms:
         nus = np.linalg.eigvals(form.matrix)
         roots = np.sqrt((-nus).astype(complex))
         k = int(np.argmax(roots.real))

@@ -33,7 +33,6 @@ from .overlaps import bisect, compute_overlaps
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
 ASYMMETRIC = "asymmetric"
-FAMILIES = (SYMMETRIC, ANTISYMMETRIC, ASYMMETRIC)
 
 CENTER = "center"
 SADDLE = "saddle"

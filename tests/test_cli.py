@@ -280,30 +280,6 @@ def test_continue_finds_pitchfork_and_daughter(tmp_path):
     assert all((int(r[3]) >= 1) == (float(r[4]) > DEFAULT_THRESHOLD) for r in rows[1:])
 
 
-def test_continue_dumps_profiles(tmp_path):
-    """With scan.dump_profiles, one states/*.json per branches.csv row, at
-    that row's mu, whose stored field has that row's norm."""
-    scan = {
-        "mu_min": 0.15,
-        "mu_max": 0.20,
-        "families": ["anti"],
-        "trace_daughters": False,
-        "dump_profiles": True,
-    }
-    cfg = _write(tmp_path / "c.json", {"scan": scan})
-    out = tmp_path / "ct"
-    assert main(["continue", "--config", cfg, "--out", str(out)]) == 0
-    rows = _rows(out / "branches.csv")[1:]
-    files = sorted((out / "states").glob("*.json"))
-    assert rows and len(files) == len(rows)
-    for row, file in zip(rows, files):
-        payload = json.loads(file.read_text())
-        assert (payload["mu"], payload["norm"]) == (float(row[0]), float(row[1]))
-        field = payload["field"]
-        density = np.square(field["values_re"]) + np.square(field["values_im"])
-        assert abs(np.trapezoid(density, dx=field["spacing"]) - payload["norm"]) <= 1e-12
-
-
 def test_walk_into_the_vacuum_is_a_cli_error(tmp_path, capsys):
     # with the default s = +1 the antisymmetric branch starts at
     # omega1 = 0.1557 and mu rises with N, so mu = 0.14 lies in the vacuum;
@@ -529,6 +505,8 @@ DELETED_FIELDS = [
     ("thermal", "beam_amplitude", 0.5),
     ("thermal", "beam_width", 2.0),
     ("thermal", "random_sources", 3),
+    ("scan", "trace_daughters", False),
+    ("scan", "dump_profiles", True),
 ]
 
 
@@ -577,6 +555,19 @@ def test_mu_list_tag_collision_is_rejected(tmp_path, capsys):
         "dynamics.mu_list: 0.1500001 and 0.1500002 both name files mu0.15"
     ]
     assert not (out / "density_mu0.15.csv").exists()
+
+
+def test_repeated_family_is_rejected(tmp_path, capsys):
+    # a second "anti" would trace the branch and its daughter twice, writing
+    # every branches.csv row and events.json pitchfork twice under one counter
+    scan = {"families": ["anti", "anti"], "mu_min": 0.15, "mu_max": 0.20}
+    cfg = _write(tmp_path / "c.json", {"scan": scan})
+    out = tmp_path / "ct"
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigError"
+    assert payload["fields"] == ["scan.families: family 'anti' is listed twice"]
+    assert not out.exists()
 
 
 def test_portrait_norm_tag_collision_is_rejected(tmp_path, capsys):

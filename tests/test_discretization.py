@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -15,7 +14,6 @@ from cqdw.discretization import (
     PotentialParams,
     _next_fast_len,
     build_grid,
-    field_payload,
     kernel_eval,
     kernel_matrix,
     kernel_samples,
@@ -275,16 +273,3 @@ def test_parity_residuals():
     mixed = even + 0.5 * odd
     rm = parity_residuals(grid, mixed)
     assert rm[0] > 1e-3 and rm[1] > 1e-3
-
-
-def test_json_roundtrip_is_lossless():
-    """A `field_payload` record read back from JSON gives the grid and every
-    bit of both value parts."""
-    grid = build_grid(3.0, 0.25)
-    rng = np.random.default_rng(19)
-    values = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
-    payload = json.loads(json.dumps(field_payload(grid, values)))
-    assert build_grid(payload["half_width"], payload["spacing"]) == grid
-    assert payload["n_points"] == grid.n_points
-    assert np.array(payload["values_re"]).tobytes() == values.real.tobytes()
-    assert np.array(payload["values_im"]).tobytes() == values.imag.tobytes()

@@ -176,6 +176,35 @@ def test_every_top_level_definition_is_reached():
         f"or gone: {sorted(set(UNREACHED_BY_DESIGN) - unreached)}")
 
 
+def reads(tree: ast.AST) -> set[str]:
+    """Names a tree reads, bare or as an attribute, or imports by name."""
+    return referenced_names(tree) | set(attribute_reads(tree))
+
+
+def test_every_constant_is_read():
+    """Every UPPER_CASE module-level constant of src/cqdw is read in some
+    src/cqdw module or test, outside its own assignment, so a constant that
+    nothing reads does not stay."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES + sorted(TESTS.glob("*.py"))}
+    unread = set()
+    for path in MODULES:
+        elsewhere = set().union(*(reads(tree) for other, tree in trees.items() if other != path))
+        body = trees[path].body
+        for node in body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for name in (t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()):
+                if name not in elsewhere and not any(
+                        name in reads(other) for other in body if other is not node):
+                    unread.add(f"{path.stem}.{name}")
+    assert not unread, f"read by no src/cqdw module or test: {sorted(unread)}"
+
+
 def test_every_class_member_is_reached():
     """Every method and property of a src/cqdw class (dunders exempt) is read
     as an attribute in some reaching file. Matching is by name, whatever the

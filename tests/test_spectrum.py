@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from cqdw import spectrum
 from cqdw.discretization import PotentialParams, build_grid, reflect
 from cqdw.spectrum import (
     SpectrumError,
@@ -31,7 +32,7 @@ def test_harmonic_limit():
     grid = build_grid(20.0, 0.1)
     params = PotentialParams(barrier_height=0.0)
     op = discretize_operator(grid, params)
-    omegas, _ = lowest_eigenpairs(op, 2)
+    omegas, _ = lowest_eigenpairs(op)
     assert omegas[0] == pytest.approx(0.05, abs=2e-5)
     assert omegas[1] == pytest.approx(0.15, abs=2e-5)
 
@@ -40,7 +41,7 @@ def test_doublet_grid_convergence_is_second_order():
     values = {}
     for dx in (0.2, 0.1, 0.05):
         grid = build_grid(20.0, dx)
-        omegas, _ = lowest_eigenpairs(discretize_operator(grid, PotentialParams()), 2)
+        omegas, _ = lowest_eigenpairs(discretize_operator(grid, PotentialParams()))
         values[dx] = omegas
     for k in range(2):
         coarse = values[0.2][k] - values[0.05][k]
@@ -51,7 +52,7 @@ def test_doublet_grid_convergence_is_second_order():
 
 def test_eigen_residuals_small(grid):
     op = discretize_operator(grid, PotentialParams())
-    omegas, modes = lowest_eigenpairs(op, 2)
+    omegas, modes = lowest_eigenpairs(op)
     for k in range(2):
         residual = op.matvec(modes[:, k]) - omegas[k] * modes[:, k]
         assert np.sqrt(grid.norm_sq(residual)) < 1e-10
@@ -97,12 +98,27 @@ def test_localization_guard(grid):
         default_basis(grid, params)
 
 
-def test_eigenvalue_count_guard(grid):
-    op = discretize_operator(grid, PotentialParams())
-    with pytest.raises(SpectrumError):
-        lowest_eigenpairs(op, 0)
-    with pytest.raises(SpectrumError):
-        lowest_eigenpairs(op, grid.n_points + 1)
+def test_doublet_above_the_box_edge_is_refused():
+    # in a box of half-width 2 the ground level (about 0.67) is set by the
+    # Dirichlet walls, far above V at the box edge (about 0.02)
+    grid = build_grid(2.0, 0.1)
+    with pytest.raises(SpectrumError, match="box edge"):
+        lowest_eigenpairs(discretize_operator(grid, PotentialParams()))
+
+
+def test_doublet_bisects_one_level_per_fold(grid, monkeypatch):
+    """Only the ground level of each fold is bisected to adjacent floats, in
+    at most 64 Sturm counts; two levels a fold take about 250 in all."""
+    calls = []
+    count = spectrum._sturm_count
+
+    def counted(*args):
+        calls.append(args[2])
+        return count(*args)
+
+    monkeypatch.setattr(spectrum, "_sturm_count", counted)
+    default_basis(grid)
+    assert 0 < len(calls) <= 2 * 64
 
 
 @pytest.mark.parametrize(
@@ -115,7 +131,7 @@ def test_basis_matches_the_tridiagonal_eigensolver(half_width, spacing, params):
     after the same normalization and `rotated_basis` sign rules."""
     grid = build_grid(half_width, spacing)
     op = discretize_operator(grid, params)
-    basis = rotated_basis(grid, *lowest_eigenpairs(op, 2))
+    basis = rotated_basis(grid, *lowest_eigenpairs(op))
     omegas, modes = eigh_tridiagonal(
         op.diagonal, op.off_diagonal, select="i", select_range=(0, 1)
     )
@@ -127,28 +143,11 @@ def test_basis_matches_the_tridiagonal_eigensolver(half_width, spacing, params):
     assert np.max(np.abs(basis.u1 - ref.u1)) <= 1e-12
 
 
-def test_twenty_levels_match_the_tridiagonal_eigensolver(grid):
-    """The merge of the even and odd folds' lists, ten levels from each."""
-    op = discretize_operator(grid, PotentialParams())
-    omegas, _ = lowest_eigenpairs(op, 20)
-    ref = eigh_tridiagonal(op.diagonal, op.off_diagonal, eigvals_only=True,
-                           select="i", select_range=(0, 19))
-    assert np.max(np.abs(omegas - ref)) <= 1e-13
-
-
-def test_modes_above_the_box_edge_are_refused(grid):
-    # V at the box edge of the default well is 2: 20 levels lie below it
-    op = discretize_operator(grid, PotentialParams())
-    lowest_eigenpairs(op, 20)
-    with pytest.raises(SpectrumError, match="box edge"):
-        lowest_eigenpairs(op, 21)
-
-
 def test_deep_barrier_doublet_matches_the_tridiagonal_eigensolver(grid):
     """A barrier of 8 splits the doublet about 70 times more finely than the
     default well; the folds still resolve it to the same bounds."""
     op = discretize_operator(grid, PotentialParams(barrier_height=8.0))
-    basis = rotated_basis(grid, *lowest_eigenpairs(op, 2))
+    basis = rotated_basis(grid, *lowest_eigenpairs(op))
     assert basis.omega1 - basis.omega0 < 5e-4
     omegas, modes = eigh_tridiagonal(
         op.diagonal, op.off_diagonal, select="i", select_range=(0, 1)

@@ -95,9 +95,9 @@ def test_sum_block_equals_newton_jacobian(bdg_mid):
     # assembled from pre-folded matrices, not by folding.
     problem, state, op = bdg_mid
     jac = problem.jacobian(op.psi, op.mu)
-    assert [sector.parity for sector, _, _ in op.blocks] == ["odd", "even"]
-    for sector, _, l_plus in op.blocks:
-        assert np.abs(l_plus - sector.fold(jac)).max() <= 1e-12
+    assert [form.sector.parity for form in op.forms] == ["odd", "even"]
+    for form in op.forms:
+        assert np.abs(form.l_plus - form.sector.fold(jac)).max() <= 1e-12
 
 
 def test_exchange_block_is_not_symmetric(bdg_mid):
