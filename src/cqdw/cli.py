@@ -48,7 +48,6 @@ from .config import (
 )
 from .continuation import (
     FOLD,
-    ContinuationSettings,
     NewtonError,
     StationaryProblem,
     continue_branch,
@@ -76,7 +75,7 @@ from .dynamics import (
 from .overlaps import ETA_LABELS, compute_overlaps, recompute_thresholds
 from .presets import PresetError, get_preset
 from .spectrum import default_basis
-from .stability import build_bdg, dominant_unstable_mode, sweep_branch
+from .stability import StabilityError, build_bdg, dominant_unstable_mode, sweep_branch
 from .twomode import (
     ModeParams,
     TwoModeState,
@@ -154,8 +153,7 @@ def _build_grid(config: RunConfig):
 
 
 def _build_potential(config: RunConfig) -> PotentialParams:
-    p = config.potential
-    return PotentialParams(p.trap_frequency, p.barrier_height, p.barrier_width)
+    return config.potential
 
 
 _build_basis = default_basis
@@ -206,10 +204,8 @@ def _states_at_mu(problem, basis, config: RunConfig, family: str, targets):
         direction = 1 if mu_target > seed.mu else -1
         if direction not in traced:
             lo, hi = sorted((seed.mu, direction * max(direction * mu for mu in targets)))
-            settings = ContinuationSettings(
-                mu_min=lo, mu_max=hi, norm_cap=config.scan.norm_cap, direction=direction
-            )
-            traced[direction] = continue_branch(problem, seed, settings)
+            window = replace(config.scan, mu_min=lo, mu_max=hi, direction=direction)
+            traced[direction] = continue_branch(problem, seed, window)
             charged[direction] = 1
         branch = traced[direction]
         folds = [event for event in branch.events if event.kind == FOLD]
@@ -238,19 +234,15 @@ def _states_at_mu(problem, basis, config: RunConfig, family: str, targets):
 
 def _trace_branches(problem, basis, config: RunConfig):
     """(family, branch, pitchforks) per requested family, daughters appended."""
-    sc = config.scan
-    settings = ContinuationSettings(
-        mu_min=sc.mu_min, mu_max=sc.mu_max, norm_cap=sc.norm_cap, direction=sc.direction
-    )
     traced = []
-    for family in sc.families:
+    for family in config.scan.families:
         seed = _seed(problem, basis, family)
-        branch = continue_branch(problem, seed, settings)
+        branch = continue_branch(problem, seed, config.scan)
         pitchforks = detect_pitchfork(problem, branch)
         traced.append((family, branch, pitchforks))
         if pitchforks:
             daughter_seed = seed_daughter(problem, pitchforks[0])
-            daughter = continue_branch(problem, daughter_seed, settings)
+            daughter = continue_branch(problem, daughter_seed, config.scan)
             traced.append((f"asym-{family}", daughter, []))
     return traced
 
@@ -451,7 +443,10 @@ def run_evolve(config: RunConfig, out: Path):
 
     def one_run(index: int, mu: float, state, iterations: int):
         if dy.perturbation == "eigenvector":
-            mode = dominant_unstable_mode(build_bdg(problem, state))
+            try:
+                mode = dominant_unstable_mode(build_bdg(problem, state))
+            except StabilityError as exc:
+                raise CliError(f"{dy.family} branch: no eigenvector kick at mu={mu} ({exc})") from exc
             initial = perturb_state(problem.grid, state, dy.amplitude, direction=mode.direction)
         elif dy.perturbation == "random":
             initial = perturb_state(

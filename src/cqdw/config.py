@@ -6,7 +6,9 @@ dx = 0.1) and the documented protocol choices (dt = 5e-3, kick amplitude
 1e-3, scan window mu in [0.10, 0.45] with norm cap 6). Loading collects
 *every* violated field before raising, so a bad file is reported once, in
 full, rather than one field at a time. A sha256 over the canonical JSON form
-identifies the resolved configuration in run manifests.
+identifies the resolved configuration in run manifests. Each parameter set
+has one type: the `potential` section is `discretization.PotentialParams`,
+and `continue_branch` reads its window from the `scan` section.
 
 `validate_config` is the one gate for input rules: each rule on a config
 field is stated there once, and every run passes through it. The library's
@@ -20,9 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .discretization import whole_multiple
+from .discretization import PotentialParams, whole_multiple
 
 KERNEL_CHOICES = ("gaussian", "exponential")
 FAMILY_CHOICES = ("sym", "anti")
@@ -47,13 +49,6 @@ class ConfigError(ValueError):
 class GridConfig:
     half_width: float = 20.0
     spacing: float = 0.1
-
-
-@dataclass(frozen=True)
-class PotentialConfig:
-    trap_frequency: float = 0.1
-    barrier_height: float = 1.0
-    barrier_width: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,7 @@ class ThermalConfig:
 @dataclass(frozen=True)
 class RunConfig:
     grid: GridConfig = field(default_factory=GridConfig)
-    potential: PotentialConfig = field(default_factory=PotentialConfig)
+    potential: PotentialParams = field(default_factory=PotentialParams)
     interaction: InteractionConfig = field(default_factory=InteractionConfig)
     scan: ScanConfig = field(default_factory=ScanConfig)
     twomode: TwoModeConfig = field(default_factory=TwoModeConfig)
@@ -154,7 +149,7 @@ def _build_section(cls, data, prefix, problems):
             problems.append(f"{prefix}{key}: unknown field")
             continue
         declared = _declared(known[key])
-        if declared.endswith("Config"):
+        if known[key].default_factory is not MISSING:  # a section
             if not isinstance(raw, dict):
                 problems.append(f"{prefix}{key}: expected an object")
                 continue
@@ -226,7 +221,7 @@ def _tag_clashes(field: str, prefix: str, values) -> list[str]:
     return out
 
 
-def _peak_potential(grid: GridConfig, potential: PotentialConfig) -> float:
+def _peak_potential(grid: GridConfig, potential: PotentialParams) -> float:
     """max V over the grid points, for heights >= 0.
 
     On x > 0 such a V has one critical point at most, the well minimum, so

@@ -6,7 +6,8 @@ that carries both the cubic and the quintic terms. States can be taken real;
 Newton's method with the exact dense Jacobian (including the nonlocal
 Frechet terms) converges quadratically from nearby guesses.
 Branches are traced in (psi, mu) with pseudo-arclength steps so folds are
-crossed without parameter switching. Pitchforks (a sign change of the
+crossed without parameter switching, inside the mu window, norm cap and
+direction of the run config's `scan` section. Pitchforks (a sign change of the
 Jacobian determinant on the parity subspace the daughter breaks into) and
 merges are refined by one arclength-resolved bisection; daughters are
 seeded by branch switching along the critical direction.
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import ScanConfig
 from .discretization import (
     ConvolutionPlan,
     Grid,
@@ -252,16 +254,6 @@ class Branch:
         return self.states[0].symmetry if self.states else ""
 
 
-@dataclass(frozen=True)
-class ContinuationSettings:
-    """Trace window, norm cap and mu direction for continue_branch."""
-
-    mu_min: float
-    mu_max: float
-    norm_cap: float = 12.0
-    direction: int = 1
-
-
 def make_state(problem: StationaryProblem, psi: np.ndarray, mu: float) -> StationaryState:
     psi = np.asarray(psi, dtype=float)
     res = float(np.max(np.abs(problem.residual(psi, mu))))
@@ -458,7 +450,7 @@ class _MergeTracker:
 def continue_branch(
     problem: StationaryProblem,
     seed: StationaryState,
-    settings: ContinuationSettings,
+    window: ScanConfig,
 ) -> Branch:
     """Trace the branch through folds by pseudo-arclength continuation.
 
@@ -471,7 +463,7 @@ def continue_branch(
     """
     branch = Branch(states=[seed])
     merges = _MergeTracker(problem.grid, seed) if seed.symmetry == ASYMMETRIC else None
-    t_psi, t_mu = _tangent_from_jacobian(problem, seed, settings.direction)
+    t_psi, t_mu = _tangent_from_jacobian(problem, seed, window.direction)
     ds = _DS_INIT
     mu_dir = 0
     while len(branch.states) <= _MAX_STEPS:
@@ -509,10 +501,10 @@ def continue_branch(
             branch.events.append(BranchEvent(MERGE, merged.mu, merged.norm))
             branch.termination = "merge"
             return branch
-        if not (settings.mu_min <= state.mu <= settings.mu_max):
+        if not (window.mu_min <= state.mu <= window.mu_max):
             branch.termination = "mu_range"
             return branch
-        if state.norm > settings.norm_cap:
+        if state.norm > window.norm_cap:
             branch.termination = "norm_cap"
             return branch
 

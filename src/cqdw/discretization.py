@@ -108,7 +108,8 @@ def build_grid(half_width: float, spacing: float) -> Grid:
 @dataclass(frozen=True)
 class PotentialParams:
     """Double well: parabolic trap of frequency `trap_frequency` plus a
-    sech^2 barrier of height `barrier_height` and width `barrier_width`."""
+    sech^2 barrier of height `barrier_height` and width `barrier_width`.
+    It is also the `potential` section of `RunConfig`, defaults included."""
 
     trap_frequency: float = 0.1
     barrier_height: float = 1.0

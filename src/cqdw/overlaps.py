@@ -39,7 +39,6 @@ ETA_LABELS = tuple(f"eta{i}" for i in range(12))
 
 @dataclass(frozen=True)
 class RegimeThresholds:
-    kernel_family: str
     sigma_b: float
     sigma_c: float
 
@@ -166,5 +165,5 @@ def recompute_thresholds(basis: LinearBasis, family: str) -> RegimeThresholds:
     """Bisect both regime boundaries for one kernel family."""
     sigma_b = find_threshold(basis, family, "eta1")
     sigma_c = find_threshold(basis, family, "eta4")
-    return RegimeThresholds(kernel_family=family, sigma_b=sigma_b, sigma_c=sigma_c)
+    return RegimeThresholds(sigma_b=sigma_b, sigma_c=sigma_c)
 

@@ -47,7 +47,6 @@ class ScenarioPreset:
     subcommand: str
     config: RunConfig
     expected: tuple[RegressionTarget, ...] = ()
-    note: str = ""
 
 
 _SCAN_DUAL = ScanConfig(mu_min=-0.15, mu_max=0.16, direction=-1)
@@ -68,7 +67,6 @@ def _catalogue() -> dict[str, ScenarioPreset]:
                 RegressionTarget("omega0", 0.13282, 5e-4, "Sec. II.A, lowest doublet"),
                 RegressionTarget("omega1", 0.15571, 5e-4, "Sec. II.A, lowest doublet"),
             ),
-            note="double-well potential and its lowest mode pair",
         ),
         ScenarioPreset(
             name="fig02-overlaps-gaussian",
@@ -78,7 +76,6 @@ def _catalogue() -> dict[str, ScenarioPreset]:
                 RegressionTarget("sigma_b", 2.96, 0.05, "Sec. II.A, Gaussian regime boundary"),
                 RegressionTarget("sigma_c", 9.15, 0.15, "Sec. II.A, Gaussian regime boundary"),
             ),
-            note="overlap integrals vs kernel range, Gaussian kernel",
         ),
         ScenarioPreset(
             name="fig03-overlaps-exponential",
@@ -88,7 +85,6 @@ def _catalogue() -> dict[str, ScenarioPreset]:
                 RegressionTarget("sigma_b", 1.56, 0.05, "Sec. II.A, exponential regime boundary"),
                 RegressionTarget("sigma_c", 7.01, 0.15, "Sec. II.A, exponential regime boundary"),
             ),
-            note="overlap integrals vs kernel range, exponential kernel",
         ),
         ScenarioPreset(
             name="fig04-05-critical-norms",
@@ -99,8 +95,7 @@ def _catalogue() -> dict[str, ScenarioPreset]:
                     "n23_coalescence_sigma", 7.52, 0.1, "Sec. II.B, N2/N3 coalescence"
                 ),
             ),
-            note="critical norms of the reduction vs kernel range, and the "
-            "two-mode phase portraits at sigma=1, N=5",
+            # the run also writes the two-mode phase portraits at sigma=1, N=5
         ),
         ScenarioPreset(
             name="fig06-twomode-stability",
@@ -114,7 +109,6 @@ def _catalogue() -> dict[str, ScenarioPreset]:
                     "n3_critical", 4.63, 0.05, "Sec. II.B Fig. 6, antisym lambda^2 crossing"
                 ),
             ),
-            note="reduction stability windows at sigma=0.1",
         ),
         ScenarioPreset(
             name="fig07-branches-sigma01",
@@ -129,7 +123,6 @@ def _catalogue() -> dict[str, ScenarioPreset]:
                     "sym_ssb_mu", 0.359, 0.005, "Sec. III.A, sigma=0.1 symmetric pitchfork"
                 ),
             ),
-            note="bifurcation diagram, sigma=0.1",
         ),
         ScenarioPreset(
             name="fig08-branches-sigma1",
@@ -144,7 +137,6 @@ def _catalogue() -> dict[str, ScenarioPreset]:
                     "sym_ssb_mu", 0.355, 0.005, "Sec. III.A, sigma=1 symmetric pitchfork"
                 ),
             ),
-            note="bifurcation diagram, sigma=1",
         ),
         ScenarioPreset(
             name="fig09-branches-sigma8",
@@ -153,7 +145,7 @@ def _catalogue() -> dict[str, ScenarioPreset]:
             expected=(
                 RegressionTarget("anti_ssb_mu", 0.195, 0.003, "Sec. III.A, sigma=8 SSB"),
             ),
-            note="bifurcation diagram, sigma=8 (restoring merge reported in events)",
+            # the restoring merge is reported in events.json, not as a target
         ),
         ScenarioPreset(
             name="fig10-branches-defocusing",
@@ -170,7 +162,6 @@ def _catalogue() -> dict[str, ScenarioPreset]:
                     "anti_ssb_mu", -0.0465, 0.003, "Sec. III.A, (s,delta)=(-1,1) antisym event"
                 ),
             ),
-            note="bifurcation diagram, defocusing cubic / focusing quintic",
         ),
         ScenarioPreset(
             name="fig11-12-symmetry-breaking",
@@ -184,8 +175,6 @@ def _catalogue() -> dict[str, ScenarioPreset]:
                     "onset_mu0.25", 110.0, 40.0, "Figs. 11-12, |z| >= 0.5 onset in [70, 150]"
                 ),
             ),
-            note="space-time density and phase-plane projections of the "
-            "symmetry-breaking runs (mu=0.19, 0.25)",
         ),
         ScenarioPreset(
             name="thermal-check",
@@ -199,7 +188,6 @@ def _catalogue() -> dict[str, ScenarioPreset]:
                     "Appendix, saturable absorption model",
                 ),
             ),
-            note="screened-Poisson vs exponential-kernel equivalence",
         ),
     ]
     return {p.name: p for p in presets}

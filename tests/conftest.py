@@ -3,8 +3,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from cqdw.config import ScanConfig
 from cqdw.continuation import (
-    ContinuationSettings,
     StationaryProblem,
     continue_branch,
     detect_pitchfork,
@@ -95,7 +95,7 @@ def make_params(basis, overlaps_sigma01, overlaps_sigma1, overlaps_sigma8):
 def branch_suite(grid, basis):
     """Symmetric/antisymmetric branch scans with pitchfork detection.
 
-    For each scenario: the stationary problem, the scan settings, both parent
+    For each scenario: the stationary problem, the scan window, both parent
     branches seeded from the linear modes, and their detected pitchforks.
     """
     suite = {}
@@ -103,16 +103,16 @@ def branch_suite(grid, basis):
     for key, sc in SCAN_SCENARIOS.items():
         kernel = Kernel(GAUSSIAN, sc["sigma"])
         problem = StationaryProblem(grid, pot, kernel, s=sc["s"], delta=sc["delta"])
-        settings = ContinuationSettings(
+        scan = ScanConfig(
             mu_min=sc["mu_min"],
             mu_max=sc["mu_max"],
             norm_cap=6.0,
             direction=sc["direction"],
         )
-        entry = {"problem": problem, "settings": settings}
+        entry = {"problem": problem, "scan": scan}
         for name, mode, omega_k in (("sym", basis.u0, basis.omega0), ("anti", basis.u1, basis.omega1)):
             seed = seed_from_mode(problem, mode, omega_k)
-            branch = continue_branch(problem, seed, settings)
+            branch = continue_branch(problem, seed, scan)
             entry[name] = branch
             entry[f"{name}_pitchforks"] = detect_pitchfork(problem, branch)
         suite[key] = entry
@@ -125,7 +125,7 @@ def ssb_daughter(branch_suite):
     entry = branch_suite["sigma01"]
     pf = entry["anti_pitchforks"][0]
     daughter = seed_daughter(entry["problem"], pf)
-    branch = continue_branch(entry["problem"], daughter, entry["settings"])
+    branch = continue_branch(entry["problem"], daughter, entry["scan"])
     return entry, pf, branch
 
 

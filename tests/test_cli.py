@@ -452,6 +452,42 @@ def test_two_mu_evolve_rerun_is_identical(tmp_path):
         assert (first / f"phase_mu{tag}.csv").exists()
 
 
+def test_random_kick_draws_from_the_seed_plus_the_mu_index(tmp_path):
+    # the k-th mu of mu_list is kicked from default_rng(seed + k): a rerun
+    # repeats every byte, another --seed moves every density, and mu = 0.25
+    # second in the list at seed 1 gets the kick it gets first at seed 2
+    def run(mu_list, seed, name):
+        payload = {"grid": {"half_width": 10.0},
+                   "dynamics": {"mu_list": mu_list, "t_end": 1.0, "perturbation": "random"}}
+        out = tmp_path / name
+        assert main(["evolve", "--config", _write(tmp_path / f"{name}.json", payload),
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        return out
+
+    def density(out, tag):
+        return (out / f"density_mu{tag}.csv").read_bytes()
+
+    first = run([0.19, 0.25], 1, "first")
+    assert _tree_bytes(run([0.19, 0.25], 1, "rerun")) == _tree_bytes(first)
+    reseeded = run([0.19, 0.25], 2, "reseeded")
+    for tag in ("0.19", "0.25"):
+        assert density(reseeded, tag) != density(first, tag)
+    assert density(run([0.25], 1, "alone"), "0.25") != density(first, "0.25")
+    assert density(run([0.25], 2, "alone2"), "0.25") == density(first, "0.25")
+
+
+def test_eigenvector_kick_at_a_stable_state_is_a_cli_error(tmp_path, capsys):
+    # the sym branch stays stable up to its pitchfork at mu = 0.355, so at
+    # mu = 0.2 the BdG spectrum has no growing mode to kick along
+    payload = {"dynamics": {"mu_list": [0.2, 0.25], "family": "sym", "t_end": 1.0}}
+    cfg = _write(tmp_path / "c.json", payload)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "ev")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CliError"
+    for text in ("sym branch", "mu=0.2", "max rate"):
+        assert text in err["message"], err["message"]
+
+
 def test_config_errors_are_collected(tmp_path, capsys):
     cfg = _write(
         tmp_path / "bad.json",

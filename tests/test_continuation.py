@@ -243,7 +243,7 @@ def test_parent_trace_assembles_no_whole_grid_jacobian(branch_suite, basis, monk
 
     monkeypatch.setattr(StationaryProblem, "jacobian", recorded)
     seed = seed_from_mode(problem, basis.u0, basis.omega0)
-    branch = continue_branch(problem, seed, entry["settings"])
+    branch = continue_branch(problem, seed, entry["scan"])
     assert len(detect_pitchfork(problem, branch)) == 1
     assert len(sizes) > len(branch.states)
     assert max(sizes) <= problem.grid.n_points // 2 + 1
@@ -439,6 +439,6 @@ def test_asymmetric_branch_spans_the_window(ssb_daughter):
     mus = [s.mu for s in branch.states]
     assert norms.max() > 5.0
     assert min(mus) >= pf.event.mu - 5e-3
-    assert max(mus) <= entry["settings"].mu_max
+    assert max(mus) <= entry["scan"].mu_max
     # Norm grows monotonically from birth to merge along the loop.
     assert norms[-1] == pytest.approx(restoring.event.norm, abs=5e-2)

@@ -228,20 +228,26 @@ def test_every_class_member_is_reached():
         f"read by no module, criterion or BdG reference: {sorted(unreached)}")
 
 
-def test_every_settings_field_is_set():
-    """Every field of a src/cqdw class named *Settings is passed by keyword
-    in some reaching file, so a solver knob that no caller sets does not
-    stay. Matching is by name, whatever the call, as for members."""
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in REACHING}
-    passed = set().union(*(keyword_names(tree) for tree in trees.values()))
-    fields = [f"{cls.name}.{stmt.target.id}"
-              for path in MODULES for cls in trees[path].body
-              if isinstance(cls, ast.ClassDef) and cls.name.endswith("Settings")
+def is_dataclass_def(node: ast.AST) -> bool:
+    """A class statement decorated with `@dataclass` or `@dataclass(...)`."""
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a src/cqdw dataclass is read as an attribute in some
+    src/cqdw module or test, so a field that only its constructor call fills
+    does not stay. Matching is by name, whatever the object, as for members."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES + sorted(TESTS.glob("*.py"))]
+    read = set().union(*(attribute_reads(tree) for tree in trees))
+    unread = [f"{cls.name}.{stmt.target.id}"
+              for tree in trees[:len(MODULES)] for cls in tree.body if is_dataclass_def(cls)
               for stmt in cls.body
-              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
-    assert fields, "no *Settings class found in src/cqdw"
-    unset = [name for name in fields if name.split(".")[1] not in passed]
-    assert not unset, f"set by no module, criterion or BdG reference: {unset}"
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in read]
+    assert not unread, f"read by no src/cqdw module or test: {unread}"
 
 
 def is_config_field(path: str) -> bool:
@@ -310,7 +316,7 @@ def test_every_config_field_is_set():
     """Every leaf of RunConfig is set in presets.py, a benchmark workload or
     a test: passed by keyword or as a command-line option, or a key of a dict
     literal or workload JSON. Matching is by the leaf's name, whatever the
-    section, as for settings."""
+    section, as for class members."""
     names = set()
     for path in SETTING:
         tree = ast.parse(path.read_text(encoding="utf-8"))
