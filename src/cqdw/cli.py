@@ -204,8 +204,8 @@ def _states_at_mu(problem, basis, config: RunConfig, family: str, targets):
         direction = 1 if mu_target > seed.mu else -1
         if direction not in traced:
             lo, hi = sorted((seed.mu, direction * max(direction * mu for mu in targets)))
-            window = replace(config.scan, mu_min=lo, mu_max=hi, direction=direction)
-            traced[direction] = continue_branch(problem, seed, window)
+            window = replace(config.scan, mu_min=lo, mu_max=hi)
+            traced[direction] = continue_branch(problem, seed, window, direction)
             charged[direction] = 1
         branch = traced[direction]
         folds = [event for event in branch.events if event.kind == FOLD]
@@ -233,16 +233,21 @@ def _states_at_mu(problem, basis, config: RunConfig, family: str, targets):
 
 
 def _trace_branches(problem, basis, config: RunConfig):
-    """(family, branch, pitchforks) per requested family, daughters appended."""
+    """(family, branch, pitchforks) per requested family, daughters appended,
+    each traced the way s moves mu; a seed outside the scan window is a CliError."""
     traced = []
-    for family in config.scan.families:
+    scan = config.scan
+    for family in scan.families:
         seed = _seed(problem, basis, family)
-        branch = continue_branch(problem, seed, config.scan)
+        if not scan.mu_min <= seed.mu <= scan.mu_max:
+            raise CliError(f"{family} branch: its seed at mu={seed.mu:.6g} lies outside the "
+                           f"scan window [{scan.mu_min}, {scan.mu_max}]")
+        branch = continue_branch(problem, seed, scan, problem.s)
         pitchforks = detect_pitchfork(problem, branch)
         traced.append((family, branch, pitchforks))
         if pitchforks:
             daughter_seed = seed_daughter(problem, pitchforks[0])
-            daughter = continue_branch(problem, daughter_seed, config.scan)
+            daughter = continue_branch(problem, daughter_seed, scan, problem.s)
             traced.append((f"asym-{family}", daughter, []))
     return traced
 

@@ -8,7 +8,9 @@ dx = 0.1) and the documented protocol choices (dt = 5e-3, kick amplitude
 full, rather than one field at a time. A sha256 over the canonical JSON form
 identifies the resolved configuration in run manifests. Each parameter set
 has one type: the `potential` section is `discretization.PotentialParams`,
-and `continue_branch` reads its window from the `scan` section.
+and `continue_branch` reads its window from the `scan` section. No field
+sets the way a branch is traced: it leaves its seed the way the cubic sign
+`interaction.s` moves mu.
 
 `validate_config` is the one gate for input rules: each rule on a config
 field is stated there once, and every run passes through it. The library's
@@ -67,7 +69,6 @@ class ScanConfig:
 
     mu_min: float = 0.10
     mu_max: float = 0.45
-    direction: int = 1
     norm_cap: float = 6.0
     families: tuple[str, ...] = ("sym", "anti")
 
@@ -265,8 +266,6 @@ def validate_config(config: RunConfig) -> list[str]:
     sc = config.scan
     if not sc.mu_min < sc.mu_max:
         p.append(f"scan.mu_min: window is empty ({sc.mu_min} >= {sc.mu_max})")
-    if sc.direction not in (-1, 1):
-        p.append(f"scan.direction: must be +1 or -1, got {sc.direction}")
     if not sc.norm_cap > 0:
         p.append(f"scan.norm_cap: must be positive, got {sc.norm_cap}")
     if not sc.families:

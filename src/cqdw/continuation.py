@@ -6,11 +6,13 @@ that carries both the cubic and the quintic terms. States can be taken real;
 Newton's method with the exact dense Jacobian (including the nonlocal
 Frechet terms) converges quadratically from nearby guesses.
 Branches are traced in (psi, mu) with pseudo-arclength steps so folds are
-crossed without parameter switching, inside the mu window, norm cap and
-direction of the run config's `scan` section. Pitchforks (a sign change of the
-Jacobian determinant on the parity subspace the daughter breaks into) and
-merges are refined by one arclength-resolved bisection; daughters are
-seeded by branch switching along the critical direction.
+crossed without parameter switching, inside the mu window and norm cap of the
+run config's `scan` section. Every branch grows out of the linear doublet,
+where mu = omega_k + s c N, so a trace leaves its seed in the mu direction of
+the cubic sign s. Pitchforks (a sign change of the Jacobian determinant on the
+parity subspace the daughter breaks into) and merges (a sign change of the
+daughter's asymmetry) are refined by one arclength-resolved bisection;
+daughters are seeded by branch switching along the critical direction.
 
 Every state comes out of one Newton loop, `_newton`. With t_psi=None it
 holds mu fixed and solves with the Jacobian alone (seeds, the last solve of a
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,7 +153,7 @@ class StationaryProblem:
 
     def residual(self, psi: np.ndarray, mu: float) -> np.ndarray:
         psi = np.asarray(psi, dtype=float)
-        return self.operator.matvec(psi.copy()) - mu * psi + self.nonlinear_potential(psi) * psi
+        return self.operator.matvec(psi) - mu * psi + self.nonlinear_potential(psi) * psi
 
     def linearization(
         self, psi: np.ndarray, mu: float, sector: ReflectionSector | None = None
@@ -221,7 +223,7 @@ class StationaryState:
     norm: float
     symmetry: str
     residual: float
-    newton_iterations: int = 0  # steps of the Newton, corrector or branch-switching solve behind it
+    newton_iterations: int  # steps of the Newton, corrector or branch-switching solve behind it
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,9 @@ class Branch:
         return self.states[0].symmetry if self.states else ""
 
 
-def make_state(problem: StationaryProblem, psi: np.ndarray, mu: float) -> StationaryState:
+def make_state(
+    problem: StationaryProblem, psi: np.ndarray, mu: float, iterations: int
+) -> StationaryState:
     psi = np.asarray(psi, dtype=float)
     res = float(np.max(np.abs(problem.residual(psi, mu))))
     return StationaryState(
@@ -263,6 +267,7 @@ def make_state(problem: StationaryProblem, psi: np.ndarray, mu: float) -> Statio
         norm=problem.norm(psi),
         symmetry=classify_symmetry(problem.grid, psi),
         residual=res,
+        newton_iterations=iterations,
     )
 
 
@@ -284,8 +289,7 @@ def newton_solve(
         raise ContinuationError(
             f"guess has shape {psi.shape}, expected ({problem.grid.n_points},)"
         )
-    psi, mu, iterations = _newton(problem, psi, mu, None, 0.0, tol, max_iter)
-    return replace(make_state(problem, psi, mu), newton_iterations=iterations)
+    return make_state(problem, *_newton(problem, psi, mu, None, 0.0, tol, max_iter))
 
 
 def seed_from_mode(
@@ -416,54 +420,45 @@ def _newton(
     )
 
 
-class _MergeTracker:
-    """Detects an asymmetric branch rejoining its parent-parity branch.
+def _merge_side(grid: Grid, seed: StationaryState) -> Callable[[StationaryState], float]:
+    """`side(state)` of a daughter traced from seed: the side of the
+    parent-parity branch that the state lies on.
 
-    The asymmetry component is projected on the seed's own asymmetry shape;
-    a sign change of that projection means the trace passed through the
-    parent onto the mirror daughter, and the crossing is the merge point.
-    A direct landing (parity residual at the parent tolerance) also counts.
+    The state's breaking-sector component is projected on the seed's own
+    asymmetry shape. The sign flips where the trace passes through the
+    parent onto the mirror daughter: that crossing is the merge point.
     """
+    r_even, r_odd = parity_residuals(grid, seed.psi)
+    breaking = ReflectionSector("odd" if r_even < r_odd else "even", grid.n_points)
+    witness = breaking.project(seed.psi)
+    witness = witness / math.sqrt(grid.norm_sq(witness))
 
-    def __init__(self, grid: Grid, seed: StationaryState):
-        r_even, r_odd = parity_residuals(grid, seed.psi)
-        self.grid = grid
-        self.breaking = ReflectionSector("odd" if r_even < r_odd else "even", grid.n_points)
-        witness = self.breaking.project(seed.psi)
-        self.witness = witness / math.sqrt(grid.norm_sq(witness))
-        self.last_sign = 1.0
+    def side(state: StationaryState) -> float:
+        return math.copysign(1.0, _weighted_dot(grid, breaking.project(state.psi), witness))
 
-    def projection(self, psi: np.ndarray) -> float:
-        return _weighted_dot(self.grid, self.breaking.project(psi), self.witness)
-
-    def side(self, state: StationaryState) -> float:
-        return math.copysign(1.0, self.projection(state.psi))
-
-    def crossed(self, state: StationaryState) -> bool:
-        s = self.projection(state.psi)
-        flipped = s * self.last_sign < 0
-        if s != 0.0:
-            self.last_sign = math.copysign(1.0, s)
-        return flipped or state.symmetry != ASYMMETRIC
+    return side
 
 
 def continue_branch(
     problem: StationaryProblem,
     seed: StationaryState,
     window: ScanConfig,
+    direction: int,
 ) -> Branch:
     """Trace the branch through folds by pseudo-arclength continuation.
 
-    Steps adapt inside [_DS_MIN, _DS_MAX]: fast Newton convergence grows the
-    step, failure shrinks and retries, and shrinking below _DS_MIN aborts with
-    the partial branch. Tracing stops at the mu window, the norm cap, a merge
-    back onto a parent-parity branch, or the step budget. Fold events are
-    recorded where the mu direction reverses; pitchfork events are found
-    separately by detect_pitchfork.
+    The trace leaves the seed with mu rising for `direction` = +1 and falling
+    for -1. Steps adapt inside [_DS_MIN, _DS_MAX]: fast Newton convergence
+    grows the step, failure shrinks and retries, and shrinking below _DS_MIN
+    aborts with the partial branch. Tracing stops at the mu window, the norm
+    cap, a merge back onto a parent-parity branch (a side change by
+    `_merge_side`, or a state of parent parity), or the step budget. Fold
+    events are recorded where the mu direction reverses; pitchfork events are
+    found separately by detect_pitchfork.
     """
     branch = Branch(states=[seed])
-    merges = _MergeTracker(problem.grid, seed) if seed.symmetry == ASYMMETRIC else None
-    t_psi, t_mu = _tangent_from_jacobian(problem, seed, window.direction)
+    side = _merge_side(problem.grid, seed) if seed.symmetry == ASYMMETRIC else None
+    t_psi, t_mu = _tangent_from_jacobian(problem, seed, direction)
     ds = _DS_INIT
     mu_dir = 0
     while len(branch.states) <= _MAX_STEPS:
@@ -481,8 +476,7 @@ def continue_branch(
                 if ds < _DS_MIN:
                     branch.termination = "newton_failure"
                     return branch
-        psi_new, mu_new, iters = stepped
-        state = replace(make_state(problem, psi_new, mu_new), newton_iterations=iters)
+        state = make_state(problem, *stepped)
         branch.states.append(state)
 
         new_dir = int(math.copysign(1.0, state.mu - last.mu)) if state.mu != last.mu else mu_dir
@@ -491,12 +485,12 @@ def continue_branch(
             branch.events.append(BranchEvent(FOLD, last.mu, last.norm))
         mu_dir = new_dir
 
-        if merges is not None and merges.crossed(state):
+        if side is not None and (side(state) != side(last) or state.symmetry != ASYMMETRIC):
             # A mu reversal in the same step is the merge tangency itself,
             # not a separate fold.
             if folded:
                 branch.events.pop()
-            merged, _ = _bisect(problem, last, state, merges.side)
+            merged, _ = _bisect(problem, last, state, side)
             branch.states[-1] = merged
             branch.events.append(BranchEvent(MERGE, merged.mu, merged.norm))
             branch.termination = "merge"
@@ -513,7 +507,7 @@ def continue_branch(
         d_mu = state.mu - last.mu
         scale = math.sqrt(problem.grid.norm_sq(d_psi) + d_mu**2)
         t_psi, t_mu = d_psi / scale, d_mu / scale
-        if iters <= _FAST_ITERS:
+        if state.newton_iterations <= _FAST_ITERS:
             ds = min(ds * _GROW, _DS_MAX)
     branch.termination = "max_steps"
     return branch
@@ -543,14 +537,13 @@ def _segment_state(
     pa, pb = a.psi, b.psi
     d_psi, d_mu = pb - pa, b.mu - a.mu
     scale = math.sqrt(problem.grid.norm_sq(d_psi) + d_mu**2)
-    psi, mu, iterations = _newton(
+    return make_state(problem, *_newton(
         problem,
         (1 - t) * pa + t * pb,
         (1 - t) * a.mu + t * b.mu,
         d_psi / scale,
         d_mu / scale,
-    )
-    return replace(make_state(problem, psi, mu), newton_iterations=iterations)
+    ))
 
 
 def _bisect(
@@ -627,8 +620,7 @@ def seed_daughter(problem: StationaryProblem, pitchfork: PitchforkEvent) -> Stat
     """
     parent, phi = pitchfork.state, pitchfork.direction
     guess = parent.psi + _SWITCH_AMPLITUDE * math.sqrt(parent.norm) * phi
-    psi, mu, iterations = _newton(problem, guess, parent.mu, phi, 0.0)
-    state = replace(make_state(problem, psi, mu), newton_iterations=iterations)
+    state = make_state(problem, *_newton(problem, guess, parent.mu, phi, 0.0))
     if state.symmetry != ASYMMETRIC:
         raise ContinuationError(
             f"branch switching at the pitchfork mu={parent.mu:.6g} landed on a "

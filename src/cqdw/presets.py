@@ -49,7 +49,7 @@ class ScenarioPreset:
     expected: tuple[RegressionTarget, ...] = ()
 
 
-_SCAN_DUAL = ScanConfig(mu_min=-0.15, mu_max=0.16, direction=-1)
+_SCAN_DUAL = ScanConfig(mu_min=-0.15, mu_max=0.16)
 
 
 def _interaction(sigma=1.0, s=1, delta=-1, family="gaussian"):

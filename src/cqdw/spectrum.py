@@ -28,7 +28,6 @@ from .discretization import (
     PotentialParams,
     ReflectionSector,
     potential_profile,
-    reflect,
 )
 
 
@@ -206,12 +205,6 @@ def rotated_basis(grid: Grid, omegas: np.ndarray, modes: np.ndarray) -> LinearBa
     if lm < 0.9:
         raise SpectrumError(
             f"left-well function is not localized: left mass fraction {lm:.3f} < 0.9")
-    mirror_err = math.sqrt(grid.norm_sq(basis.phi_right - reflect(basis.phi_left)))
-    if mirror_err > 1e-6:
-        raise SpectrumError(
-            f"phi_right is not the mirror of phi_left (error {mirror_err:.2e}); "
-            "potential appears asymmetric"
-        )
     return basis
 
 

@@ -23,10 +23,10 @@ from cqdw.twomode import ModeParams
 # stability and acceptance tests. Window and norm cap are the bifurcation-
 # diagram scale; every event of interest sits below N = 6.
 SCAN_SCENARIOS = {
-    "sigma01": dict(sigma=0.1, s=1, delta=-1, mu_min=0.10, mu_max=0.45, direction=1),
-    "sigma1": dict(sigma=1.0, s=1, delta=-1, mu_min=0.10, mu_max=0.45, direction=1),
-    "sigma8": dict(sigma=8.0, s=1, delta=-1, mu_min=0.10, mu_max=0.45, direction=1),
-    "dual1": dict(sigma=1.0, s=-1, delta=1, mu_min=-0.15, mu_max=0.16, direction=-1),
+    "sigma01": dict(sigma=0.1, s=1, delta=-1, mu_min=0.10, mu_max=0.45),
+    "sigma1": dict(sigma=1.0, s=1, delta=-1, mu_min=0.10, mu_max=0.45),
+    "sigma8": dict(sigma=8.0, s=1, delta=-1, mu_min=0.10, mu_max=0.45),
+    "dual1": dict(sigma=1.0, s=-1, delta=1, mu_min=-0.15, mu_max=0.16),
 }
 
 
@@ -103,16 +103,11 @@ def branch_suite(grid, basis):
     for key, sc in SCAN_SCENARIOS.items():
         kernel = Kernel(GAUSSIAN, sc["sigma"])
         problem = StationaryProblem(grid, pot, kernel, s=sc["s"], delta=sc["delta"])
-        scan = ScanConfig(
-            mu_min=sc["mu_min"],
-            mu_max=sc["mu_max"],
-            norm_cap=6.0,
-            direction=sc["direction"],
-        )
+        scan = ScanConfig(mu_min=sc["mu_min"], mu_max=sc["mu_max"], norm_cap=6.0)
         entry = {"problem": problem, "scan": scan}
         for name, mode, omega_k in (("sym", basis.u0, basis.omega0), ("anti", basis.u1, basis.omega1)):
             seed = seed_from_mode(problem, mode, omega_k)
-            branch = continue_branch(problem, seed, scan)
+            branch = continue_branch(problem, seed, scan, problem.s)
             entry[name] = branch
             entry[f"{name}_pitchforks"] = detect_pitchfork(problem, branch)
         suite[key] = entry
@@ -125,7 +120,7 @@ def ssb_daughter(branch_suite):
     entry = branch_suite["sigma01"]
     pf = entry["anti_pitchforks"][0]
     daughter = seed_daughter(entry["problem"], pf)
-    branch = continue_branch(entry["problem"], daughter, entry["scan"])
+    branch = continue_branch(entry["problem"], daughter, entry["scan"], entry["problem"].s)
     return entry, pf, branch
 
 

@@ -280,6 +280,34 @@ def test_continue_finds_pitchfork_and_daughter(tmp_path):
     assert all((int(r[3]) >= 1) == (float(r[4]) > DEFAULT_THRESHOLD) for r in rows[1:])
 
 
+def test_scan_window_without_the_seed_is_a_cli_error(tmp_path, capsys):
+    # the sym seed sits at omega0 + 0.005 = 0.1378, below mu_min: traced from
+    # there, the branch would write rows outside the window
+    cfg = _write(tmp_path / "c.json",
+                 {"grid": {"half_width": 12.0}, "scan": {"mu_min": 0.2, "mu_max": 0.45}})
+    out = tmp_path / "ct"
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CliError"
+    assert err["message"] == ("sym branch: its seed at mu=0.137789 lies outside "
+                              "the scan window [0.2, 0.45]")
+    assert not (out / "manifest.json").exists()
+
+
+def test_each_branch_leaves_its_seed_the_way_s_points(tmp_path):
+    # with s = -1 mu falls as N grows out of the doublet; traced the other
+    # way, both parents folded at N < 1e-3 and the daughter stopped on its
+    # own birth pitchfork as if it were a merge
+    cfg = _write(tmp_path / "c.json", {
+        "grid": {"half_width": 12.0}, "interaction": {"s": -1, "delta": -1},
+        "scan": {"mu_min": -0.3, "mu_max": 0.2, "norm_cap": 4.0}})
+    out = tmp_path / "ct"
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 0
+    events = json.loads((out / "events.json").read_text())
+    assert not [e for e in events["events"] if e["kind"] == "fold" and e["norm"] < 0.01]
+    assert events["termination"]["asym-sym"] == "mu_range"
+
+
 def test_walk_into_the_vacuum_is_a_cli_error(tmp_path, capsys):
     # with the default s = +1 the antisymmetric branch starts at
     # omega1 = 0.1557 and mu rises with N, so mu = 0.14 lies in the vacuum;
@@ -515,7 +543,7 @@ FIELD_RULES = [
     ("spectrum", {"potential": {"trap_frequency": -0.1}}, "potential.trap_frequency"),
     ("spectrum", {"potential": {"barrier_width": 0.0}}, "potential.barrier_width"),
     ("continue", {"scan": {"mu_min": 0.3, "mu_max": 0.2}}, "scan.mu_min"),
-    ("continue", {"scan": {"direction": 2}}, "scan.direction"),
+    ("continue", {"scan": {"direction": 2}}, "scan.direction"),  # a deleted field, refused as unknown
     ("continue", {"scan": {"norm_cap": 0.0}}, "scan.norm_cap"),
     ("continue", {"interaction": {"s": 0}}, "interaction.s"),
     ("twomode", {"interaction": {"delta": 2}}, "interaction.delta"),
@@ -543,6 +571,7 @@ DELETED_FIELDS = [
     ("thermal", "random_sources", 3),
     ("scan", "trace_daughters", False),
     ("scan", "dump_profiles", True),
+    ("scan", "direction", -1),
 ]
 
 

@@ -243,7 +243,7 @@ def test_parent_trace_assembles_no_whole_grid_jacobian(branch_suite, basis, monk
 
     monkeypatch.setattr(StationaryProblem, "jacobian", recorded)
     seed = seed_from_mode(problem, basis.u0, basis.omega0)
-    branch = continue_branch(problem, seed, entry["scan"])
+    branch = continue_branch(problem, seed, entry["scan"], problem.s)
     assert len(detect_pitchfork(problem, branch)) == 1
     assert len(sizes) > len(branch.states)
     assert max(sizes) <= problem.grid.n_points // 2 + 1

@@ -141,6 +141,11 @@ def test_basis_matches_the_tridiagonal_eigensolver(half_width, spacing, params):
     assert abs(basis.omega1 - ref.omega1) <= 1e-13
     assert np.max(np.abs(basis.u0 - ref.u0)) <= 1e-12
     assert np.max(np.abs(basis.u1 - ref.u1)) <= 1e-12
+    # the folds lift u0 and u1 exactly even and odd, so phi_right is
+    # reflect(phi_left) bit for bit and `rotated_basis` needs no mirror check
+    assert np.array_equal(basis.u0, reflect(basis.u0))
+    assert np.array_equal(basis.u1, -reflect(basis.u1))
+    assert np.array_equal(basis.phi_right, reflect(basis.phi_left))
 
 
 def test_deep_barrier_doublet_matches_the_tridiagonal_eigensolver(grid):
