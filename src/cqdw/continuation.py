@@ -257,16 +257,16 @@ class Branch:
 
 
 def make_state(
-    problem: StationaryProblem, psi: np.ndarray, mu: float, iterations: int
+    problem: StationaryProblem, psi: np.ndarray, mu: float, iterations: int, residual: float
 ) -> StationaryState:
+    """Label (psi, mu); `residual` is its max|F|, as `_newton` returns it."""
     psi = np.asarray(psi, dtype=float)
-    res = float(np.max(np.abs(problem.residual(psi, mu))))
     return StationaryState(
         psi=psi,
         mu=float(mu),
         norm=problem.norm(psi),
         symmetry=classify_symmetry(problem.grid, psi),
-        residual=res,
+        residual=residual,
         newton_iterations=iterations,
     )
 
@@ -360,8 +360,8 @@ def _newton(
     t_mu: float,
     tol: float = RESIDUAL_TOL,
     max_iter: int = MAX_NEWTON_ITER,
-) -> tuple[np.ndarray, float, int]:
-    """Newton on F(psi, mu) = 0; returns (psi, mu, iterations).
+) -> tuple[np.ndarray, float, int, float]:
+    """Newton on F(psi, mu) = 0; returns (psi, mu, iterations, max|F|).
 
     t_psi=None holds mu and each step solves with the Jacobian J alone.
     Otherwise the step also keeps the arclength constraint
@@ -396,7 +396,7 @@ def _newton(
                 raise NewtonError(
                     f"Newton converged to the trivial zero state at mu={mu:.6g}", history
                 )
-            return psi, mu, len(history) - 1
+            return psi, mu, len(history) - 1, rn
         if len(history) > max_iter:
             break
         if len(history) > 2 and rn > history[-2]:

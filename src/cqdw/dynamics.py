@@ -13,19 +13,31 @@ its own residual, which is what makes the no-perturbation contract testable.
 Stepping is the implicit midpoint rule in Cayley form,
 
     (I + i dt/2 H_mid) psi_next = (I - i dt/2 H_mid) psi,
-    H_mid = H(|psi_mid|^2),   psi_mid = (psi + psi_next)/2,
+    H_mid = T + V - mu + W_mid,   W_mid = R * (s rho + delta rho^2),
+    rho = |psi_mid|^2,   psi_mid = (psi + psi_next)/2,
 
-with the nonlinear potential frozen on the midpoint density by a short fixed
-point iteration. H_mid is real symmetric tridiagonal plus a real diagonal, so
-each pass is one convolution for the potential and one direct complex
-tridiagonal solve (LAPACK zgtsv; a nonzero info aborts the run); the
-converged step is unitary and second order in dt. The iteration starts from
-the cubic extrapolation 4 psi_n - 6 psi_{n-1} + 4 psi_{n-2} - psi_{n-3}
-(psi_n, then the linear and the quadratic one, on the first three steps),
-whose O(dt^4) error leaves one pass per step where a start from psi_n needs
-three. The start only changes how soon the iteration meets FIXED_POINT_TOL,
-not the fixed point it converges to. Each run reports its pass count in
-fixed_point_passes and max_passes_per_step.
+with T the kinetic tridiagonal. The converged step is unitary and second
+order in dt. It is solved by a short fixed point iteration that keeps only
+the constant kinetic matrix A = I + i dt/2 T implicit:
+
+    A psi_next = (I - i dt/2 T) psi - i dt (V - mu + W_mid) psi_mid,
+
+so each pass is one FFT convolution for W_mid and one apply of A^-1 by its
+closed-form lattice Green's function (`KineticInverse`, a 2K+1-tap filter),
+and no linear solve can fail. ||A^-1||_2 <= 1, so a pass contracts the
+error by about (dt/2) max|V - mu + W| (0.0044 at dt = 5e-3 on the default
+double well). V stays on the right: shifting part of it into A's diagonal
+would move V - mu away from zero where psi lives and slow the passes. Near
+config.DT_SCALE_LIMIT on a coarse grid, where dt max V can approach 1, the
+factor nears 1/2; a step that has not met FIXED_POINT_TOL within
+MAX_FIXED_POINT passes then ends the run in the stall diagnostic, never in
+an unconverged step. The iteration starts from the cubic extrapolation
+4 psi_n - 6 psi_{n-1} + 4 psi_{n-2} - psi_{n-3} (psi_n, then the linear and
+the quadratic one, on the first three steps), whose O(dt^4) error leaves one
+pass per step where a start from psi_n needs four. The start only changes
+how soon the iteration meets FIXED_POINT_TOL, not the fixed point it
+converges to. Each run reports its pass count in fixed_point_passes and
+max_passes_per_step.
 
 `evolve` streams its samples: the run it returns steps as it is iterated and
 hands out (t, psi, N) at each sample time, keeping no trajectory. A caller
@@ -40,7 +52,10 @@ differs from the trapezoid quadrature used elsewhere only through the two
 half-weighted box-edge densities: nothing (1e-30ish) for localized states,
 and still below 1e-8 x N unless emitted radiation builds up order 1e-4
 amplitude at the artificial wall. The drift that remains after this
-bookkeeping is the fixed point tolerance random walk, around 1e-13 per step.
+bookkeeping is mostly the rounding of the Green's function taps. They carry
+the same rounding at every step, so it adds up linearly rather than as a
+random walk: about 1.6e-16 per step on the default grid (4.8e-12 over
+30,000 steps), still 2,000 times below the 1e-8 guard.
 
 The screened-Poisson helper inverts (1 - d d^2/dx^2) with decaying boundary
 conditions by one real tridiagonal solve (LAPACK dgtsv). The three-point
@@ -51,11 +66,10 @@ of to O(dx^2). The corner rows close the system with the exact decay ratio
 of that sequence, which is what "decaying boundary conditions" means on a
 finite grid.
 
-These two solves are the package's only use of scipy. An evolution run and
-`solve_screened_poisson` import zgtsv and dgtsv from scipy.linalg.lapack
-when they start: loading scipy.linalg costs about 0.2 s and 23 MiB,
-which every other run (spectrum, overlaps, two-mode, branches) would
-otherwise pay at `import cqdw.cli`.
+That solve is the package's only use of scipy: `solve_screened_poisson`
+imports dgtsv from scipy.linalg.lapack when it runs, because loading
+scipy.linalg costs about 0.2 s and 23 MiB, which every other run
+(`evolve` included) would otherwise pay at `import cqdw.cli`.
 """
 
 from __future__ import annotations
@@ -66,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuation import StationaryProblem, StationaryState
-from .discretization import Grid
+from .discretization import Grid, potential_profile
 from .spectrum import LinearBasis
 
 DEFAULT_DT = 5e-3
@@ -82,18 +96,67 @@ class DynamicsError(RuntimeError):
     """Propagation aborted or a dynamics contract was violated."""
 
 
+class KineticInverse:
+    """(I + i dt/2 T)^-1 on the Dirichlet grid of n points, by its Green's function.
+
+    T = tridiag(-1/(2 dx^2), 1/dx^2, -1/(2 dx^2)) is the kinetic part of the
+    operator, so A = I + i dt/2 T = tridiag(e, d, e) is a constant Toeplitz
+    matrix with d = 1 + i dt/(2 dx^2) and e = -i dt/(4 dx^2). On the infinite
+    lattice its inverse is the convolution with g_k = rho^|k| / (e (rho - r)),
+    where r is the larger-modulus root of x^2 + (d/e) x + 1 = 0 and rho = 1/r
+    the smaller. rho is taken as 1/r because the small root itself,
+    (-b + sqrt(b^2 - 4))/2 with b = d/e, cancels: |b| grows as dt/dx^2
+    shrinks, and at dt/dx^2 = 1e-2 (1e-4) its taps miss the dense solve by
+    3e-14 (2e-12), where 1/r stays at rounding. |d| > 2|e|, so |rho| < 1 and
+    A is never singular. The taps are cut at
+    K = ceil(ln eps / ln|rho|), where they fall below the rounding of g_0
+    (K = 17 at dt/dx^2 = 1/2, K <= 24 under config.DT_SCALE_LIMIT).
+
+    The Dirichlet zeros sit at the ghost nodes 0 and n+1 of an odd
+    2(n+1)-periodic extension of the right-hand side: g is even, so the
+    convolution keeps that oddness and vanishes on the ghost nodes, which makes
+    its middle n values the Dirichlet solution. The extension is one gather,
+    whatever the reach, so it also holds on grids shorter than the filter.
+    """
+
+    def __init__(self, n: int, dx: float, dt: float):
+        dx2 = dx * dx
+        self.diagonal = 1.0 + 0.5j * dt * (1.0 / dx2)
+        self.off_diagonal = 0.5j * dt * (-0.5 / dx2)
+        b = self.diagonal / self.off_diagonal
+        root = np.sqrt(b * b - 4.0)
+        r = max((-b + root) / 2.0, (-b - root) / 2.0, key=abs)
+        rho = 1.0 / r
+        reach = math.ceil(math.log(np.finfo(float).eps) / math.log(abs(rho)))
+        powers = rho ** np.arange(reach + 1)
+        self.taps = np.concatenate((powers[:0:-1], powers)) / (self.off_diagonal * (rho - r))
+        # lattice node j of the extension, folded into one period [0, 2n+2)
+        j = np.arange(1 - reach, n + reach + 1) % (2 * n + 2)
+        self._source = np.where(j <= n, j - 1, 2 * n + 1 - j) % n
+        self._sign = np.where(j % (n + 1) == 0, 0.0, np.where(j <= n, 1.0, -1.0))
+        self._extended = np.empty(len(j), dtype=complex)
+
+    def apply(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs as a fresh array."""
+        np.take(rhs, self._source, out=self._extended)
+        np.multiply(self._extended, self._sign, out=self._extended)
+        return np.convolve(self._extended, self.taps, "valid")
+
+
 class EvolutionRun:
     """One accepted evolution, stepped as it is iterated.
 
     Iterating yields (t, psi, N) at each of `times`: the field on the grid (a
     fresh array, which the caller may keep) and the scheme's conserved
     discrete norm dx sum |psi|^2, whose drift |N(t) - N(0)|/N(0) <= 1e-8 is
-    checked before the sample is handed out. So the run holds one field and
-    the step's scratch, not its trajectory; a caller keeps what it reduces
-    each sample to. fixed_point_passes counts the midpoint passes (one
-    convolution and one tridiagonal solve each) over the steps taken so far,
-    max_passes_per_step the most that any one step took; once the samples run
-    out, both are the whole run's. A run is iterated once.
+    checked before the sample is handed out (the taps' rounding moves it by
+    about 1.6e-16 a step). So the run holds one field and the step's scratch,
+    not its trajectory; a caller keeps what it reduces each sample to.
+    fixed_point_passes counts the midpoint passes (one convolution for W and
+    one `KineticInverse` apply each, with V - mu + W on the right-hand side,
+    so each shrinks the gap by about (dt/2) max|V - mu + W|) over the steps
+    taken so far, max_passes_per_step the most that any one step took; once
+    the samples run out, both are the whole run's. A run is iterated once.
     """
 
     def __init__(self, problem: StationaryProblem, psi: np.ndarray, mu: float, dt: float,
@@ -104,27 +167,25 @@ class EvolutionRun:
 
     def __iter__(self):
         problem, psi, mu, dt, steps_per_frame = self._start
-        from scipy.linalg.lapack import zgtsv  # here, not at import: see the module docstring
-
         grid = problem.grid
         n = grid.n_points
-        diag0 = problem.operator.diagonal - mu
-        hop = 0.5j * dt * float(problem.operator.off_diagonal[0])
-        band = np.full(n - 1, hop)
-        half_dt_i = 0.5j * dt
+        inverse = KineticInverse(n, grid.spacing, dt)
+        v_minus_mu = potential_profile(grid, problem.potential) - mu
+        # I - i dt/2 T = tridiag(-e, 2 - d, -e), the conjugate of A's bands
+        explicit, hop = 2.0 - inverse.diagonal, inverse.off_diagonal
+        minus_dt_i = -1j * dt
 
         n0 = _invariant_norm(grid, psi)
         yield self.times[0], psi, n0
 
         # Scratch for the step, filled by the operations of the expression beside
         # each block in the same order, so the bits are the expressions'. The
-        # solve's result is a fresh array each pass: it becomes psi and history.
+        # inverse's result is a fresh array each pass: it becomes psi and history.
         start = np.empty(n, dtype=complex)  # the extrapolated psi_next
         work = np.empty(n, dtype=complex)
         base = np.empty(n, dtype=complex)
         mid = np.empty(n, dtype=complex)
-        d = np.empty(n, dtype=complex)
-        diag = np.empty(n, dtype=complex)
+        rhs = np.empty(n, dtype=complex)
         dens = np.empty(n)
         square = np.empty(n)
         magnitude = np.empty(n)
@@ -153,9 +214,9 @@ class EvolutionRun:
                     np.subtract(start, history[0], out=start)
                 else:
                     psi_next = psi
-                # psi - i dt/2 (hopping part of H) psi; the diagonal part is per pass
+                # base = (I - i dt/2 T) psi; the potential part is per pass
+                np.multiply(explicit, psi, out=base)
                 np.multiply(hop, psi, out=work)
-                base[:] = psi
                 base[:-1] -= work[1:]
                 base[1:] -= work[:-1]
                 for attempt in range(MAX_FIXED_POINT + 1):
@@ -165,20 +226,13 @@ class EvolutionRun:
                     np.multiply(mid.real, mid.real, out=dens)
                     np.multiply(mid.imag, mid.imag, out=square)
                     np.add(dens, square, out=dens)
-                    # d = i dt/2 times the diagonal of H_mid
+                    # rhs = base - i dt (V - mu + W(dens)) mid
                     potential = problem.nonlinear_potential_density(dens)
-                    np.add(diag0, potential, out=potential)
-                    np.multiply(half_dt_i, potential, out=d)
-                    np.add(1.0, d, out=diag)
-                    rhs = np.multiply(d, psi)
-                    np.subtract(base, rhs, out=rhs)  # base - d * psi
-                    _, _, _, cand, info = zgtsv(
-                        band, diag, band, rhs, overwrite_d=1, overwrite_b=1
-                    )
-                    if info != 0:
-                        raise DynamicsError(
-                            f"midpoint tridiagonal solve failed at t={t + dt:.4f} (zgtsv info={info})"
-                        )
+                    np.add(v_minus_mu, potential, out=potential)
+                    np.multiply(minus_dt_i, potential, out=rhs)
+                    np.multiply(rhs, mid, out=rhs)
+                    np.add(base, rhs, out=rhs)
+                    cand = inverse.apply(rhs)
                     np.subtract(cand, psi_next, out=work)
                     gap = float(np.abs(work, out=magnitude).max())
                     psi_next = cand

@@ -9,13 +9,13 @@ import csv
 import json
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 
 import cqdw.cli as cli_module
 from cqdw.cli import (
@@ -28,6 +28,7 @@ from cqdw.cli import (
     main,
 )
 from cqdw.config import RunConfig, ThermalConfig, config_hash, validate_config
+from cqdw.continuation import StationaryProblem
 from cqdw.discretization import GAUSSIAN, Kernel, PotentialParams, build_grid
 from cqdw.dynamics import MAX_FIXED_POINT
 from cqdw.overlaps import compute_overlaps
@@ -434,26 +435,28 @@ def test_evolve_failing_midway_exits_1_without_a_manifest(tmp_path, monkeypatch,
     """A DynamicsError partway through the run ends it with exit status 1 and
     the JSON diagnostic, and no manifest, while the density rows streamed
     before the failure stay in their CSV."""
-    real_zgtsv = scipy.linalg.lapack.zgtsv
-    calls = 0
+    real_potential = StationaryProblem.nonlinear_potential_density
+    passes = 0
 
-    def singular_after_300_solves(dl, d, du, b, **kwargs):
-        nonlocal calls
-        calls += 1
-        if calls > 300:
-            return dl, d, du, b, 2
-        return real_zgtsv(dl, d, du, b, **kwargs)
+    def non_finite_after_300_passes(self, density):
+        # counts the midpoint passes only, not the mu-walk's residuals
+        nonlocal passes
+        if sys._getframe(1).f_globals["__name__"] == "cqdw.dynamics":
+            passes += 1
+            if passes > 300:
+                return np.full_like(density, np.nan)
+        return real_potential(self, density)
 
-    # evolve imports zgtsv from scipy.linalg.lapack when it is iterated
-    monkeypatch.setattr(scipy.linalg.lapack, "zgtsv", singular_after_300_solves)
+    monkeypatch.setattr(StationaryProblem, "nonlinear_potential_density",
+                        non_finite_after_300_passes)
     cfg = _write(tmp_path / "c.json", TINY_EVOLVE)
     out = tmp_path / "ev"
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert set(err) == {"error", "message"}
     assert err["error"] == "DynamicsError"
-    assert re.fullmatch(r"midpoint tridiagonal solve failed at t=1\.\d{4} \(zgtsv info=2\)",
-                        err["message"]), err["message"]
+    assert re.fullmatch(r"midpoint iteration stalled at t=1\.\d{4} \(last update nan\); "
+                        r"reduce dt or the field amplitude", err["message"]), err["message"]
     assert not (out / "manifest.json").exists()
     assert not (out / "phase_mu0.15.csv").exists()
     density = _rows(out / "density_mu0.15.csv")

@@ -12,15 +12,21 @@ import numpy as np
 import pytest
 import scipy.linalg.lapack
 
+from cqdw.config import DT_SCALE_LIMIT
+from cqdw.continuation import StationaryProblem
 from cqdw.discretization import (
     ConvolutionPlan,
     Kernel,
+    PotentialParams,
+    potential_profile,
     reflect,
 )
 from cqdw.dynamics import (
     DEFAULT_DT,
+    FIXED_POINT_TOL,
     MAX_FIXED_POINT,
     DynamicsError,
+    KineticInverse,
     density_imbalance,
     evolve,
     growth_rate,
@@ -253,13 +259,55 @@ def test_tridiagonal_failure_names_the_time(breaking_runs, monkeypatch):
     entry, runs = breaking_runs
     state = runs[0.25]["state"]
 
-    def singular(dl, d, du, b, **_):
-        return dl, d, du, b, 2
+    def non_finite(self, density):
+        return np.full_like(density, np.nan)
 
-    # evolve imports zgtsv from scipy.linalg.lapack when it is called
-    monkeypatch.setattr(scipy.linalg.lapack, "zgtsv", singular)
-    with pytest.raises(DynamicsError, match=r"t=0\.0050"):
+    monkeypatch.setattr(StationaryProblem, "nonlinear_potential_density", non_finite)
+    with pytest.raises(DynamicsError, match=r"midpoint iteration stalled at t=0\.0050"):
         list(evolve(entry["problem"], state.psi.astype(complex), 0.25, 1.0))
+
+
+def dense_kinetic_matrix(n: int, dx: float, dt: float) -> np.ndarray:
+    """A = I + i dt/2 T with T = tridiag(-1/(2 dx^2), 1/dx^2, -1/(2 dx^2))."""
+    a = np.zeros((n, n), dtype=complex)
+    a.flat[:: n + 1] = 1.0 + 0.5j * dt / dx**2
+    a.flat[1:: n + 1] = a.flat[n:: n + 1] = -0.25j * dt / dx**2
+    return a
+
+
+@pytest.mark.parametrize("n, dt, taps", [
+    (401, DEFAULT_DT, 35),  # the default grid and step
+    (401, DT_SCALE_LIMIT * 0.1**2, 49),  # dt/dx^2 on the config's cap
+    (7, DEFAULT_DT, 35),  # the extension wraps the 16-node period more than twice
+    (401, 1e-3 * 0.1**2, 11),  # the direct small root would lose digits here
+])
+def test_kinetic_inverse_matches_the_dense_solve(n, dt, taps):
+    inverse = KineticInverse(n, 0.1, dt)
+    assert len(inverse.taps) == taps
+    rng = np.random.default_rng(11)
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = np.linalg.solve(dense_kinetic_matrix(n, 0.1, dt), rhs)
+    assert np.max(np.abs(inverse.apply(rhs) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_midpoint_step_with_a_frozen_potential_keeps_the_norm(grid):
+    """With V - mu frozen, the converged pass map is the Cayley step of a
+    Hermitian H, which is unitary: dx sum |psi|^2 holds to rounding."""
+    dt = DEFAULT_DT
+    inverse = KineticInverse(grid.n_points, grid.spacing, dt)
+    frozen = potential_profile(grid, PotentialParams()) - 0.25
+    x = grid.points
+    psi = np.exp(-((x - 2.0) ** 2)) * np.exp(1.5j * x)
+    base = (2.0 - inverse.diagonal) * psi
+    base[:-1] -= inverse.off_diagonal * psi[1:]
+    base[1:] -= inverse.off_diagonal * psi[:-1]
+    psi_next = psi
+    for _ in range(MAX_FIXED_POINT):
+        cand = inverse.apply(base - 1j * dt * frozen * 0.5 * (psi + psi_next))
+        gap, psi_next = np.max(np.abs(cand - psi_next)), cand
+    assert gap <= FIXED_POINT_TOL
+    n0 = np.sum(np.abs(psi) ** 2)
+    assert abs(np.sum(np.abs(psi_next) ** 2) - n0) <= 1e-14 * n0
 
 
 def test_non_finite_initial_field_aborts(branch_suite):

@@ -20,6 +20,8 @@ from cqdw.cli import RUNNERS
 from cqdw.config import RunConfig
 from cqdw.presets import PRESETS
 
+from test_cli import TINY_EVOLVE
+
 TESTS = Path(__file__).resolve().parent
 SOURCE = TESTS.parent / "src" / "cqdw"
 MODULES = sorted(SOURCE.glob("*.py"))
@@ -85,13 +87,27 @@ def keyword_names(tree: ast.AST) -> set[str]:
 
 def test_cli_import_loads_no_scipy():
     """`import cqdw.cli` loads no scipy module. scipy.linalg alone costs about
-    0.3 s and 24 MiB; only the tridiagonal solves of `evolve` and `thermal`
-    need it, and they import it when they run."""
+    0.3 s and 24 MiB; only the tridiagonal solve of `thermal` (dgtsv) needs
+    it, and it imports it when it runs."""
     code = "import sys, cqdw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]", done.stdout
+
+
+def test_evolve_run_loads_no_scipy(tmp_path):
+    """A whole `cqdw evolve` run loads no scipy module either: the midpoint
+    step inverts its kinetic part by a closed-form Green's function."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(TINY_EVOLVE))
+    code = ("import sys, cqdw.cli; status = cqdw.cli.main(sys.argv[1:]); "
+            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    argv = ["evolve", "--config", str(config), "--out", str(tmp_path / "ev")]
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []", done.stdout
 
 
 def import_time_modules(tree: ast.Module) -> list[str]:

@@ -53,7 +53,7 @@ def bdg_mid(entry01):
 def test_vacuum_spectrum_is_shifted_linear_spectrum(entry01, basis):
     problem = entry01["problem"]
     mu = 0.1
-    vacuum = make_state(problem, np.zeros(problem.grid.n_points), mu, 0)
+    vacuum = make_state(problem, np.zeros(problem.grid.n_points), mu, 0, 0.0)
     spectrum = solve_bdg(build_bdg(problem, vacuum))
     for omega_k in (basis.omega0, basis.omega1):
         target = 1j * (omega_k - mu)
@@ -110,7 +110,9 @@ def test_exchange_block_is_not_symmetric(bdg_mid):
 
 def test_build_requires_converged_state(entry01, basis):
     problem = entry01["problem"]
-    stray = make_state(problem, 0.5 * basis.u1, 0.2, 0)
+    stray_psi = 0.5 * basis.u1
+    stray = make_state(problem, stray_psi, 0.2, 0,
+                       float(np.max(np.abs(problem.residual(stray_psi, 0.2)))))
     assert stray.residual > 1e-10
     with pytest.raises(StabilityError, match="not converged"):
         build_bdg(problem, stray)
@@ -214,7 +216,7 @@ def test_phase_zero_mode_present(entry01, ssb_daughter):
 def parity_states(entry01, bdg_mid, ssb_daughter):
     """Operators at an even parent, an odd parent, the vacuum and a daughter."""
     problem = entry01["problem"]
-    vacuum = make_state(problem, np.zeros(problem.grid.n_points), 0.1, 0)
+    vacuum = make_state(problem, np.zeros(problem.grid.n_points), 0.1, 0, 0.0)
     return {"even": build_bdg(problem, nearest_state(entry01["sym"], 2.0)),
             "odd": bdg_mid[2],
             "vacuum": build_bdg(problem, vacuum),
