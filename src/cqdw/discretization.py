@@ -5,8 +5,8 @@ time propagation) lives on one uniform symmetric grid. Convolutions are
 zero-padded linear convolutions: the parabolic trap makes the problem
 non-periodic, so periodic wrap-around is never allowed. With zero padding the
 trapezoid rule on the whole line reduces to a plain dx-weighted sum, which is
-what the FFT route computes. That route is numpy.fft (the pocketfft C++ core
-that scipy.fft also wraps, from numpy 2.0) at an 11-smooth length.
+what the FFT route computes: numpy.fft (pocketfft's C++ core from numpy 2.0)
+at an 11-smooth length.
 
 A field on the grid is a plain 1-D array of its n_points values; the grid
 comes from the object that owns the field (a StationaryProblem or a
@@ -185,7 +185,7 @@ def kernel_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
 
 def _next_fast_len(target: int) -> int:
     """Smallest n >= target whose only prime factors are 2, 3, 5, 7 and 11,
-    the lengths pocketfft transforms fastest (scipy.fft.next_fast_len)."""
+    the lengths pocketfft transforms fastest."""
     n = target
     while True:
         m = n

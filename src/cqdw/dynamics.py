@@ -31,13 +31,15 @@ would move V - mu away from zero where psi lives and slow the passes. Near
 config.DT_SCALE_LIMIT on a coarse grid, where dt max V can approach 1, the
 factor nears 1/2; a step that has not met FIXED_POINT_TOL within
 MAX_FIXED_POINT passes then ends the run in the stall diagnostic, never in
-an unconverged step. The iteration starts from the cubic extrapolation
-4 psi_n - 6 psi_{n-1} + 4 psi_{n-2} - psi_{n-3} (psi_n, then the linear and
-the quadratic one, on the first three steps), whose O(dt^4) error leaves one
-pass per step where a start from psi_n needs four. The start only changes
-how soon the iteration meets FIXED_POINT_TOL, not the fixed point it
-converges to. Each run reports its pass count in fixed_point_passes and
-max_passes_per_step.
+an unconverged step; a pass whose update is not finite or beyond
+4 sqrt(N(0)/dx), twice what a unitary step can move a value, ends it at once
+in the divergence diagnostic, before the field can overflow. The iteration
+starts from the cubic extrapolation 4 psi_n - 6 psi_{n-1} + 4 psi_{n-2} -
+psi_{n-3} (psi_n, then the linear and the quadratic one, on the first three
+steps), whose O(dt^4) error leaves one pass per step where a start from
+psi_n needs four. The start only changes how soon the iteration meets
+FIXED_POINT_TOL, not the fixed point it converges to. Each run reports its
+pass count in fixed_point_passes and max_passes_per_step.
 
 `evolve` streams its samples: the run it returns steps as it is iterated and
 hands out (t, psi, N) at each sample time, keeping no trajectory. A caller
@@ -58,18 +60,13 @@ random walk: about 1.6e-16 per step on the default grid (4.8e-12 over
 30,000 steps), still 2,000 times below the 1e-8 guard.
 
 The screened-Poisson helper inverts (1 - d d^2/dx^2) with decaying boundary
-conditions by one real tridiagonal solve (LAPACK dgtsv). The three-point
-stencil is exponentially fitted: for the sampled unit-mass exponential
-kernel the discrete Green's function is a geometric sequence, so the fitted
-tridiagonal solve reproduces the quadrature convolution identically instead
-of to O(dx^2). The corner rows close the system with the exact decay ratio
-of that sequence, which is what "decaying boundary conditions" means on a
-finite grid.
-
-That solve is the package's only use of scipy: `solve_screened_poisson`
-imports dgtsv from scipy.linalg.lapack when it runs, because loading
-scipy.linalg costs about 0.2 s and 23 MiB, which every other run
-(`evolve` included) would otherwise pay at `import cqdw.cli`.
+conditions by one real tridiagonal solve, the doublet's L D L^T substitution
+(`spectrum.solve_tridiagonal`). The three-point stencil is exponentially
+fitted: for the sampled unit-mass exponential kernel the discrete Green's
+function is a geometric sequence, so the fitted tridiagonal solve reproduces
+the quadrature convolution identically instead of to O(dx^2). The corner
+rows close the system with the exact decay ratio of that sequence, which is
+what "decaying boundary conditions" means on a finite grid.
 """
 
 from __future__ import annotations
@@ -81,7 +78,7 @@ import numpy as np
 
 from .continuation import StationaryProblem, StationaryState
 from .discretization import Grid, potential_profile
-from .spectrum import LinearBasis
+from .spectrum import LinearBasis, solve_tridiagonal
 
 DEFAULT_DT = 5e-3
 SNAPSHOT_DT = 1.0
@@ -149,14 +146,11 @@ class EvolutionRun:
     Iterating yields (t, psi, N) at each of `times`: the field on the grid (a
     fresh array, which the caller may keep) and the scheme's conserved
     discrete norm dx sum |psi|^2, whose drift |N(t) - N(0)|/N(0) <= 1e-8 is
-    checked before the sample is handed out (the taps' rounding moves it by
-    about 1.6e-16 a step). So the run holds one field and the step's scratch,
-    not its trajectory; a caller keeps what it reduces each sample to.
-    fixed_point_passes counts the midpoint passes (one convolution for W and
-    one `KineticInverse` apply each, with V - mu + W on the right-hand side,
-    so each shrinks the gap by about (dt/2) max|V - mu + W|) over the steps
-    taken so far, max_passes_per_step the most that any one step took; once
-    the samples run out, both are the whole run's. A run is iterated once.
+    checked before the sample is handed out. So the run holds one field and
+    the step's scratch, not its trajectory; a caller keeps what it reduces
+    each sample to. fixed_point_passes counts the midpoint passes over the
+    steps taken so far, max_passes_per_step the most that any one step took;
+    once the samples run out, both are the whole run's. A run is iterated once.
     """
 
     def __init__(self, problem: StationaryProblem, psi: np.ndarray, mu: float, dt: float,
@@ -176,6 +170,7 @@ class EvolutionRun:
         minus_dt_i = -1j * dt
 
         n0 = _invariant_norm(grid, psi)
+        reach = 4.0 * math.sqrt(n0 / grid.spacing)  # the module docstring's divergence bound
         yield self.times[0], psi, n0
 
         # Scratch for the step, filled by the operations of the expression beside
@@ -235,6 +230,11 @@ class EvolutionRun:
                     cand = inverse.apply(rhs)
                     np.subtract(cand, psi_next, out=work)
                     gap = float(np.abs(work, out=magnitude).max())
+                    if not gap <= reach:
+                        raise DynamicsError(
+                            f"midpoint iteration diverged at t={t + dt:.4f}, pass {attempt + 1}: "
+                            f"update {gap:.3e} beyond {reach:.3e} = 4 sqrt(N(0)/dx); "
+                            "reduce dt or the field amplitude")
                     psi_next = cand
                     # gap <= TOL * max(1, max|cand|), taking max|cand| only when gap > TOL
                     if gap <= FIXED_POINT_TOL or gap <= FIXED_POINT_TOL * float(
@@ -250,8 +250,6 @@ class EvolutionRun:
                 history = [psi, *history[:2]]
                 psi = psi_next
                 t += dt
-            if not np.all(np.isfinite(psi.view(float))):
-                raise DynamicsError(f"non-finite field detected at t={t:.4f}")
             n_t = _invariant_norm(grid, psi)
             if abs(n_t - n0) > NORM_DRIFT_TOL * max(n0, 1e-300):
                 raise DynamicsError(
@@ -301,8 +299,8 @@ def evolve(
     dt, snapshot_dt and t_end are the config's, whose rules (including the
     step-size cap config.DT_SCALE_LIMIT) `validate_config` checks. A
     misshapen or non-finite initial field is rejected here; a relative norm
-    drift beyond 1e-8, a non-finite field, or a stalled midpoint iteration
-    aborts the iteration with diagnostics before the sample it would spoil.
+    drift beyond 1e-8, or a stalled or diverging (non-finite included) midpoint
+    iteration aborts the run with diagnostics before the sample it would spoil.
     """
     grid = problem.grid
     steps_per_frame = int(round(snapshot_dt / dt))
@@ -413,26 +411,21 @@ def solve_screened_poisson(
 ) -> np.ndarray:
     """Saturable absorption profile m from m - d m_xx = sigma0 (I - I^2).
 
-    `intensity` is the beam intensity I = |u|^2 on the grid. The
-    tridiagonal stencil is exponentially fitted to the kernel range sqrt(d)
-    and closed with decaying corner rows, so the result coincides with the
-    quadrature convolution of the source against the unit-mass exponential
-    kernel (the Green's function of the continuum operator) to rounding.
+    `intensity` is the beam intensity I = |u|^2 on the grid. The stencil
+    tridiag(-1, r + 1/r, -1), r = exp(-dx/sqrt(d)), is exponentially fitted to
+    the kernel range sqrt(d) and closed by the decaying corners 1/r, so the
+    result coincides with the quadrature convolution of the source against
+    the unit-mass exponential kernel (the Green's function of the continuum
+    operator) to rounding. r < 1, so every L D L^T pivot is >= 1/r - r > 0
+    and the solve cannot fail.
     """
     intensity = np.asarray(intensity, dtype=float)
     if intensity.shape != (grid.n_points,):
         raise DynamicsError(f"intensity has shape {intensity.shape}, expected ({grid.n_points},)")
     source = sigma0 * (intensity - intensity**2)
-    from scipy.linalg.lapack import dgtsv  # here, not at import: see the module docstring
-
     ell = math.sqrt(d)
     ratio = math.exp(-grid.spacing / ell)  # decay of the discrete Green's sequence
-    diag = np.full(grid.n_points, ratio + 1.0 / ratio)
-    diag[0] -= ratio
-    diag[-1] -= ratio
-    band = np.full(grid.n_points - 1, -1.0)
+    diag = [ratio + 1.0 / ratio] * grid.n_points
+    diag[0] = diag[-1] = diag[0] - ratio
     rhs = (grid.spacing / (2.0 * ell)) * (1.0 / ratio - ratio) * source
-    _, _, _, m, info = dgtsv(band, diag, band, rhs, overwrite_d=1, overwrite_b=1)
-    if info != 0:
-        raise DynamicsError(f"screened-Poisson tridiagonal solve failed (dgtsv info={info})")
-    return m
+    return np.array(solve_tridiagonal(diag, [-1.0] * (grid.n_points - 1), rhs.tolist()))

@@ -79,13 +79,31 @@ def _sturm_count(diag: list, off_sq: list, x: float, pivmin: float) -> int:
     return count
 
 
+def solve_tridiagonal(diag: list, off: list, rhs: list) -> list:
+    """x with T x = rhs for the symmetric tridiagonal T = (diag, off): T = L D L^T
+    by the pivots q_i = diag_i - off_{i-1}^2 / q_{i-1}, unpivoted, so none may be
+    zero; then L y = rhs, D z = y and L^T x = z, in scalar Python."""
+    pivots, q = [], 1.0
+    for a, b in zip(diag, [0.0, *off]):
+        q = a - b * b / q
+        pivots.append(q)
+    ratios = [b / q for b, q in zip(off, pivots)]
+    x = list(rhs)
+    for i in range(1, len(x)):  # L y = rhs
+        x[i] -= ratios[i - 1] * x[i - 1]
+    x = [y / q for y, q in zip(x, pivots)]  # D z = y
+    for i in range(len(x) - 2, -1, -1):  # L^T x = z
+        x[i] -= ratios[i] * x[i + 1]
+    return x
+
+
 def _ground_pair(diag: list, off: list) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a tridiagonal matrix with simple eigenvalues.
 
     It is bisected on `_sturm_count` to adjacent floats lo < hi (Barth,
     Martin and Wilkinson 1967); its vector takes three inverse-iteration sweeps
-    through the L D L^T pivots at lo, which need no pivoting: _sturm_count
-    finds none below pivmin. Its eigenvalue is the Rayleigh quotient."""
+    of `solve_tridiagonal` on T - lo, whose pivots _sturm_count finds all at
+    least pivmin at lo, so none is zero. Its eigenvalue is the Rayleigh quotient."""
     off_sq = [0.0] + [b * b for b in off]
     pivmin = sys.float_info.min * max(off_sq + [1.0])
     pad = 2 * max(map(abs, off), default=0.0) + 1.0  # past the Gershgorin discs
@@ -95,18 +113,9 @@ def _ground_pair(diag: list, off: list) -> tuple[float, np.ndarray]:
             hi = mid
         else:
             lo = mid
-    pivots, q = [], 1.0  # those _sturm_count(diag, off_sq, lo, pivmin) tests: all >= pivmin
-    for a, b2 in zip(diag, off_sq):
-        q = a - lo - b2 / q
-        pivots.append(q)
-    ratios = [b / q for b, q in zip(off, pivots)]
     v = [1.0] * len(diag)
     for _ in range(3):
-        for i in range(1, len(v)):  # L y = v
-            v[i] -= ratios[i - 1] * v[i - 1]
-        v = [y / q for y, q in zip(v, pivots)]  # D z = y
-        for i in range(len(v) - 2, -1, -1):  # L^T x = z
-            v[i] -= ratios[i] * v[i + 1]
+        v = solve_tridiagonal([a - lo for a in diag], off, v)
         size = math.sqrt(math.fsum(x * x for x in v))
         v = [x / size for x in v]
     v = np.array(v)

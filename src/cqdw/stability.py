@@ -198,9 +198,9 @@ def build_bdg(problem: StationaryProblem, state: StationaryState) -> BdGOperator
     two sectors.  psi0 is deflated where it lives: in the parent sector, the
     first form, or on the whole grid when it has no parity.
     """
-    if state.residual > CONVERGED_RESIDUAL:
+    if not state.residual <= CONVERGED_RESIDUAL:  # a NaN residual fails too
         raise StabilityError(
-            f"state is not converged: residual {state.residual:.3e} exceeds "
+            f"state is not converged: residual {state.residual:.3e} is not within "
             f"{CONVERGED_RESIDUAL:.1e}")
     state = _polish(problem, state)
     symmetry = classify_symmetry(problem.grid, state.psi)

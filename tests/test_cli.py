@@ -455,8 +455,9 @@ def test_evolve_failing_midway_exits_1_without_a_manifest(tmp_path, monkeypatch,
     err = json.loads(capsys.readouterr().err)
     assert set(err) == {"error", "message"}
     assert err["error"] == "DynamicsError"
-    assert re.fullmatch(r"midpoint iteration stalled at t=1\.\d{4} \(last update nan\); "
-                        r"reduce dt or the field amplitude", err["message"]), err["message"]
+    assert re.fullmatch(r"midpoint iteration diverged at t=1\.\d{4}, pass 1: update nan "
+                        r"beyond \S+ = 4 sqrt\(N\(0\)/dx\); reduce dt or the field amplitude",
+                        err["message"]), err["message"]
     assert not (out / "manifest.json").exists()
     assert not (out / "phase_mu0.15.csv").exists()
     density = _rows(out / "density_mu0.15.csv")

@@ -10,14 +10,15 @@ two-mode residual share that roughly quadruples through the breaking.
 import math
 import numpy as np
 import pytest
-import scipy.linalg.lapack
+from scipy.linalg import solve_banded
 
-from cqdw.config import DT_SCALE_LIMIT
+from cqdw.config import DT_SCALE_LIMIT, RunConfig
 from cqdw.continuation import StationaryProblem
 from cqdw.discretization import (
     ConvolutionPlan,
     Kernel,
     PotentialParams,
+    build_grid,
     potential_profile,
     reflect,
 )
@@ -255,7 +256,7 @@ def test_each_start_of_the_ramp_matches_single_steps(breaking_runs, collect, ste
     assert np.max(np.abs(whole.snapshots[-1] - psi)) <= 1e-11
 
 
-def test_tridiagonal_failure_names_the_time(breaking_runs, monkeypatch):
+def test_non_finite_update_names_the_time_and_pass(breaking_runs, monkeypatch):
     entry, runs = breaking_runs
     state = runs[0.25]["state"]
 
@@ -263,7 +264,8 @@ def test_tridiagonal_failure_names_the_time(breaking_runs, monkeypatch):
         return np.full_like(density, np.nan)
 
     monkeypatch.setattr(StationaryProblem, "nonlinear_potential_density", non_finite)
-    with pytest.raises(DynamicsError, match=r"midpoint iteration stalled at t=0\.0050"):
+    with pytest.raises(DynamicsError,
+                       match=r"midpoint iteration diverged at t=0\.0050, pass 1: update nan "):
         list(evolve(entry["problem"], state.psi.astype(complex), 0.25, 1.0))
 
 
@@ -319,10 +321,13 @@ def test_non_finite_initial_field_aborts(branch_suite):
 
 
 def test_runaway_amplitude_aborts(breaking_runs):
-    """A field far outside the scheme's reach stalls the midpoint iteration."""
+    """A field far outside the scheme's reach diverges on the first pass, whose
+    update (about 2.6e24) no unitary step comes near; the step ends there,
+    before the density can overflow."""
     entry, runs = breaking_runs
     state = runs[0.19]["state"]
-    with pytest.raises(DynamicsError, match="stalled"):
+    with pytest.raises(DynamicsError, match=r"midpoint iteration diverged at t=0\.0050, "
+                                            r"pass 1: update \d\.\d{3}e\+\d+ beyond "):
         list(evolve(entry["problem"], (1e6 * state.psi).astype(complex), 0.19, 1.0))
 
 
@@ -384,13 +389,25 @@ def test_screened_poisson_edge_cases(grid):
         solve_screened_poisson(grid, np.zeros(grid.n_points - 1), 0.3, 1.0)
 
 
-def test_screened_poisson_solve_failure_is_reported(grid, monkeypatch):
-    def singular(dl, d, du, b, **_):
-        return dl, d, du, b, 3
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", singular)
-    with pytest.raises(DynamicsError, match=r"dgtsv info=3"):
-        solve_screened_poisson(grid, np.zeros(grid.n_points), 0.3, 1.0)
+def test_screened_poisson_matches_the_banded_solve():
+    """On thermal-check's systems (the default medium, the beam and the five
+    sources drawn from the default seed) the L D L^T substitution meets scipy's
+    banded LU of the same fitted matrix to rounding."""
+    config = RunConfig()
+    grid = build_grid(config.grid.half_width, config.grid.spacing)
+    d, sigma0, n = config.thermal.d, config.thermal.sigma0, grid.n_points
+    ratio = math.exp(-grid.spacing / math.sqrt(d))
+    bands = np.full((3, n), -1.0)
+    bands[1] = ratio + 1.0 / ratio
+    bands[1, [0, -1]] = 1.0 / ratio
+    rng = np.random.default_rng(config.seed)
+    beam = (0.8 * np.exp(-grid.points**2)) ** 2
+    for intensity in [beam] + [rng.uniform(0.0, 1.0, n) for _ in range(5)]:
+        rhs = grid.spacing / (2.0 * math.sqrt(d)) * (1.0 / ratio - ratio) * sigma0 * (
+            intensity - intensity**2)
+        ref = solve_banded((1, 1), bands, rhs)
+        m = solve_screened_poisson(grid, intensity, d, sigma0)
+        assert np.max(np.abs(m - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_density_imbalance_conventions(grid, basis):

@@ -20,8 +20,6 @@ from cqdw.cli import RUNNERS
 from cqdw.config import RunConfig
 from cqdw.presets import PRESETS
 
-from test_cli import TINY_EVOLVE
-
 TESTS = Path(__file__).resolve().parent
 SOURCE = TESTS.parent / "src" / "cqdw"
 MODULES = sorted(SOURCE.glob("*.py"))
@@ -85,53 +83,29 @@ def keyword_names(tree: ast.AST) -> set[str]:
             for kw in node.keywords if kw.arg is not None}
 
 
-def test_cli_import_loads_no_scipy():
-    """`import cqdw.cli` loads no scipy module. scipy.linalg alone costs about
-    0.3 s and 24 MiB; only the tridiagonal solve of `thermal` (dgtsv) needs
-    it, and it imports it when it runs."""
-    code = "import sys, cqdw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]", done.stdout
-
-
-def test_evolve_run_loads_no_scipy(tmp_path):
-    """A whole `cqdw evolve` run loads no scipy module either: the midpoint
-    step inverts its kinetic part by a closed-form Green's function."""
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps(TINY_EVOLVE))
+def test_thermal_run_loads_no_scipy(tmp_path):
+    """A whole `cqdw thermal` run, the last one that used scipy (LAPACK dgtsv),
+    loads no scipy module: its tridiagonal solve is `spectrum.solve_tridiagonal`."""
     code = ("import sys, cqdw.cli; status = cqdw.cli.main(sys.argv[1:]); "
             "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    argv = ["evolve", "--config", str(config), "--out", str(tmp_path / "ev")]
+    argv = ["thermal", "--out", str(tmp_path / "th")]
     env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "0 []", done.stdout
 
 
-def import_time_modules(tree: ast.Module) -> list[str]:
-    """Modules a file imports when it loads: every import outside a function
-    body (class bodies and `if`/`try` blocks run at import too)."""
-    found, stack = [], list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Import):
-            found.extend(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found.append(node.module)
-        stack.extend(ast.iter_child_nodes(node))
-    return found
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_level_scipy_import(path):
-    """A scipy import runs inside the function that needs it, never when a
-    cqdw module loads, whichever module imports it."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    scipy = [m for m in import_time_modules(tree) if m.split(".")[0] == "scipy"]
+    """No cqdw module imports scipy at any depth, at module level or inside a
+    function: numpy is the package's only runtime dependency."""
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append(node.module)
+    scipy = [m for m in imported if m.split(".")[0] == "scipy"]
     assert not scipy, f"{path.name}: {scipy}"
 
 

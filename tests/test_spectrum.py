@@ -12,6 +12,7 @@ from cqdw.spectrum import (
     discretize_operator,
     lowest_eigenpairs,
     rotated_basis,
+    solve_tridiagonal,
 )
 
 # Doublet of the default well on the default grid, frozen from this code
@@ -163,6 +164,20 @@ def test_deep_barrier_doublet_matches_the_tridiagonal_eigensolver(grid):
     assert abs(basis.omega1 - ref.omega1) <= 1e-13
     assert np.max(np.abs(basis.u0 - ref.u0)) <= 1e-12
     assert np.max(np.abs(basis.u1 - ref.u1)) <= 1e-12
+
+
+def test_tridiagonal_solve_matches_the_dense_solve():
+    """On a random strictly diagonally dominant tridiagonal of either sign every
+    L D L^T pivot has |q| >= 1, so the substitution meets numpy's LU."""
+    rng = np.random.default_rng(23)
+    n = 60
+    diag = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    rhs = rng.standard_normal(n)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    ref = np.linalg.solve(dense, rhs)
+    x = np.array(solve_tridiagonal(diag.tolist(), off.tolist(), rhs.tolist()))
+    assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_basis_allocates_less_than_one_grid_square_matrix(grid):

@@ -118,6 +118,15 @@ def test_build_requires_converged_state(entry01, basis):
         build_bdg(problem, stray)
 
 
+def test_build_refuses_a_nan_residual(entry01, basis):
+    """A NaN residual fails the convergence guard, which names it, rather than
+    reaching the eigensolver."""
+    problem = entry01["problem"]
+    state = make_state(problem, 0.5 * basis.u1, 0.2, 0, float("nan"))
+    with pytest.raises(StabilityError, match="not converged: residual nan "):
+        build_bdg(problem, state)
+
+
 def test_linearization_matches_symbolic_toy_grid():
     # Independent derivation on a 5-point grid: substitute
     # psi = p + a e^{Lt} + conj(b) e^{conj(L)t} into the discrete flow with
