@@ -12,8 +12,14 @@ and `continue_branch` reads its window from the `scan` section. No field
 sets the way a branch is traced: it leaves its seed the way the cubic sign
 `interaction.s` moves mu.
 
-`validate_config` is the one gate for input rules: each rule on a config
-field is stated there once, and every run passes through it. The library's
+`validate_config` is the one gate for input rules, and every run passes
+through it. Each rule is stated once. A rule on a field's own value (must be
+positive, >= 0, +1 or -1, one of a list, at least 2, not empty) sits beside
+the field as its metadata (`discretization.field_rule`), and one loop of the
+gate emits those messages; a rule that reads a value against another field
+(the grid's whole multiple, the ordered pairs, the dt cap, the cadences, the
+families and the file tags) is code in the gate, as is the seed rule. The
+parser takes each field's JSON type from its annotation. The library's
 constructors and solvers assume validated values; they check only solver
 state and values they compute themselves, apart from the guards that
 `build_grid` and `Kernel` keep for direct library callers.
@@ -24,19 +30,37 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
-from .discretization import PotentialParams, whole_multiple
+from .discretization import (
+    KERNEL_FAMILIES,
+    NON_NEGATIVE,
+    POSITIVE,
+    PotentialParams,
+    field_rule,
+    whole_multiple,
+)
 
-KERNEL_CHOICES = ("gaussian", "exponential")
 FAMILY_CHOICES = ("sym", "anti")
-PERTURBATION_CHOICES = ("eigenvector", "random", "none")
 
 # Hard cap on dt * (max V + 1/dx^2), the largest diagonal entry of the
 # discrete Hamiltonian. The accuracy guideline is 0.5 (the default dt sits
 # right at it); beyond twice that the midpoint rule of `evolve` is stable but
 # no longer resolves the fastest retained mode, so the config is rejected.
 DT_SCALE_LIMIT = 1.0
+
+# The templated rules beside POSITIVE and NON_NEGATIVE (see `field_rule`).
+SIGN = field_rule(lambda v: v in (-1, 1), "must be +1 or -1, got {}")
+AT_LEAST_TWO = field_rule(lambda v: v >= 2, "need at least 2, got {}")
+
+
+def _one_of(choices: tuple) -> dict:
+    return field_rule(lambda v: v in choices, f"expected one of {choices}, got {{!r}}")
+
+
+def _required(what: str) -> dict:
+    return field_rule(bool, f"at least one {what} is required")
 
 
 class ConfigError(ValueError):
@@ -49,18 +73,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GridConfig:
-    half_width: float = 20.0
-    spacing: float = 0.1
+    half_width: float = field(default=20.0, metadata=POSITIVE)
+    spacing: float = field(default=0.1, metadata=POSITIVE)
 
 
 @dataclass(frozen=True)
 class InteractionConfig:
     """The one kernel R of the cubic and quintic terms, plus the (s, delta) signs."""
 
-    family: str = "gaussian"
-    sigma: float = 1.0
-    s: int = 1
-    delta: int = -1
+    family: str = field(default="gaussian", metadata=_one_of(KERNEL_FAMILIES))
+    sigma: float = field(default=1.0, metadata=POSITIVE)
+    s: int = field(default=1, metadata=SIGN)
+    delta: int = field(default=-1, metadata=SIGN)
 
 
 @dataclass(frozen=True)
@@ -69,8 +93,8 @@ class ScanConfig:
 
     mu_min: float = 0.10
     mu_max: float = 0.45
-    norm_cap: float = 6.0
-    families: tuple[str, ...] = ("sym", "anti")
+    norm_cap: float = field(default=6.0, metadata=POSITIVE)
+    families: tuple[str, ...] = field(default=("sym", "anti"), metadata=_required("of sym/anti"))
 
 
 @dataclass(frozen=True)
@@ -79,36 +103,39 @@ class TwoModeConfig:
 
     n_min: float = 0.02
     n_max: float = 6.0
-    n_count: int = 120
-    portrait_norms: tuple[float, ...] = (5.0,)
-    portrait_t_end: float = 400.0
+    n_count: int = field(default=120, metadata=AT_LEAST_TWO)
+    portrait_norms: tuple[float, ...] = field(default=(5.0,), metadata=field_rule(
+        lambda v: v > 0, "norms must be positive, got {}", each=True))
+    portrait_t_end: float = field(default=400.0, metadata=POSITIVE)
     sigma_min: float = 0.2
     sigma_max: float = 12.0
-    sigma_count: int = 60
+    sigma_count: int = field(default=60, metadata=AT_LEAST_TWO)
 
 
 @dataclass(frozen=True)
 class OverlapsConfig:
     sigma_min: float = 0.1
     sigma_max: float = 16.0
-    count: int = 65
+    count: int = field(default=65, metadata=AT_LEAST_TWO)
 
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    mu_list: tuple[float, ...] = (0.19, 0.25)
-    family: str = "anti"
-    t_end: float = 300.0
-    dt: float = 5e-3
-    snapshot_dt: float = 1.0
-    phase_dt: float = 0.2
-    perturbation: str = "eigenvector"
-    amplitude: float = 1e-3
+    mu_list: tuple[float, ...] = field(default=(0.19, 0.25),
+                                       metadata=_required("chemical potential"))
+    family: str = field(default="anti", metadata=_one_of(FAMILY_CHOICES))
+    t_end: float = field(default=300.0, metadata=POSITIVE)
+    dt: float = field(default=5e-3, metadata=POSITIVE)
+    snapshot_dt: float = field(default=1.0, metadata=POSITIVE)
+    phase_dt: float = field(default=0.2, metadata=POSITIVE)
+    perturbation: str = field(default="eigenvector",
+                              metadata=_one_of(("eigenvector", "random", "none")))
+    amplitude: float = field(default=1e-3, metadata=NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
 class ThermalConfig:
-    d: float = 0.25
+    d: float = field(default=0.25, metadata=POSITIVE)
     sigma0: float = 1.0
 
 
@@ -125,11 +152,6 @@ class RunConfig:
     seed: int = 0
 
 
-def _declared(field_obj) -> str:
-    t = field_obj.type
-    return t if isinstance(t, str) else getattr(t, "__name__", str(t))
-
-
 def _finite_number(raw) -> bool:
     """A JSON number with a finite float value; JSON's NaN and Infinity, and
     integers too large for a float, are not."""
@@ -141,45 +163,45 @@ def _finite_number(raw) -> bool:
         return False
 
 
+# The JSON values that each leaf type takes: the test, the noun of one value
+# and the plural of a list's entries.
+_LEAF_TYPES = {
+    float: (_finite_number, "a finite number", "finite numbers"),
+    int: (lambda raw: isinstance(raw, int) and not isinstance(raw, bool), "an integer", "integers"),
+    str: (lambda raw: isinstance(raw, str), "a string", "strings"),
+}
+
+
 def _build_section(cls, data, prefix, problems):
-    """Dataclass from a dict, collecting every fault instead of raising."""
-    known = {f.name: f for f in fields(cls)}
+    """Dataclass from a dict, collecting every fault instead of raising. Each
+    field is tested against its resolved annotation: a section, a tuple of
+    one leaf type, or a leaf type."""
+    hints = get_type_hints(cls)
     kwargs = {}
     for key, raw in data.items():
-        if key not in known:
-            problems.append(f"{prefix}{key}: unknown field")
-            continue
-        declared = _declared(known[key])
-        if known[key].default_factory is not MISSING:  # a section
-            if not isinstance(raw, dict):
-                problems.append(f"{prefix}{key}: expected an object")
-                continue
-            kwargs[key] = _build_section(known[key].default_factory, raw, f"{prefix}{key}.", problems)
-        elif declared.startswith("tuple"):
+        path, hint = f"{prefix}{key}", hints.get(key)
+        if hint is None:
+            problems.append(f"{path}: unknown field")
+        elif is_dataclass(hint):
+            if isinstance(raw, dict):
+                kwargs[key] = _build_section(hint, raw, f"{path}.", problems)
+            else:
+                problems.append(f"{path}: expected an object")
+        elif get_origin(hint) is tuple:
+            item = get_args(hint)[0]
+            accepts, _, entries = _LEAF_TYPES[item]
             if not isinstance(raw, (list, tuple)):
-                problems.append(f"{prefix}{key}: expected a list")
-                continue
-            if "str" in declared and not all(isinstance(v, str) for v in raw):
-                problems.append(f"{prefix}{key}: expected a list of strings")
-            elif "float" in declared and not all(_finite_number(v) for v in raw):
-                problems.append(f"{prefix}{key}: expected a list of finite numbers")
+                problems.append(f"{path}: expected a list")
+            elif not all(map(accepts, raw)):
+                problems.append(f"{path}: expected a list of {entries}")
             else:
-                kwargs[key] = tuple(float(v) if "float" in declared else v for v in raw)
-        elif declared == "float":
-            if not _finite_number(raw):
-                problems.append(f"{prefix}{key}: expected a finite number, got {raw!r}")
-            else:
-                kwargs[key] = float(raw)
-        elif declared == "int":
-            if isinstance(raw, bool) or not isinstance(raw, int):
-                problems.append(f"{prefix}{key}: expected an integer, got {raw!r}")
-            else:
-                kwargs[key] = raw
+                kwargs[key] = tuple(map(item, raw))
         else:
-            if not isinstance(raw, str):
-                problems.append(f"{prefix}{key}: expected a string, got {raw!r}")
+            accepts, noun, _ = _LEAF_TYPES[hint]
+            if accepts(raw):
+                kwargs[key] = hint(raw)
             else:
-                kwargs[key] = raw
+                problems.append(f"{path}: expected {noun}, got {raw!r}")
     return cls(**kwargs)
 
 
@@ -237,75 +259,39 @@ def _peak_potential(grid: GridConfig, potential: PotentialParams) -> float:
 
 
 def validate_config(config: RunConfig) -> list[str]:
-    """All violated fields, empty when the configuration is sound."""
+    """All violated fields, empty when the configuration is sound: first the
+    templated rule that a field carries in its metadata, in declaration
+    order, then the rules stated below as code."""
     p: list[str] = []
-    g = config.grid
-    if not g.half_width > 0:
-        p.append(f"grid.half_width: must be positive, got {g.half_width}")
-    if not g.spacing > 0:
-        p.append(f"grid.spacing: must be positive, got {g.spacing}")
-    elif g.half_width > 0 and not whole_multiple(g.half_width, g.spacing):
+    for section in fields(config):
+        node = getattr(config, section.name)
+        for leaf in fields(node) if is_dataclass(node) else ():
+            if "rule" in leaf.metadata:
+                test, says, each = leaf.metadata["rule"]
+                value = getattr(node, leaf.name)
+                p += [f"{section.name}.{leaf.name}: {says.format(v)}"
+                      for v in (value if each else [value]) if not test(v)]
+    g, v, sc, tm, ov, dy = (config.grid, config.potential, config.scan, config.twomode,
+                            config.overlaps, config.dynamics)
+    if g.half_width > 0 and g.spacing > 0 and not whole_multiple(g.half_width, g.spacing):
         p.append("grid.half_width: must be a whole multiple of grid.spacing")
-    v = config.potential
-    if not v.barrier_width > 0:
-        p.append(f"potential.barrier_width: must be positive, got {v.barrier_width}")
-    if v.trap_frequency < 0:
-        p.append(f"potential.trap_frequency: must be >= 0, got {v.trap_frequency}")
-    if v.barrier_height < 0:
-        p.append(f"potential.barrier_height: must be >= 0, got {v.barrier_height}")
-    box_sound = not p  # the dt rule below reads the grid and the potential
-    i = config.interaction
-    if i.family not in KERNEL_CHOICES:
-        p.append(f"interaction.family: expected one of {KERNEL_CHOICES}, got {i.family!r}")
-    if not i.sigma > 0:
-        p.append(f"interaction.sigma: must be positive, got {i.sigma}")
-    if i.s not in (-1, 1):
-        p.append(f"interaction.s: must be +1 or -1, got {i.s}")
-    if i.delta not in (-1, 1):
-        p.append(f"interaction.delta: must be +1 or -1, got {i.delta}")
-    sc = config.scan
+    box_sound = not any(m.startswith(("grid.", "potential.")) for m in p)  # read by the dt cap
     if not sc.mu_min < sc.mu_max:
         p.append(f"scan.mu_min: window is empty ({sc.mu_min} >= {sc.mu_max})")
-    if not sc.norm_cap > 0:
-        p.append(f"scan.norm_cap: must be positive, got {sc.norm_cap}")
-    if not sc.families:
-        p.append("scan.families: at least one of sym/anti is required")
     for k, fam in enumerate(sc.families):
         if fam not in FAMILY_CHOICES:
             p.append(f"scan.families: unknown family {fam!r}")
         elif fam in sc.families[:k]:
             p.append(f"scan.families: family {fam!r} is listed twice")
-    tm = config.twomode
     if not 0 < tm.n_min < tm.n_max:
         p.append(f"twomode.n_min: need 0 < n_min < n_max, got {tm.n_min}, {tm.n_max}")
-    if tm.n_count < 2:
-        p.append(f"twomode.n_count: need at least 2, got {tm.n_count}")
     if not 0 < tm.sigma_min < tm.sigma_max:
         p.append(f"twomode.sigma_min: need 0 < sigma_min < sigma_max, got {tm.sigma_min}, {tm.sigma_max}")
-    if tm.sigma_count < 2:
-        p.append(f"twomode.sigma_count: need at least 2, got {tm.sigma_count}")
-    for norm in tm.portrait_norms:
-        if not norm > 0:
-            p.append(f"twomode.portrait_norms: norms must be positive, got {norm}")
     p.extend(_tag_clashes("twomode.portrait_norms", "N", tm.portrait_norms))
-    if not tm.portrait_t_end > 0:
-        p.append(f"twomode.portrait_t_end: must be positive, got {tm.portrait_t_end}")
-    ov = config.overlaps
     if not 0 < ov.sigma_min < ov.sigma_max:
         p.append(f"overlaps.sigma_min: need 0 < sigma_min < sigma_max, got {ov.sigma_min}, {ov.sigma_max}")
-    if ov.count < 2:
-        p.append(f"overlaps.count: need at least 2, got {ov.count}")
-    dy = config.dynamics
-    if not dy.mu_list:
-        p.append("dynamics.mu_list: at least one chemical potential is required")
     p.extend(_tag_clashes("dynamics.mu_list", "mu", dy.mu_list))
-    if dy.family not in FAMILY_CHOICES:
-        p.append(f"dynamics.family: expected one of {FAMILY_CHOICES}, got {dy.family!r}")
-    if not dy.t_end > 0:
-        p.append(f"dynamics.t_end: must be positive, got {dy.t_end}")
-    if not dy.dt > 0:
-        p.append(f"dynamics.dt: must be positive, got {dy.dt}")
-    elif box_sound:
+    if dy.dt > 0 and box_sound:
         inverse_dx = 1.0 / g.spacing
         scale = dy.dt * (_peak_potential(g, v) + inverse_dx * inverse_dx)
         if scale > DT_SCALE_LIMIT:
@@ -313,23 +299,10 @@ def validate_config(config: RunConfig) -> list[str]:
                 f"dynamics.dt: too coarse, dt*(max V + 1/dx^2) = {scale:.3f} exceeds "
                 f"{DT_SCALE_LIMIT} (guideline 0.5)"
             )
-    if not dy.snapshot_dt > 0:
-        p.append(f"dynamics.snapshot_dt: must be positive, got {dy.snapshot_dt}")
-    if not dy.phase_dt > 0:
-        p.append(f"dynamics.phase_dt: must be positive, got {dy.phase_dt}")
-    elif dy.dt > 0 and not whole_multiple(dy.phase_dt, dy.dt):
+    if dy.phase_dt > 0 and dy.dt > 0 and not whole_multiple(dy.phase_dt, dy.dt):
         p.append("dynamics.phase_dt: must be a whole multiple of dynamics.dt")
     if dy.snapshot_dt > 0 and dy.phase_dt > 0 and not whole_multiple(dy.snapshot_dt, dy.phase_dt):
         p.append("dynamics.snapshot_dt: must be a whole multiple of dynamics.phase_dt")
-    if dy.perturbation not in PERTURBATION_CHOICES:
-        p.append(
-            f"dynamics.perturbation: expected one of {PERTURBATION_CHOICES}, got {dy.perturbation!r}"
-        )
-    if dy.amplitude < 0:
-        p.append(f"dynamics.amplitude: must be >= 0, got {dy.amplitude}")
-    th = config.thermal
-    if not th.d > 0:
-        p.append(f"thermal.d: must be positive, got {th.d}")
     if isinstance(config.seed, bool) or not isinstance(config.seed, int) or config.seed < 0:
         p.append(f"seed: must be a non-negative integer, got {config.seed!r}")
     return p

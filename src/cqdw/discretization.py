@@ -18,7 +18,7 @@ solves and the BdG spectra split onto.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -83,6 +83,19 @@ def whole_multiple(value: float, unit: float) -> bool:
     return k >= 1 and abs(ratio - k) <= 1e-9 * ratio
 
 
+def field_rule(test, says: str, each: bool = False) -> dict:
+    """Metadata of a config field that carries a templated rule, as
+    `config.validate_config` applies it: a value v (each entry of it, when
+    `each`) that fails `test` gives the message `<path>: says.format(v)`.
+    It is here, below `config`, because `PotentialParams` states its rules too.
+    """
+    return {"rule": (test, says, each)}
+
+
+POSITIVE = field_rule(lambda v: v > 0, "must be positive, got {}")
+NON_NEGATIVE = field_rule(lambda v: v >= 0, "must be >= 0, got {}")  # NaN fails too
+
+
 def build_grid(half_width: float, spacing: float) -> Grid:
     """Validate and build the symmetric uniform grid.
 
@@ -109,11 +122,12 @@ def build_grid(half_width: float, spacing: float) -> Grid:
 class PotentialParams:
     """Double well: parabolic trap of frequency `trap_frequency` plus a
     sech^2 barrier of height `barrier_height` and width `barrier_width`.
-    It is also the `potential` section of `RunConfig`, defaults included."""
+    It is also the `potential` section of `RunConfig`, defaults and rules
+    included."""
 
-    trap_frequency: float = 0.1
-    barrier_height: float = 1.0
-    barrier_width: float = 0.5
+    trap_frequency: float = field(default=0.1, metadata=NON_NEGATIVE)
+    barrier_height: float = field(default=1.0, metadata=NON_NEGATIVE)
+    barrier_width: float = field(default=0.5, metadata=POSITIVE)
 
 
 def potential_profile(grid: Grid, params: PotentialParams) -> np.ndarray:

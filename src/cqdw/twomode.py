@@ -334,9 +334,10 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
 
     The step is halved and the run restarted whenever the relative drift
     exceeds 1e-8, and Orbit.halvings counts those restarts; hitting the
-    |z| = 1 singularity aborts with a diagnostic. Orbit.hamiltonian holds the
-    drift monitor's own values, H at every step. A start that one step maps
-    onto itself bit for bit (a fixed point) has its orbit filled at once.
+    |z| = 1 singularity or a non-finite H aborts with a diagnostic.
+    Orbit.hamiltonian holds the drift monitor's own values, H at every step.
+    A start that one step maps onto itself bit for bit (a fixed point) has
+    its orbit filled at once.
     """
     if abs(initial.z) >= 1:
         raise TwoModeError("orbit must start with |z| < 1")
@@ -382,6 +383,9 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
                 raise TwoModeError(f"orbit reached |z| = 1 at t = {ts[i]:.4g}")
             h = w2 * sqrt(1 - z * z) * cos(theta) - hf * z * z
             if not abs(h - h_ref) <= tol:  # a NaN drift fails too
+                if not math.isfinite(h):  # no smaller step can mend it
+                    raise TwoModeError(f"orbit Hamiltonian is {h} at t = {ts[i]:.4g}: "
+                                       f"z = {z}, theta = {theta}")
                 break
             z_out[i], theta_out[i], h_out[i] = z, theta, h
             if i == 1 and (z.hex(), theta.hex()) == (z0.hex(), theta0.hex()):

@@ -611,6 +611,52 @@ def test_field_rule_is_a_config_error(tmp_path, capsys, subcommand, payload, fie
     assert not out.exists()
 
 
+# One violating value per templated rule, each with the whole list of
+# messages validate_config returns when it is the only fault.
+TEMPLATED_RULES = [
+    ("grid", "half_width", 0.0, "grid.half_width: must be positive, got 0.0"),
+    ("grid", "spacing", -0.1, "grid.spacing: must be positive, got -0.1"),
+    ("potential", "barrier_width", 0.0, "potential.barrier_width: must be positive, got 0.0"),
+    ("potential", "trap_frequency", -0.1, "potential.trap_frequency: must be >= 0, got -0.1"),
+    ("potential", "barrier_height", -1.0, "potential.barrier_height: must be >= 0, got -1.0"),
+    ("interaction", "family", "box",
+     "interaction.family: expected one of ('gaussian', 'exponential'), got 'box'"),
+    ("interaction", "sigma", 0.0, "interaction.sigma: must be positive, got 0.0"),
+    ("interaction", "s", 0, "interaction.s: must be +1 or -1, got 0"),
+    ("interaction", "delta", 2, "interaction.delta: must be +1 or -1, got 2"),
+    ("scan", "norm_cap", 0.0, "scan.norm_cap: must be positive, got 0.0"),
+    ("scan", "families", (), "scan.families: at least one of sym/anti is required"),
+    ("twomode", "n_count", 1, "twomode.n_count: need at least 2, got 1"),
+    ("twomode", "portrait_norms", (-1.0,),
+     "twomode.portrait_norms: norms must be positive, got -1.0"),
+    ("twomode", "portrait_t_end", 0.0, "twomode.portrait_t_end: must be positive, got 0.0"),
+    ("twomode", "sigma_count", 1, "twomode.sigma_count: need at least 2, got 1"),
+    ("overlaps", "count", 1, "overlaps.count: need at least 2, got 1"),
+    ("dynamics", "mu_list", (), "dynamics.mu_list: at least one chemical potential is required"),
+    ("dynamics", "family", "both", "dynamics.family: expected one of ('sym', 'anti'), got 'both'"),
+    ("dynamics", "t_end", 0.0, "dynamics.t_end: must be positive, got 0.0"),
+    ("dynamics", "dt", 0.0, "dynamics.dt: must be positive, got 0.0"),
+    ("dynamics", "snapshot_dt", 0.0, "dynamics.snapshot_dt: must be positive, got 0.0"),
+    ("dynamics", "phase_dt", -0.2, "dynamics.phase_dt: must be positive, got -0.2"),
+    ("dynamics", "perturbation", "kick",
+     "dynamics.perturbation: expected one of ('eigenvector', 'random', 'none'), got 'kick'"),
+    ("dynamics", "amplitude", -1e-3, "dynamics.amplitude: must be >= 0, got -0.001"),
+    ("thermal", "d", 0.0, "thermal.d: must be positive, got 0.0"),
+    # NaN fails every comparison, so a `>= 0` rule must reject it as well
+    ("dynamics", "amplitude", math.nan, "dynamics.amplitude: must be >= 0, got nan"),
+    ("potential", "trap_frequency", math.nan, "potential.trap_frequency: must be >= 0, got nan"),
+    ("potential", "barrier_height", math.nan, "potential.barrier_height: must be >= 0, got nan"),
+]
+
+
+@pytest.mark.parametrize("section, name, value, message", TEMPLATED_RULES,
+                         ids=[f"{s}.{n}={v!r}" for s, n, v, _ in TEMPLATED_RULES])
+def test_templated_rule_message_is_pinned(section, name, value, message):
+    config = RunConfig()
+    bad = replace(config, **{section: replace(getattr(config, section), **{name: value})})
+    assert validate_config(bad) == [message]
+
+
 def test_mu_list_tag_collision_is_rejected(tmp_path, capsys):
     # both values print as 0.15 in the run's file names, so one run would
     # overwrite the other's density and phase files

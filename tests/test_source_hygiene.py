@@ -6,18 +6,20 @@ attribute of that name, even on an unrelated object.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 from cqdw.cli import RUNNERS
-from cqdw.config import RunConfig
+from cqdw.config import RunConfig, validate_config
 from cqdw.presets import PRESETS
 
 TESTS = Path(__file__).resolve().parent
@@ -33,6 +35,11 @@ SETTING = [SOURCE / "presets.py", *sorted(TESTS.glob("*.py"))]
 # RunConfig leaves that no preset, workload or test sets but that stay, with why.
 UNSET_BY_DESIGN = {
     "twomode.n_max": "the upper bound of the N axis, paired with n_min, which tests do set",
+}
+# RunConfig leaves that carry no rule and that no code rule of validate_config
+# reads, with why.
+UNCHECKED_BY_DESIGN = {
+    "thermal.sigma0": "a linear source strength, valid at any finite value",
 }
 # Top-level definitions that no reaching file uses but that stay, with why.
 UNREACHED_BY_DESIGN = {
@@ -250,13 +257,54 @@ def is_config_field(path: str) -> bool:
     return not is_dataclass(node)
 
 
+def validate_config_tree() -> ast.FunctionDef:
+    tree = ast.parse((SOURCE / "config.py").read_text(encoding="utf-8"))
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "validate_config")
+
+
+def leaf_paths(cls=RunConfig, prefix: str = "") -> dict:
+    """Dotted path of every RunConfig leaf, keyed by (dataclass, field name)."""
+    paths = {}
+    for name, hint in get_type_hints(cls).items():
+        if is_dataclass(hint):
+            paths.update(leaf_paths(hint, f"{prefix}{name}."))
+        else:
+            paths[(cls, name)] = prefix + name
+    return paths
+
+
+def ruled_fields() -> list:
+    """(dataclass, field) for every field of a src/cqdw dataclass whose
+    metadata carries a templated rule."""
+    found = []
+    for path in MODULES:
+        module = importlib.import_module(f"cqdw.{path.stem}")
+        found += [(cls, f) for cls in vars(module).values()
+                  if isinstance(cls, type) and is_dataclass(cls)
+                  and cls.__module__ == module.__name__
+                  for f in fields(cls) if "rule" in f.metadata]
+    return found
+
+
+# Values of each leaf type, one of which breaks each templated rule.
+BREAKING = {float: (0.0, -1.0), int: (0, -1), str: ("?",),
+            tuple[str, ...]: ((), ("?",)), tuple[float, ...]: ((), (-1.0,))}
+
+
+def breaks(rule, value) -> bool:
+    test, _, each = rule
+    return any(not test(v) for v in (value if each else [value]))
+
+
 def test_every_config_message_names_its_field():
     """Each message that validate_config appends, directly or through
     `_tag_clashes(path, ...)`, starts with `<path>:` for a real field of
-    RunConfig, so a rule that moves into the gate always points at its field."""
-    tree = ast.parse((SOURCE / "config.py").read_text(encoding="utf-8"))
-    gate = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "validate_config")
+    RunConfig, so a rule that moves into the gate always points at its field.
+    Each field that carries a templated rule in its metadata is a RunConfig
+    leaf, and a value that breaks the rule gives messages that all start with
+    that leaf's path."""
+    gate = validate_config_tree()
     paths = []
     for node in ast.walk(gate):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -272,6 +320,59 @@ def test_every_config_message_names_its_field():
         assert colon and is_config_field(path), f"{ast.unparse(node)} names no RunConfig field"
         paths.append(path)
     assert paths, "found no message in validate_config"
+    leaves, config = leaf_paths(), RunConfig()
+    assert validate_config(config) == []
+    ruled = ruled_fields()
+    assert ruled, "found no field that carries a rule"
+    for cls, f in ruled:
+        path = leaves.get((cls, f.name))
+        assert path, f"{cls.__name__}.{f.name} carries a rule but is no RunConfig leaf"
+        hint = get_type_hints(cls)[f.name]
+        value = next(v for v in BREAKING[hint] if breaks(f.metadata["rule"], v))
+        section, _, name = path.rpartition(".")
+        bad = (replace(config, **{section: replace(getattr(config, section), **{name: value})})
+               if section else replace(config, **{name: value}))
+        messages = validate_config(bad)
+        assert messages and all(m.startswith(f"{path}: ") for m in messages), (path, messages)
+
+
+def code_rule_reads() -> set[str]:
+    """Paths of the RunConfig leaves that validate_config's code reads, as
+    `config.<leaf>`, `config.<section>.<leaf>` or `<name>.<leaf>` for a name
+    bound to `config.<section>`."""
+    gate = validate_config_tree()
+    sections = {}
+    for node in ast.walk(gate):
+        if isinstance(node, ast.Assign):
+            target, value = node.targets[0], node.value
+            pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                     and isinstance(value, ast.Tuple) else [(target, value)])
+            sections.update({t.id: v.attr for t, v in pairs
+                             if isinstance(t, ast.Name) and isinstance(v, ast.Attribute)
+                             and getattr(v.value, "id", None) == "config"})
+    reads = set()
+    for node in ast.walk(gate):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            continue
+        base = node.value
+        if getattr(base, "id", None) == "config":
+            reads.add(node.attr)
+        elif getattr(base, "id", None) in sections:
+            reads.add(f"{sections[base.id]}.{node.attr}")
+        elif isinstance(base, ast.Attribute) and getattr(base.value, "id", None) == "config":
+            reads.add(f"{base.attr}.{node.attr}")
+    return reads
+
+
+def test_every_config_leaf_is_checked():
+    """Every RunConfig leaf carries a templated rule or is read by a code rule
+    of validate_config, so a new field does not pass the gate unchecked."""
+    leaves = leaf_paths()
+    ruled = {leaves[(cls, f.name)] for cls, f in ruled_fields() if (cls, f.name) in leaves}
+    unchecked = set(leaves.values()) - ruled - code_rule_reads()
+    assert unchecked == set(UNCHECKED_BY_DESIGN), (
+        f"checked by no rule: {sorted(unchecked - set(UNCHECKED_BY_DESIGN))}; "
+        f"exemptions now checked or gone: {sorted(set(UNCHECKED_BY_DESIGN) - unchecked)}")
 
 
 def config_leaves(node, prefix: str = "") -> list[str]:

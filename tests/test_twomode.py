@@ -545,6 +545,17 @@ def test_orbit_singularity_inside_a_step_is_diagnosed():
     assert "theta equation is singular" in str(info.value.__cause__)
 
 
+def test_orbit_stops_at_the_first_non_finite_hamiltonian():
+    # a NaN coupling makes theta, then z and H, NaN on the first step; no
+    # smaller step can mend that, so the run stops there instead of halving
+    p = ModeParams(s=1, delta=-1, N=1.0, eta0=math.nan, eta1=0.0, eta4=0.0,
+                   omega=0.011454673, Omega=0.144240623)
+    assert math.isnan(p.coupling())
+    with pytest.raises(TwoModeError) as info:
+        integrate_orbit(TwoModeState(0.01, 0.0), p, t_end=60.0, dt=0.05)
+    assert str(info.value) == "orbit Hamiltonian is nan at t = 0.05: z = nan, theta = nan"
+
+
 def test_orbit_argument_validation(lobe_params):
     with pytest.raises(TwoModeError):
         integrate_orbit(TwoModeState(1.0, 0.0), lobe_params, t_end=1.0, dt=0.01)
