@@ -111,7 +111,7 @@ class StationaryProblem:
     The quadrature kernel matrix and the dense linear operator are built
     once and folded onto both reflection sectors; the whole-grid Jacobian
     keeps the kernel matrix and rebuilds its linear part from the tridiagonal
-    form.  Residuals use the FFT convolution plan.
+    form.  Residuals use the convolution plan.
     """
 
     def __init__(self, grid: Grid, potential: PotentialParams, kernel: Kernel, s: int, delta: int):
@@ -148,8 +148,22 @@ class StationaryProblem:
         return self.nonlinear_potential_density(psi**2)
 
     def nonlinear_potential_density(self, density: np.ndarray) -> np.ndarray:
-        """Same contraction from rho = |psi|^2, usable for complex fields."""
-        return self._plan.apply(self.s * density + self.delta * density**2)
+        """Same contraction from rho = |psi|^2, usable for complex fields.
+
+        s and delta are +-1, so s rho + delta rho^2 is one add or subtract of
+        rho and rho^2, negated when both are -1: two ufuncs in place of four,
+        with the same bits (negation is exact and rounding is symmetric).
+        """
+        source = density * density
+        if self.s == self.delta:
+            np.add(density, source, out=source)
+            if self.s < 0:
+                np.negative(source, out=source)
+        elif self.s > 0:
+            np.subtract(density, source, out=source)
+        else:
+            np.subtract(source, density, out=source)
+        return self._plan.apply(source)
 
     def residual(self, psi: np.ndarray, mu: float) -> np.ndarray:
         psi = np.asarray(psi, dtype=float)

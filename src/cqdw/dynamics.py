@@ -6,7 +6,7 @@ The propagated equation keeps the chemical potential inside the generator,
 
 so converged stationary profiles are genuine fixed points rather than
 phase-rotating solutions. Discretization in x is exactly the stationary one
-(tridiagonal Dirichlet operator plus FFT convolutions on the same grid):
+(tridiagonal Dirichlet operator plus the same convolution plan):
 a Newton-converged profile is then an equilibrium of the discrete flow up to
 its own residual, which is what makes the no-perturbation contract testable.
 
@@ -22,9 +22,11 @@ the constant kinetic matrix A = I + i dt/2 T implicit:
 
     A psi_next = (I - i dt/2 T) psi - i dt (V - mu + W_mid) psi_mid,
 
-so each pass is one FFT convolution for W_mid and one apply of A^-1 by its
-closed-form lattice Green's function (`KineticInverse`, a 2K+1-tap filter),
-and no linear solve can fail. ||A^-1||_2 <= 1, so a pass contracts the
+so each pass is one convolution for W_mid (a direct sum over the kernel's
+reach, or an FFT for a kernel wider than half the box; see
+`discretization.ConvolutionPlan`) and one apply of A^-1 by its closed-form
+lattice Green's function (`KineticInverse`, a 2K+1-tap filter), and no
+linear solve can fail. ||A^-1||_2 <= 1, so a pass contracts the
 error by about (dt/2) max|V - mu + W| (0.0044 at dt = 5e-3 on the default
 double well). V stays on the right: shifting part of it into A's diagonal
 would move V - mu away from zero where psi lives and slow the passes. Near

@@ -333,8 +333,9 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
     """Fixed-step RK4 orbit with a Hamiltonian drift monitor.
 
     The step is halved and the run restarted whenever the relative drift
-    exceeds 1e-8, and Orbit.halvings counts those restarts; hitting the
-    |z| = 1 singularity or a non-finite H aborts with a diagnostic.
+    exceeds 1e-8, and Orbit.halvings counts those restarts; an infinite
+    coupling f, hitting the |z| = 1 singularity or a non-finite H aborts with
+    a diagnostic, and so does a drift that the last halving still shows.
     Orbit.hamiltonian holds the drift monitor's own values, H at every step.
     A start that one step maps onto itself bit for bit (a fixed point) has
     its orbit filled at once.
@@ -342,6 +343,9 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
     if abs(initial.z) >= 1:
         raise TwoModeError("orbit must start with |z| < 1")
     omega, f = p.omega, p.coupling()
+    if math.isinf(f):  # else it reaches sin(inf), which reads as the rim
+        raise TwoModeError(f"orbit coupling f(N) is {f} at N = {p.N}: "
+                           f"eta_z = {p.eta_z}, eta4 = {p.eta4}")
     # reduced_rhs and hamiltonian inlined for speed, term for term in their
     # order, so every value keeps its rounding (a test pins this bit for bit)
     sqrt, sin, cos = math.sqrt, math.sin, math.cos
@@ -349,8 +353,8 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
     z0, theta0 = float(initial.z), float(initial.theta)
     h_ref = w2 * sqrt(1 - z0 * z0) * cos(theta0) - hf * z0 * z0
     tol = _HAMILTONIAN_DRIFT_TOL * max(abs(h_ref), 2 * omega)
-    step = dt
     for halvings in range(_MAX_STEP_HALVINGS + 1):
+        step = dt * 0.5**halvings
         n_steps = max(1, int(round(t_end / step)))
         ts = np.linspace(0.0, n_steps * step, n_steps + 1)
         zs, thetas, hs = np.empty((3, n_steps + 1))
@@ -395,6 +399,5 @@ def integrate_orbit(initial: TwoModeState, p: ModeParams, t_end: float,
         else:
             return Orbit(t=ts, z=zs, theta=thetas, hamiltonian=hs, dt=step,
                          halvings=halvings)
-        step *= 0.5
     raise TwoModeError(
         f"Hamiltonian drift above {_HAMILTONIAN_DRIFT_TOL} even at dt = {step}")

@@ -152,30 +152,64 @@ def test_next_fast_len_matches_scipy():
         assert _next_fast_len(target) == scipy_fft.next_fast_len(target), target
 
 
-# n = 401 transforms at 810 = 2 3^4 5; n = 153 at 308 = 2^2 7 11
-@pytest.mark.parametrize("half_width, fft_size", [(20.0, 810), (7.6, 308)])
-@pytest.mark.parametrize("kernel", [Kernel(GAUSSIAN, 1.0), Kernel(EXPONENTIAL, 0.7)])
-def test_plan_is_bit_identical_to_scipy_fft(half_width, fft_size, kernel):
+# n = 401 transforms at 810 = 2 3^4 5; n = 153 at 308 = 2^2 7 11. Gaussian
+# sigma = 1 reaches 84 offsets, so it takes the FFT route only on the narrower
+# grid; at n = 401 it is pinned with the direct route below.
+@pytest.mark.parametrize("kernel, half_width, fft_size", [
+    pytest.param(Kernel(GAUSSIAN, 1.0), 7.6, 308, id="kernel0-7.6-308"),
+    pytest.param(Kernel(EXPONENTIAL, 0.7), 20.0, 810, id="kernel1-20.0-810"),
+    pytest.param(Kernel(EXPONENTIAL, 0.7), 7.6, 308, id="kernel1-7.6-308"),
+    pytest.param(Kernel(GAUSSIAN, 8.0), 20.0, 810, id="wide-gaussian-20.0-810"),
+])
+def test_plan_is_bit_identical_to_scipy_fft(kernel, half_width, fft_size):
     grid = build_grid(half_width, 0.1)
     assert scipy_fft.next_fast_len(2 * grid.n_points - 1) == fft_size
     rng = np.random.default_rng(grid.n_points)
     f = np.exp(-grid.points**2 / 8) * rng.normal(size=grid.n_points)
     g = f + 1j * rng.normal(size=grid.n_points)
     plan = ConvolutionPlan(kernel, grid)
+    assert not plan.direct
     assert np.array_equal(plan.apply(f), scipy_fft_convolution(kernel, grid, f))
     assert np.array_equal(plan.apply(g.real) + 1j * plan.apply(g.imag),
                           scipy_fft_convolution(kernel, grid, g))
 
 
+@pytest.mark.parametrize("sigma", [0.1, 1.0])
+def test_direct_route_matches_oracle(sigma):
+    grid = build_grid(20.0, 0.1)
+    kernel = Kernel(GAUSSIAN, sigma)
+    rng = np.random.default_rng(grid.n_points)
+    f = np.exp(-grid.points**2 / 8) * rng.normal(size=grid.n_points)
+    g = f + 1j * rng.normal(size=grid.n_points)
+    plan = ConvolutionPlan(kernel, grid)
+    assert plan.direct
+    np.testing.assert_allclose(plan.apply(f), brute_force_convolution(kernel, f, grid), atol=1e-12)
+    np.testing.assert_allclose(plan.apply(g.real) + 1j * plan.apply(g.imag),
+                               brute_force_convolution(kernel, g, grid), atol=1e-12)
+
+
+def test_route_follows_the_kernel_reach():
+    """Direct when the 2r + 1 nonzero samples fit in n points, FFT otherwise:
+    Gaussian sigma = 1 (r = 84 at dx = 0.1) and sigma = 8 (every offset) fall
+    on either side at n = 401, and sigma = 1 sits on the edge at n = 169."""
+    grid = build_grid(20.0, 0.1)
+    assert ConvolutionPlan(Kernel(GAUSSIAN, 1.0), grid).direct
+    assert not ConvolutionPlan(Kernel(GAUSSIAN, 8.0), grid).direct
+    assert ConvolutionPlan(Kernel(GAUSSIAN, 1.0), build_grid(8.4, 0.1)).direct
+    assert not ConvolutionPlan(Kernel(GAUSSIAN, 1.0), build_grid(8.3, 0.1)).direct
+
+
 def test_convolution_rejects_complex_input():
-    """The plan convolves real values only; a complex field fails loudly in
-    rfft instead of losing its imaginary part."""
-    grid = build_grid(8.0, 0.1)
+    """The plan convolves real values only; a complex field fails loudly, in
+    the direct route's copy or in rfft, instead of losing its imaginary part."""
+    grid = build_grid(20.0, 0.1)
     rng = np.random.default_rng(3)
     f = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
-    plan = ConvolutionPlan(Kernel(GAUSSIAN, 1.0), grid)
-    with pytest.raises(TypeError):
-        plan.apply(f)
+    narrow, wide = (ConvolutionPlan(Kernel(GAUSSIAN, sigma), grid) for sigma in (1.0, 8.0))
+    assert narrow.direct and not wide.direct
+    for plan in (narrow, wide):
+        with pytest.raises(TypeError):
+            plan.apply(f)
 
 
 def test_convolution_linearity_and_parity():

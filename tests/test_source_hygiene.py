@@ -102,6 +102,22 @@ def test_thermal_run_loads_no_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 []", done.stdout
 
 
+def test_narrow_kernel_evolve_loads_no_numpy_fft(tmp_path):
+    """A short `cqdw evolve` at sigma = 1 on the default grid loads no
+    numpy.fft module: its kernel reaches 84 of the 400 offsets, so every
+    convolution takes the direct route of `ConvolutionPlan`."""
+    config = tmp_path / "evolve.json"
+    config.write_text(json.dumps({"interaction": {"family": "gaussian", "sigma": 1.0},
+                                  "dynamics": {"mu_list": [0.25], "t_end": 1.0}}))
+    code = ("import sys, cqdw.cli; status = cqdw.cli.main(sys.argv[1:]); "
+            "print(status, sorted(m for m in sys.modules if m.startswith('numpy.fft')))")
+    argv = ["evolve", "--config", str(config), "--out", str(tmp_path / "ev")]
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []", done.stdout
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_level_scipy_import(path):
     """No cqdw module imports scipy at any depth, at module level or inside a

@@ -556,6 +556,30 @@ def test_orbit_stops_at_the_first_non_finite_hamiltonian():
     assert str(info.value) == "orbit Hamiltonian is nan at t = 0.05: z = nan, theta = nan"
 
 
+@pytest.mark.parametrize("eta0, norm", [(math.inf, 1.0), (1e308, 5.0)])
+def test_orbit_names_an_infinite_coupling(eta0, norm):
+    # an infinite f makes theta infinite at the first stage, and sin(inf)
+    # raises the ValueError that the rim handler catches; the orbit names f
+    # before its first step instead (eta0 = 1e308 overflows only in f)
+    p = ModeParams(s=1, delta=-1, N=norm, eta0=eta0, eta1=0.0, eta4=0.0,
+                   omega=0.011454673, Omega=0.144240623)
+    assert math.isfinite(p.eta_z) == (eta0 != math.inf)
+    with pytest.raises(TwoModeError) as info:
+        integrate_orbit(TwoModeState(0.01, 0.0), p, t_end=60.0, dt=0.05)
+    assert str(info.value) == (f"orbit coupling f(N) is inf at N = {norm}: "
+                               f"eta_z = {p.eta_z}, eta4 = 0.0")
+
+
+def test_orbit_drift_error_names_the_last_step_tried():
+    # a huge finite coupling drifts at every step size; from dt = 0.01 the
+    # eighth halving, 0.01 / 2^8, is the last step tried
+    p = ModeParams(s=1, delta=-1, N=1.0, eta0=1e300, eta1=0.0, eta4=0.0,
+                   omega=0.011454673, Omega=0.144240623)
+    with pytest.raises(TwoModeError) as info:
+        integrate_orbit(TwoModeState(0.01, 0.0), p, t_end=60.0, dt=0.01)
+    assert str(info.value) == "Hamiltonian drift above 1e-08 even at dt = 3.90625e-05"
+
+
 def test_orbit_argument_validation(lobe_params):
     with pytest.raises(TwoModeError):
         integrate_orbit(TwoModeState(1.0, 0.0), lobe_params, t_end=1.0, dt=0.01)
